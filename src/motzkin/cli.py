@@ -427,8 +427,8 @@ def _round_float(x: float):
 def _jsonable(obj):
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, bool):
-        return obj
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):

@@ -1,8 +1,10 @@
 """Subproduct system and Toeplitz operators generated by a Motzkin pair.
 
-The levelwise spaces H_k sit inside (C^n)^{(x) k}; each is carried as an
-orthonormal coordinate frame so that all operator algebra happens in the
-small compressed dimensions d_k rather than n^k.
+The levelwise spaces H_k sit inside (C^n)^{(x) k}, and H_{k+1} sits inside
+C^n (x) H_k.  Each level is therefore carried as a hat frame: an isometry
+onto H_{k+1} inside C^n (x) H_k, written in the coordinates of the level
+below.  All operator algebra happens in the compressed dimensions n d_k;
+the n^k-sized ambient frames and projections are built only on request.
 """
 
 from __future__ import annotations
@@ -27,47 +29,38 @@ from .representation import MotzkinPair, p_matrix
 _SNAP_TOL = 1e-6
 
 
-def _orthonormal_range(mat: np.ndarray, expected: int, tol: float, what: str):
-    """Orthonormal columns spanning the column space of ``mat``.
-
-    Sequential Gram-Schmidt over the columns in their given order, with a
-    second orthogonalization pass on every accepted vector.  The count of
-    accepted columns must come out to ``expected``.
-    """
-    norms = np.linalg.norm(mat, axis=0)
-    thresh = tol * max(float(norms.max(initial=0.0)), 1e-300)
-    cols: list[np.ndarray] = []
-    for j in range(mat.shape[1]):
-        v = mat[:, j].astype(complex)
-        for b in cols:
-            v = v - b * np.vdot(b, v)
-        nv = np.linalg.norm(v)
-        if nv <= thresh:
-            continue
-        v = v / nv
-        for b in cols:
-            v = v - b * np.vdot(b, v)
-        v = v / np.linalg.norm(v)
-        cols.append(v)
-    if len(cols) != expected:
-        raise StructureError(
-            f"{what}: extracted {len(cols)} independent directions, "
-            f"expected {expected}"
-        )
-    return np.stack(cols, axis=1)
-
-
 class SubproductSystem:
-    """Coordinate frames B_k for the levels H_k, k = 0 .. levels.
+    """The levels H_k, k = 0 .. levels, in compressed coordinates.
 
-    B_k is an n^k x d_k isometry onto H_k, so the orthogonal projection is
-    B_k B_k^*.  The recursion runs entirely in compressed coordinates: the
-    level-(k+1) projection, conjugated into C^n (x) H_k, is
+    Stored after construction, for every level k >= 1:
 
-        (1 - P) (x) 1  -  phi(k) Y Y^*
+    - ``hat_bases[k]``, the (n d_{k-1}) x d_k hat frame B^_k, an isometry
+      onto H_k inside C^n (x) H_{k-1};
+    - ``hat_projections[k]``, the level-k projection conjugated into
+      C^n (x) H_{k-1} (see ``compressed_projection``);
+    - ``dims``, ``idempotent_residuals`` and ``rounding_magnitudes``.
+
+    No stored array has more than n d_{levels-1} rows.  The n^k x d_k
+    ambient frame B_k = (1 (x) B_{k-1}) B^_k (``basis``) and the full
+    projection B_k B_k^* (``projection``) are built on request; the frames
+    are cached.
+
+    The recursion: conjugated into C^n (x) H_k, the level-(k+1) projection
+    is
+
+        G^ = (1 - P) (x) 1  -  phi(k) Y Y^*
 
     with P the rank-one projection onto the distinguished unit vector b and
     Y the compression of the pair vector acting on the two leftmost slots.
+    Since H_k lies in C^n (x) H_{k-1} and B_{k-1} is an isometry, Y Y^*
+    needs only B^_k: it is (V (x) 1) H^* H (V (x) 1)^*, where H is B^_k with
+    its C^n slot moved to the columns, a d_{k-1} x (n d_k) matrix, and V is
+    the pair vector as an n x n matrix.  The level-(k+1) frame is spanned by
+    the eigenvectors of G^ with eigenvalue above 1/2.
+
+    Each frame is fixed only up to a unitary on C^{d_k}.  Hat frames,
+    compressed projections and creation blocks depend on that choice;
+    projections, ranks, spectra and residuals do not.
     """
 
     def __init__(self, pair: MotzkinPair, levels: int, *, tol: float = TOL_CONSTRUCT):
@@ -78,32 +71,32 @@ class SubproductSystem:
         self.levels = levels
         self.phi = PhiFunction(pair.lam)
         self.dims: list[int] = [1]
-        self.bases: list[np.ndarray] = [np.ones((1, 1), dtype=complex)]
         self.hat_bases: list[np.ndarray | None] = [None]
         self.hat_projections: list[np.ndarray | None] = [None]
         self.idempotent_residuals: list[float] = [0.0]
         self.rounding_magnitudes: list[float] = [0.0]
+        self._bases: dict[int, np.ndarray] = {0: np.ones((1, 1), dtype=complex)}
 
         Q = np.eye(n) - p_matrix(pair)
-        vA2 = pair.vA().reshape(n, n)
+        V = pair.vA().reshape(n, n)
         for k in range(levels):
             d_k = self.dims[k]
-            B_k = self.bases[k]
             G_hat = np.kron(Q, np.eye(d_k)).astype(complex)
             phik = self.phi(k)
             if phik:
-                B3 = B_k.reshape(n, n ** (k - 1), d_k)
-                Y = np.einsum("ip,pAr->irA", vA2, B3.conj())
-                Y = Y.reshape(n * d_k, n ** (k - 1))
-                G_hat -= float(phik) * (Y @ Y.conj().T)
+                # Z = H (V (x) 1)^*, so that Y Y^* = Z^* Z.
+                H = self.hat_bases[k].reshape(n, self.dims[k - 1], d_k)
+                Z = np.einsum("qts,jq->tjs", H, V.conj())
+                Z = Z.reshape(self.dims[k - 1], n * d_k)
+                G_hat -= float(phik) * (Z.conj().T @ Z)
 
             G_hat = (G_hat + G_hat.conj().T) / 2.0
             res = float(np.linalg.norm(G_hat @ G_hat - G_hat))
             self.idempotent_residuals.append(res)
+            evals, vecs = np.linalg.eigh(G_hat)
             mag = 0.0
             if res > tol:
-                evals, vecs = np.linalg.eigh(G_hat)
-                snapped = np.round(evals.real)
+                snapped = np.round(evals)
                 drift = np.abs(evals - snapped).max()
                 if drift > _SNAP_TOL or not np.isin(snapped, (0.0, 1.0)).all():
                     raise StructureError(
@@ -115,24 +108,26 @@ class SubproductSystem:
             self.rounding_magnitudes.append(mag)
 
             d_next = dim_subproduct(n, k + 1)
-            B_hat = _orthonormal_range(
-                G_hat, d_next, TOL_RANK, f"level {k + 1} basis"
-            )
-            B3 = B_hat.reshape(n, d_k, d_next)
-            B_next = np.einsum("Ar,urs->uAs", B_k, B3)
-            B_next = B_next.reshape(n ** (k + 1), d_next)
-
+            keep = evals > 0.5
+            found = int(keep.sum())
+            if found != d_next:
+                raise StructureError(
+                    f"level {k + 1} basis: extracted {found} independent "
+                    f"directions, expected {d_next}"
+                )
             self.dims.append(d_next)
-            self.bases.append(B_next)
-            self.hat_bases.append(B_hat)
+            self.hat_bases.append(vecs[:, keep])
             self.hat_projections.append(G_hat)
 
     # -- frames and projections ------------------------------------------
 
     def basis(self, k: int) -> np.ndarray:
-        """The n^k x d_k isometry onto level k."""
+        """The n^k x d_k isometry onto level k, built on first use."""
         self._check_level(k)
-        return self.bases[k]
+        if k not in self._bases:
+            H = self.hat_bases[k].reshape(self.pair.n, self.dims[k - 1], self.dims[k])
+            self._bases[k] = (self.basis(k - 1) @ H).reshape(-1, self.dims[k])
+        return self._bases[k]
 
     def projection(self, k: int) -> np.ndarray:
         """The full n^k x n^k orthogonal projection onto level k."""
@@ -143,11 +138,15 @@ class SubproductSystem:
                 f"full projection at level {k} has size n**k = {n ** k}, "
                 f"above the cap {FULL_MATRIX_DIM}"
             )
-        B = self.bases[k]
+        B = self.basis(k)
         return B @ B.conj().T
 
     def compressed_projection(self, k: int) -> np.ndarray:
-        """The projection at level k >= 1, conjugated into C^n (x) H_{k-1}."""
+        """The projection at level k >= 1, conjugated into C^n (x) H_{k-1}.
+
+        Its entries depend on the frame chosen for level k - 1; its
+        spectrum does not.
+        """
         self._check_level(k)
         if k == 0:
             raise ParameterError("level 0 has no compressed form")
@@ -190,13 +189,14 @@ class SubproductSystem:
         """Blocks of the creation operator of u: level k -> level k + 1.
 
         Block k is d_{k+1} x d_k; in level coordinates the operator sends
-        xi to the compression of u (x) xi.
+        xi to the compression of u (x) xi, that is B^_{k+1}^* (u (x) xi).
         """
-        u = np.asarray(u, dtype=complex).reshape(self.pair.n)
+        n = self.pair.n
+        u = np.asarray(u, dtype=complex).reshape(n)
         out = []
         for k in range(self.levels):
-            lift = np.kron(u[:, None], np.eye(self.dims[k]))
-            out.append(self.hat_bases[k + 1].conj().T @ lift)
+            H = self.hat_bases[k + 1].reshape(n, self.dims[k], self.dims[k + 1])
+            out.append(np.tensordot(u.conj(), H, axes=(0, 0)).conj().T)
         return out
 
     def toeplitz_matrix(self, u: np.ndarray) -> np.ndarray:
@@ -271,7 +271,12 @@ def projection_rank(system: SubproductSystem, k: int, *, gap: float = RANK_GAP):
 def coassociativity_residuals(
     system: SubproductSystem, kmax: int | None = None
 ) -> dict[str, float]:
-    """Residuals of (G_p (x) 1) G_k = G_k and (1 (x) G_q) G_k = G_k."""
+    """Residuals of (G_p (x) 1) G_k = G_k and (1 (x) G_q) G_k = G_k.
+
+    With G_k = B_k B_k^* and B_k an isometry, ||X G_k - G_k|| equals
+    ||X B_k - B_k||, so each residual is taken on the frame and X acts
+    through B_p or B_q without forming a Kronecker product.
+    """
     n = system.pair.n
     limit = system.levels
     while n**limit > FULL_MATRIX_DIM:
@@ -284,13 +289,19 @@ def coassociativity_residuals(
         )
     out: dict[str, float] = {}
     for k in range(2, kmax + 1):
-        G_k = system.projection(k)
+        B_k = system.basis(k)
+        d_k = system.dims[k]
         for p in range(1, k):
             q = k - p
-            left = np.kron(system.projection(p), np.eye(n**q))
-            right = np.kron(np.eye(n**p), system.projection(q))
-            out[f"left[p={p},k={k}]"] = float(np.linalg.norm(left @ G_k - G_k))
-            out[f"right[q={q},k={k}]"] = float(np.linalg.norm(right @ G_k - G_k))
+            B_p, B_q = system.basis(p), system.basis(q)
+            X = B_k.reshape(n**p, n**q * d_k)
+            out[f"left[p={p},k={k}]"] = float(
+                np.linalg.norm(B_p @ (B_p.conj().T @ X) - X)
+            )
+            X = B_k.reshape(n**p, n**q, d_k)
+            out[f"right[q={q},k={k}]"] = float(
+                np.linalg.norm(B_q @ (B_q.conj().T @ X) - X)
+            )
     return out
 
 
@@ -504,17 +515,21 @@ def toeplitz_residuals(
 
     # Covariance with the level grading: f S = S (f o shift) for the level
     # indicators and for one strictly positive weight function.
+    # E_m S - S E_{m-1} is row block m of S minus column block m - 1; the
+    # block where the two strips cross cancels.
     S_full = [system.toeplitz_matrix(v) for v in fam.vectors]
+    offs = system.level_offsets()
     worst = 0.0
     for m in range(N + 1):
-        E = system.level_projection(m)
-        E_prev = system.level_projection(m - 1) if m else None
+        rows = slice(offs[m], offs[m + 1])
+        cols = slice(offs[m - 1], offs[m]) if m else slice(0, 0)
         for S in S_full:
-            lhs = E @ S
-            rhs = S @ E_prev if m else np.zeros_like(lhs)
-            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+            top, side = S[rows].copy(), S[:, cols].copy()
+            top[:, cols] = 0.0
+            side[rows] = 0.0
+            diff = np.hypot(np.linalg.norm(top), np.linalg.norm(side))
+            worst = max(worst, float(diff))
     res["eq1[levels]"] = worst
-    offs = system.level_offsets()
     weight = np.concatenate(
         [
             np.full(system.dims[m], 1.0 + 1.0 / ((1 + n) * (1 + m)))
@@ -592,7 +607,7 @@ def toeplitz_residuals(
                 lhs = blocks[("w", sp)][m].conj().T @ blocks[("w", s)][m]
                 rhs = (s == sp) * eye_m - phim * lam * _orbit_phase(
                     fam.r, s - sp
-                ) * down_up(("w", s), ("w", sp), m)
+                ) * down_up(("w", sp), ("w", s), m)
                 res[f"eq6[s={s},s'={sp},m={m}]"] = float(np.linalg.norm(lhs - rhs))
 
     return ToeplitzReport(levels=N, tol=tol, residuals=res, skipped=skipped)
@@ -898,7 +913,7 @@ def cuntz_pimsner_residual(
             lhs = blocks[("w", sp)][m].conj().T @ blocks[("w", s)][m]
             rhs = (s == sp) * eye_m - phi_inf * lam * _orbit_phase(
                 fam.r, s - sp
-            ) * down_up(("w", s), ("w", sp))
+            ) * down_up(("w", sp), ("w", s))
             res[f"eq6o[s={s},s'={sp}]"] = float(np.linalg.norm(lhs - rhs))
 
     defect = abs(float(system.phi(m)) - phi_inf)

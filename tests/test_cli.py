@@ -284,6 +284,14 @@ class TestRunCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["ok"] is True and data["n"] == 3
 
+    def test_pair_validate(self, tmp_path, capsys):
+        path = tmp_path / "pair.json"
+        assert run_command(["pair", "make", "--out", str(path)]) == 0
+        for extra in ([], ["--in", str(path)]):
+            assert run_command(["pair", "validate", *extra]) == 0
+            data = json.loads(capsys.readouterr().out)
+            assert data["ok"] is True and data["n"] == 4
+
     def test_rep_faithful(self, capsys):
         assert run_command(["rep", "faithful", "--k", "2"]) == 0
         data = json.loads(capsys.readouterr().out)

@@ -25,8 +25,13 @@ from motzkin.fock import (
     word_vectors,
 )
 from motzkin.jones_wenzl import jones_wenzl
-from motzkin.qpoly import dim_subproduct
-from motzkin.representation import build_example_pair, evaluate_element
+from motzkin.qpoly import PhiFunction, dim_subproduct
+from motzkin.representation import (
+    MotzkinPair,
+    build_example_pair,
+    evaluate_element,
+    p_matrix,
+)
 
 QUARTER = Fraction(1, 4)
 THIRD = Fraction(1, 3)
@@ -42,6 +47,31 @@ def _pair(n):
 @lru_cache(maxsize=None)
 def _system(n, levels):
     return build_subproduct(_pair(n), levels)
+
+
+def _ambient_projections(pair, levels):
+    """Reference: the level projections from the n^k x d_k ambient frames.
+
+    Y is contracted against the whole ambient frame B_k, and the range of
+    each compressed projection is read off an SVD.
+    """
+    n = pair.n
+    Q = np.eye(n) - p_matrix(pair)
+    vA2 = pair.vA().reshape(n, n)
+    phi = PhiFunction(pair.lam)
+    B = np.ones((1, 1), dtype=complex)
+    out = [B @ B.conj().T]
+    for k in range(levels):
+        d_k, d_next = B.shape[1], dim_subproduct(n, k + 1)
+        G = np.kron(Q, np.eye(d_k)).astype(complex)
+        if phi(k):
+            B3 = B.reshape(n, n ** (k - 1), d_k)
+            Y = np.einsum("ip,pAr->irA", vA2, B3.conj()).reshape(n * d_k, -1)
+            G -= float(phi(k)) * (Y @ Y.conj().T)
+        B_hat = np.linalg.svd(G)[0][:, :d_next].reshape(n, d_k, d_next)
+        B = np.einsum("Ar,urs->uAs", B, B_hat).reshape(n ** (k + 1), d_next)
+        out.append(B @ B.conj().T)
+    return out
 
 
 class TestBuild:
@@ -85,6 +115,41 @@ class TestBuild:
                 rank, gap = projection_rank(sys, k)
                 assert rank == want == dim_subproduct(n, k)
                 assert gap >= 1e3
+
+    def test_matches_ambient_recursion(self):
+        # A diagonal unitary turns the real n = 4 pair into a complex one,
+        # which separates V from its transpose and conjugate.
+        real = _pair(4)
+        u = np.exp(1j * np.array([0.3, 1.1, -0.7, 2.0]))
+        rotated = MotzkinPair(n=4, lam=real.lam, a=real.a * u * u[::-1], b=real.b * u)
+        cases = [
+            (_pair(3), 5),
+            (real, 5),
+            (rotated, 4),
+            (build_example_pair("iii", 5, 2, Fraction(1, 5)), 4),
+        ]
+        for pair, levels in cases:
+            sys = build_subproduct(pair, levels)
+            for k, P in enumerate(_ambient_projections(pair, levels)):
+                assert np.linalg.norm(sys.projection(k) - P) < 1e-12, (pair.n, k)
+
+    def test_stores_compressed_frames_only(self):
+        # Until a frame is asked for, nothing stored is taller than n d_4.
+        sys = build_subproduct(_pair(4), 5)
+        rows = []
+        for value in vars(sys).values():
+            if isinstance(value, (list, dict)):
+                items = value.values() if isinstance(value, dict) else value
+                rows += [a.shape[0] for a in items if isinstance(a, np.ndarray)]
+        assert max(rows) == 4 * sys.dims[4]
+        assert sys.basis(5).shape == (4**5, 144)
+
+    @pytest.mark.slow
+    def test_level_seven(self):
+        sys = build_subproduct(_pair(4), 7)
+        assert sys.dims[-1] == 987
+        assert max(sys.idempotent_residuals) < 1e-12
+        assert toeplitz_residuals(sys).ok
 
     def test_coassociativity(self):
         for n in (3, 4):
@@ -137,8 +202,6 @@ class TestOperatorFamily:
 
     def test_rejects_nonstandard_b(self):
         pair = _pair(4)
-        from motzkin.representation import MotzkinPair
-
         twisted = MotzkinPair(
             n=4,
             lam=pair.lam,
@@ -344,3 +407,13 @@ class TestAsymptotics:
     def test_level_bounds(self):
         with pytest.raises(ParameterError):
             cuntz_pimsner_residual(_system(3, 4), 4)
+
+    def test_partner_order_on_two_orbit_pairs(self):
+        # With r = 2 there are three Fourier directions, so eq6 relates
+        # distinct partners s != s'.
+        sys = build_subproduct(build_example_pair("iii", 5, 2, Fraction(1, 5)), 4)
+        rep = toeplitz_residuals(sys)
+        assert rep.ok
+        assert "eq6[s=1,s'=2,m=1]" in rep.residuals
+        residuals = [cuntz_pimsner_residual(sys, m).residual for m in (1, 2, 3)]
+        assert all(x > y for x, y in zip(residuals, residuals[1:]))

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import TOL_CHECK, TOL_RANK, TOL_TOEPLITZ
+from .config import MAX_EXPONENT, MAX_NESTING, TOL_CHECK, TOL_RANK, TOL_TOEPLITZ
 from .diagram_core import (
     Element,
     adjoint,
@@ -132,11 +132,39 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _number(text: str, offset: int) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {text}", offset) from None
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"number of {len(text)} characters is too long", offset) from None
+
+
+def _children(node) -> tuple:
+    if isinstance(node, (Add, Sub, Mul)):
+        return (node.left, node.right)
+    if isinstance(node, (Neg, Adj, Pow, Expect)):
+        return (node.operand,)
+    return ()
+
+
+def _check_depth(node, offset: int) -> None:
+    # Iterative, because the recursive interpreters are what the bound protects.
+    stack = [(node, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_NESTING:
+            raise ParseError(f"expression nests deeper than {MAX_NESTING} levels", offset)
+        stack.extend((child, depth + 1) for child in _children(node))
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # open parentheses
 
     def _peek(self):
         if self.pos < len(self.tokens):
@@ -161,6 +189,7 @@ class _Parser:
         kind, value, offset = self._peek()
         if kind is not None:
             raise ParseError(f"unexpected {value!r}", offset)
+        _check_depth(node, offset)
         return node
 
     def _expr(self):
@@ -192,27 +221,34 @@ class _Parser:
                 if kind != "num" or "/" in value:
                     raise ParseError("expected an integer exponent", offset)
                 self.pos += 1
-                node = Pow(node, int(value))
+                node = Pow(node, int(_number(value, offset)))
                 continue
             return node
+
+    def _group(self, offset: int):
+        # The expression after an opening parenthesis at `offset`.
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"parentheses nest deeper than {MAX_NESTING} levels", offset)
+        node = self._expr()
+        self._expect_op(")")
+        self.depth -= 1
+        return node
 
     def _atom(self):
         kind, value, offset = self._peek()
         if kind == "num":
             self.pos += 1
-            return Num(Fraction(value))
+            return Num(_number(value, offset))
         if kind == "op" and value == "(":
             self.pos += 1
-            node = self._expr()
-            self._expect_op(")")
-            return node
+            return self._group(offset)
         if kind == "name":
             self.pos += 1
             if value == "E":
+                paren = self._peek()[2]
                 self._expect_op("(")
-                node = self._expr()
-                self._expect_op(")")
-                return Expect(node)
+                return Expect(self._group(paren))
             m = _GEN_RE.match(value)
             if m is None:
                 raise ParseError(f"unknown name {value!r}", offset)
@@ -329,6 +365,14 @@ def _eval_gen(node: Gen, k: int, lam) -> Element:
     return generator(k, name, i, lam=lam)
 
 
+def _exponent(node: Pow) -> int:
+    if node.exponent > MAX_EXPONENT:
+        raise ParameterError(
+            f"exponent {node.exponent} exceeds the bound {MAX_EXPONENT}"
+        )
+    return node.exponent
+
+
 def _eval(node, k: int, lam) -> Element:
     if isinstance(node, Num):
         return identity(k, lam=lam).scale(node.value)
@@ -345,10 +389,15 @@ def _eval(node, k: int, lam) -> Element:
     if isinstance(node, Adj):
         return adjoint(_eval(node.operand, k, lam))
     if isinstance(node, Pow):
+        exponent = _exponent(node)
         out = identity(k, lam=lam)
         base = _eval(node.operand, k, lam)
-        for _ in range(node.exponent):
-            out = out * base
+        while exponent:
+            if exponent & 1:
+                out = out * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
         return out
     if isinstance(node, Expect):
         return conditional_expectation(_eval(node.operand, k + 1, lam))
@@ -389,8 +438,8 @@ def _eval_operator(node, k: int, pair) -> np.ndarray:
     if isinstance(node, Adj):
         return _eval_operator(node.operand, k, pair).conj().T
     if isinstance(node, Pow):
-        base = _eval_operator(node.operand, k, pair)
-        return np.linalg.matrix_power(base, node.exponent)
+        exponent = _exponent(node)
+        return np.linalg.matrix_power(_eval_operator(node.operand, k, pair), exponent)
     if isinstance(node, Expect):
         return rep_conditional_expectation(
             pair, _eval_operator(node.operand, k + 1, pair)
@@ -462,8 +511,14 @@ def _emit(args, payload, csv_lines=None) -> None:
 def _load_pair(args) -> MotzkinPair:
     infile = getattr(args, "infile", None)
     if infile:
-        with open(infile) as fh:
-            return MotzkinPair.from_json_dict(json.load(fh))
+        try:
+            with open(infile) as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise ParameterError(f"cannot read {infile}: {exc.strerror}") from None
+        except (ValueError, RecursionError) as exc:
+            raise ParameterError(f"{infile} is not valid json: {exc}") from None
+        return MotzkinPair.from_json_dict(data)
     r = 0 if args.family == "i" else args.r
     return build_example_pair(args.family, args.n, r, args.lam)
 

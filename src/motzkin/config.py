@@ -2,7 +2,9 @@
 
 The exact layer works with widths up to `MAX_WIDTH`; the numeric layer
 caps the ambient tensor-power dimension at `max_rep_dimension()`, which
-can be raised through the MOTZKIN_MAX_DIM environment variable.
+can be raised through the MOTZKIN_MAX_DIM environment variable.  The
+expression language bounds nesting and exponents, so that no input string
+can exhaust the interpreter's stack or run an unbounded power.
 """
 
 from __future__ import annotations
@@ -12,6 +14,15 @@ import os
 # Exact diagram calculus.
 MAX_WIDTH = 6
 MAX_TERMS = 10**6
+
+# Expression language.
+# Parenthesis nesting and syntax-tree depth; the parser and the
+# interpreters recurse once or a few times per level.
+MAX_NESTING = 100
+# Largest exponent of `^`.  Powers are taken by repeated squaring; exact
+# coefficients grow by about one bit per unit of exponent, and a generic
+# width-4 element to this power takes under a second.
+MAX_EXPONENT = 4096
 
 # Numeric (matrix) layer.
 DEFAULT_MAX_DIM = 4096

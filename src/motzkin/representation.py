@@ -36,12 +36,6 @@ from .errors import (
 from .qpoly import validate_lam
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(value)
-
-
 @dataclass
 class MotzkinPair:
     """The data (n, lam, a, b) of a Motzkin pair; arrays are complex."""
@@ -80,10 +74,41 @@ class MotzkinPair:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "MotzkinPair":
-        a = np.array([complex(re, im) for re, im in data["a"]])
-        b = np.array([complex(re, im) for re, im in data["b"]])
-        return cls(n=int(data["n"]), lam=Fraction(data["lambda"]), a=a, b=b)
+    def from_json_dict(cls, data) -> "MotzkinPair":
+        """Read the form `to_json_dict` writes; malformed data raises
+        ParameterError."""
+        if not isinstance(data, dict):
+            raise ParameterError("pair json must be an object")
+        missing = [key for key in ("n", "lambda", "a", "b") if key not in data]
+        if missing:
+            raise ParameterError(f"pair json lacks {', '.join(missing)}")
+        n = data["n"]
+        if type(n) is not int:
+            raise ParameterError(f"pair json: n must be an integer, got {n!r}")
+        try:
+            lam = Fraction(data["lambda"])
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            raise ParameterError(
+                f"pair json: lambda {data['lambda']!r} is not a rational number"
+            ) from None
+        return cls(n=n, lam=lam, a=_json_vector(data, "a", n), b=_json_vector(data, "b", n))
+
+
+def _json_vector(data: dict, key: str, n: int) -> np.ndarray:
+    entries = data[key]
+    if not isinstance(entries, list) or len(entries) != n:
+        raise ParameterError(f"pair json: {key} must be a list of n = {n} [re, im] pairs")
+    numeric = all(
+        isinstance(entry, list) and len(entry) == 2 and all(type(x) in (int, float) for x in entry)
+        for entry in entries
+    )
+    try:
+        values = np.array(entries, dtype=float).reshape(n, 2) if numeric else None
+    except OverflowError:  # an integer beyond the float range
+        values = None
+    if values is None or not np.isfinite(values).all():
+        raise ParameterError(f"pair json: every entry of {key} must be a finite [re, im] pair")
+    return values[:, 0] + 1j * values[:, 1]
 
 
 @dataclass
@@ -286,35 +311,59 @@ def l_matrix(pair: MotzkinPair) -> np.ndarray:
     return L
 
 
+_SITES = {"p": 1, "l": 2, "r": 2, "t": 2}
+
+
+def _check_index(k: int, name: str, i: int | None) -> None:
+    if name == "id":
+        return
+    if i is None:
+        raise ParameterError(f"generator {name!r} needs an index")
+    if name not in _SITES:
+        raise ParameterError(f"unknown generator {name!r}")
+    hi = k - _SITES[name] + 1
+    if not 1 <= i <= hi:
+        raise ParameterError(f"index {i} of {name!r} out of range 1..{hi}")
+
+
+def _generator_base(pair: MotzkinPair, name: str) -> np.ndarray:
+    """The block a generator applies to its own slots: n x n for p,
+    n^2 x n^2 for l, r and t."""
+    if name == "p":
+        return p_matrix(pair)
+    if name == "t":
+        # t is lam times the bare cup-cap; evaluated, that is exactly the
+        # rank-one projection onto v_A.
+        return t_matrix(pair)
+    L = l_matrix(pair)
+    return L if name == "l" else L.conj().T
+
+
 def generator_operator(pair: MotzkinPair, k: int, name: str, i: int | None = None) -> np.ndarray:
     """The matrix of the generator on the k-fold tensor power of C^n."""
     n = pair.n
     _check_dim(n, k)
     if name == "id":
         return np.eye(n**k, dtype=complex)
-    if i is None:
-        raise ParameterError(f"generator {name!r} needs an index")
-    if name == "p":
-        if not 1 <= i <= k:
-            raise ParameterError(f"index {i} of 'p' out of range 1..{k}")
-        base, sites = p_matrix(pair), 1
-    elif name in ("l", "r", "t"):
-        if not 1 <= i <= k - 1:
-            raise ParameterError(f"index {i} of {name!r} out of range 1..{k - 1}")
-        sites = 2
-        if name == "t":
-            # t is lam times the bare cup-cap; evaluated, that is exactly
-            # the rank-one projection onto v_A.
-            base = t_matrix(pair)
-        else:
-            base = l_matrix(pair)
-            if name == "r":
-                base = base.conj().T
-    else:
-        raise ParameterError(f"unknown generator {name!r}")
+    _check_index(k, name, i)
     left = np.eye(n ** (i - 1), dtype=complex)
-    right = np.eye(n ** (k - i - sites + 1), dtype=complex)
-    return np.kron(np.kron(left, base), right)
+    right = np.eye(n ** (k - i - _SITES[name] + 1), dtype=complex)
+    return np.kron(np.kron(left, _generator_base(pair, name)), right)
+
+
+def _apply_local(X: np.ndarray, n: int, base: np.ndarray, i: int, dag: bool = False) -> np.ndarray:
+    """(1 (x) B (x) 1) @ X, where B = base (or its adjoint when `dag`) acts
+    on the tensor slots i, i+1, ... (1-based) of the row index of X.
+
+    The rows of X are reshaped so that B's slots form the middle axis, and B
+    multiplies that axis batched over the slots before it; no Kronecker
+    product is formed, and the cost is rows * cols * base.shape[0].
+    """
+    if dag:
+        base = base.conj().T
+    rows, cols = X.shape
+    out = np.matmul(base, X.reshape(n ** (i - 1), base.shape[0], -1))
+    return out.reshape(rows, cols)
 
 
 def _parse_word_token(token) -> tuple[str, int | None, bool]:
@@ -331,17 +380,40 @@ def _parse_word_token(token) -> tuple[str, int | None, bool]:
     return (name, int(digits) if digits else None, dag)
 
 
+def _flat_tokens(word) -> list[tuple[str, int | None, bool]]:
+    """A word as (name, index, dagger) triples.  An ("adj", word) token
+    becomes the reversed inner word with every dagger flipped."""
+    out = []
+    for token in word:
+        if isinstance(token, tuple) and token[0] == "adj":
+            inner = _flat_tokens(token[1])
+            out.extend((name, i, not dag) for name, i, dag in reversed(inner))
+        else:
+            out.append(_parse_word_token(token))
+    return out
+
+
+def _word_product(n: int, width: int, bases: dict, tokens) -> np.ndarray:
+    """The product of the tokens on the width-fold power of C^n, applied
+    right to left to the identity one generator at a time."""
+    out = np.eye(n**width, dtype=complex)
+    for name, i, dag in reversed(tokens):
+        if name != "id":
+            out = _apply_local(out, n, bases[name], i, dag)
+    return out
+
+
 def evaluate_word(pair: MotzkinPair, k: int, word) -> np.ndarray:
     """Product of generator matrices; tokens like "l1", "t2", "p1'", "id",
-    or tuples (name, index)."""
-    out = np.eye(pair.n**k, dtype=complex)
-    for token in word:
-        name, idx, dag = _parse_word_token(token)
-        m = generator_operator(pair, k, name, idx)
-        if dag:
-            m = m.conj().T
-        out = out @ m
-    return out
+    tuples (name, index) or (name, index, dagger), or ("adj", word)."""
+    n = pair.n
+    _check_dim(n, k)
+    tokens = _flat_tokens(word)
+    for name, i, _ in tokens:
+        _check_index(k, name, i)
+    names = {name for name, _, _ in tokens} - {"id"}
+    bases = {name: _generator_base(pair, name) for name in names}
+    return _word_product(n, k, bases, tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -425,36 +497,34 @@ def evaluate_element(pair: MotzkinPair, x: Element) -> np.ndarray:
 # Relation residuals and spanning dimension
 
 
-def _word_matrix(pair, k, word, cache):
-    out = np.eye(pair.n**k, dtype=complex)
-    for token in word:
-        if token[0] == "adj":
-            m = _word_matrix(pair, k, token[1], cache)
-            out = out @ m.conj().T
-            continue
-        name, idx, dag = token
-        key = (name, idx)
-        if key not in cache:
-            cache[key] = generator_operator(pair, k, name, idx)
-        m = cache[key]
-        if dag:
-            m = m.conj().T
-        out = out @ m
-    return out
-
-
 def relation_residuals(pair: MotzkinPair, k: int) -> dict[str, float]:
-    """Frobenius residual of every defining relation instance at width k."""
+    """Frobenius residual of every defining relation instance at width k.
+
+    Each relation is evaluated on the window of w consecutive slots its
+    words touch.  Every word is the identity outside that window, so the
+    residual on the k-fold power is the window residual times n**((k-w)/2).
+    """
+    n = pair.n
+    _check_dim(n, k)
     lam = float(pair.lam)
-    cache: dict = {}
+    bases = {name: _generator_base(pair, name) for name in _SITES}
     out: dict[str, float] = {}
     for label, lhs, rhs in presentation_relations(k):
-        total = np.zeros((pair.n**k, pair.n**k), dtype=complex)
-        for power, word in lhs:
-            total += lam**power * _word_matrix(pair, k, word, cache)
-        for power, word in rhs:
-            total -= lam**power * _word_matrix(pair, k, word, cache)
-        out[label] = float(np.linalg.norm(total))
+        terms = [
+            (sign * lam**power, _flat_tokens(word))
+            for sign, side in ((1, lhs), (-1, rhs))
+            for power, word in side
+        ]
+        touched = [
+            (i, i + _SITES[name] - 1) for _, word in terms for name, i, _ in word
+        ]
+        lo = min(first for first, _ in touched)
+        w = max(last for _, last in touched) - lo + 1
+        total = np.zeros((n**w, n**w), dtype=complex)
+        for coeff, word in terms:
+            local = [(name, i - lo + 1, dag) for name, i, dag in word]
+            total += coeff * _word_product(n, w, bases, local)
+        out[label] = float(np.linalg.norm(total)) * n ** ((k - w) / 2)
     return out
 
 
@@ -547,11 +617,12 @@ def rep_conditional_expectation(
 
     P = p_matrix(pair)
     T = t_matrix(pair)
-    eye = lambda m: np.eye(m, dtype=complex)
-    X1 = np.kron(X, eye(n))
-    T2 = np.kron(eye(n**k), T)
-    P2 = np.kron(eye(n ** (k + 1)), P)
-    Z = P2 @ T2 @ X1 @ T2 @ P2
+    D = n ** (k + 2)
+    X1 = (X[:, None, :, None] * np.eye(n)[None, :, None, :]).reshape(D, D)
+    # Z = (1 (x) P)(1 (x) T) X1 (1 (x) T)(1 (x) P).  T and P are self-adjoint,
+    # so the right-hand factors act on the rows of the adjoint.
+    Y = _apply_local(_apply_local(X1, n, T, k + 1), n, P, k + 2)
+    Z = _apply_local(_apply_local(Y.conj().T, n, T, k + 1), n, P, k + 2).conj().T
 
     dk = n**k
     Zr = Z.reshape(dk, n, n, dk, n, n)
@@ -560,7 +631,12 @@ def rep_conditional_expectation(
         "s,t,IstJuv,u,v->IJ",
         b.conj(), b.conj(), Zr, b, b, optimize=True,
     )
-    rebuilt = np.kron(np.kron(what, P), P)
+    # what (x) P (x) P, entry by entry as np.kron would form it.
+    rebuilt = (
+        what[:, None, None, :, None, None]
+        * P[None, :, None, None, :, None]
+        * P[None, None, :, None, None, :]
+    ).reshape(D, D)
     residual = float(np.linalg.norm(Z - rebuilt))
     scale = max(1.0, float(np.linalg.norm(Z)))
     if residual > tol * scale:

@@ -126,6 +126,13 @@ class TestParser:
             ("E t1", 2),
             ("t1^", 3),
             ("t1^1/2", 3),
+            ("t1 + 1/0*t1", 5),
+            ("9" * 5000, 0),
+            ("t1^" + "9" * 5000, 3),
+            ("(" * 101 + "t1" + ")" * 101, 100),
+            ("E(" * 101 + "p1" + ")" * 101, 201),
+            ("*".join(["t1"] * 101), 302),
+            ("t1" + "'" * 100, 102),
         ]
         for text, offset in cases:
             with pytest.raises(ParseError) as info:
@@ -243,6 +250,29 @@ class TestRunCommand:
         assert run_command(["eval", "t5", "--k", "2"]) == 2
         assert "width" in capsys.readouterr().err
 
+    def test_eval_input_bounds(self, capsys):
+        # Deep nesting, long chains and huge exponents end in a typed error
+        # with exit code 2, not a RecursionError traceback or an endless loop.
+        deep = "(" * 3000 + "t1" + ")" * 3000
+        chain = "*".join(["t1"] * 3000)
+        for argv, message in [
+            (["eval", deep, "--k", "2"], "parse error: parentheses nest deeper"),
+            (["eval", chain, "--k", "2"], "parse error: expression nests deeper"),
+            (["eval", "t1^100000000", "--k", "2", "--lambda", "1/4"],
+             "error: exponent 100000000 exceeds"),
+            (["eval", "t1^100000000", "--k", "2", "--rep"],
+             "error: exponent 100000000 exceeds"),
+        ]:
+            assert run_command(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(message) and "Traceback" not in err
+        # At the bounds themselves the expressions still evaluate.
+        nested = "(" * 100 + "2*t1" + ")" * 100
+        assert run_command(["eval", nested + "^4096 - 2^4096*t1", "--k", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["is_zero"] is True
+        assert run_command(["eval", "p1^4096 - p1", "--k", "2", "--rep"]) == 0
+        assert json.loads(capsys.readouterr().out)["is_zero"] is True
+
     def test_eval_terms_are_exact(self, capsys):
         assert run_command(["eval", "E(p3)", "--k", "2", "--lambda", "1/3"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -291,6 +321,34 @@ class TestRunCommand:
             assert run_command(["pair", "validate", *extra]) == 0
             data = json.loads(capsys.readouterr().out)
             assert data["ok"] is True and data["n"] == 4
+
+    def test_pair_json_is_validated(self, tmp_path, capsys):
+        good = build_example_pair("iii", 4, 1, QUARTER).to_json_dict()
+        payloads = [
+            {"n": 3},
+            [good],
+            dict(good, n="4"),
+            dict(good, n=True),
+            dict(good, **{"lambda": "1/0"}),
+            dict(good, **{"lambda": None}),
+            dict(good, a=good["a"][:3]),
+            dict(good, b=good["b"] + [[0.0, 0.0]]),
+            dict(good, a=[[0.5, 0.0]] * 3 + [[0.5]]),
+            dict(good, a=[[0.5, 0.0]] * 3 + [["0.5", 0.0]]),
+            dict(good, a=[[0.5, 0.0]] * 3 + [[True, 0.0]]),
+            dict(good, b=[[0.5, 0.0]] * 3 + [[10**400, 0.0]]),
+            dict(good, b=[[0.5, 0.0]] * 3 + [[float("nan"), 0.0]]),
+        ]
+        path = tmp_path / "pair.json"
+        texts = [json.dumps(p) for p in payloads] + ["{", "[" * 100000]
+        for text in texts:
+            path.write_text(text)
+            assert run_command(["rep", "check", "--in", str(path)]) == 2, text[:60]
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+        missing = tmp_path / "missing.json"
+        assert run_command(["pair", "validate", "--in", str(missing)]) == 2
+        assert "cannot read" in capsys.readouterr().err
 
     def test_rep_faithful(self, capsys):
         assert run_command(["rep", "faithful", "--k", "2"]) == 0

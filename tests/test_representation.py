@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from motzkin.diagram_core import (
     Element,
@@ -12,11 +13,14 @@ from motzkin.diagram_core import (
     conditional_expectation,
     enumerate_basis,
     generator as diagram_generator,
+    identity,
     motzkin_number,
+    presentation_relations,
 )
 from motzkin.errors import (
     LimitError,
     ParameterError,
+    StructureError,
     UnsupportedDiagramError,
 )
 from motzkin.jones_wenzl import jones_wenzl
@@ -159,6 +163,42 @@ class TestGeneratorOperators:
             generator_operator(pair, 7, "p", 1)
 
 
+def _dense_word(pair, k, word):
+    # The product of full n**k x n**k generator matrices, left to right.
+    out = np.eye(pair.n**k, dtype=complex)
+    for token in word:
+        if token[0] == "adj":
+            out = out @ _dense_word(pair, k, token[1]).conj().T
+            continue
+        name, idx, dag = token
+        m = generator_operator(pair, k, name, idx)
+        out = out @ (m.conj().T if dag else m)
+    return out
+
+
+def _dense_relation_residuals(pair, k):
+    # Reference: every relation evaluated on the whole k-fold power.
+    lam = float(pair.lam)
+    out = {}
+    for label, lhs, rhs in presentation_relations(k):
+        total = np.zeros((pair.n**k, pair.n**k), dtype=complex)
+        for power, word in lhs:
+            total += lam**power * _dense_word(pair, k, word)
+        for power, word in rhs:
+            total -= lam**power * _dense_word(pair, k, word)
+        out[label] = float(np.linalg.norm(total))
+    return out
+
+
+def _assert_matches_dense(pair, k):
+    res = relation_residuals(pair, k)
+    ref = _dense_relation_residuals(pair, k)
+    assert list(res) == list(ref)
+    for label, value in ref.items():
+        assert abs(res[label] - value) <= 1e-12 * max(1.0, value), (pair.n, k, label)
+    return res
+
+
 class TestRelations:
     def test_residuals_small(self):
         for pair in PAIRS:
@@ -167,6 +207,77 @@ class TestRelations:
                 assert res, "no relations checked"
                 worst = max(res.values())
                 assert worst < 1e-10, (pair.n, k, worst)
+
+    def test_window_matches_dense_reference(self):
+        cases = [
+            (build_example_pair("i", 3, 0, THIRD), (2, 3, 4, 5)),
+            (build_example_pair("iii", 4, 1, QUARTER), (2, 3, 4)),
+            (build_example_pair("ii", 5, 1, Fraction(1, 5)), (2, 3)),
+            (build_example_pair("iii", 5, 2, Fraction(1, 5)), (2, 3)),
+        ]
+        for pair, ks in cases:
+            for k in ks:
+                res = _assert_matches_dense(pair, k)
+                assert max(res.values()) < 1e-10, (pair.n, k)
+
+    def test_window_sees_violations(self):
+        # A perturbed a-vector breaks the pair; the window evaluation must
+        # report the same O(1) residuals as the whole-space evaluation.
+        pair = _pair4()
+        pair.a = pair.a + np.array([0.1, 0.0, 0.05j, 0.0])
+        for k in (2, 3, 4):
+            res = _assert_matches_dense(pair, k)
+            assert max(res.values()) > 0.1
+
+    def test_dimension_guard(self):
+        with pytest.raises(LimitError):
+            relation_residuals(_pair4(), 7)
+
+
+_LETTERS = ("l", "r", "t", "p")
+
+
+@st.composite
+def _words(draw):
+    k = draw(st.integers(2, 4))
+    word = []
+    for _ in range(draw(st.integers(1, 6))):
+        name = draw(st.sampled_from(_LETTERS))
+        hi = k if name == "p" else k - 1
+        word.append((name, draw(st.integers(1, hi)), draw(st.booleans())))
+    return k, word
+
+
+class TestWordEvaluation:
+    @given(pair=st.sampled_from(PAIRS), kw=_words())
+    def test_local_matches_dense_and_diagrams(self, pair, kw):
+        k, word = kw
+        mat = evaluate_word(pair, k, word)
+        dense = np.eye(pair.n**k, dtype=complex)
+        elem = identity(k, lam=pair.lam)
+        for name, i, dag in word:
+            g = generator_operator(pair, k, name, i)
+            dense = dense @ (g.conj().T if dag else g)
+            d = diagram_generator(k, name, i, lam=pair.lam)
+            elem = elem * (adjoint(d) if dag else d)
+        assert np.linalg.norm(mat - dense) < 1e-12
+        assert np.linalg.norm(mat - evaluate_element(pair, elem)) < 1e-12
+
+    def test_adjoint_token_and_id(self):
+        pair = _pair4()
+        word = [("adj", (("l", 1, False), ("p", 2, True))), "id", "t2"]
+        expected = evaluate_word(pair, 3, ["p2", "l1'", "t2"])
+        assert np.linalg.norm(evaluate_word(pair, 3, word) - expected) < 1e-14
+        swapped = evaluate_word(pair, 3, ["l1'", "p2", "t2"])
+        assert np.linalg.norm(swapped - expected) > 0.1
+
+    def test_index_and_size_checks(self):
+        pair = _pair4()
+        for word in (["t3"], ["p4"], ["x1"], ["l"]):
+            with pytest.raises(ParameterError):
+                evaluate_word(pair, 3, word)
+        with pytest.raises(LimitError):
+            evaluate_word(pair, 7, ["p1"])
 
 
 class TestDiagramEvaluation:
@@ -275,6 +386,18 @@ class TestRepConditionalExpectation:
                     )
                     rhs = evaluate_element(pair, conditional_expectation(x))
                     assert np.linalg.norm(lhs - rhs) < 1e-9, (pair.n, d.pairing)
+
+    def test_factorisation_check(self):
+        # For a valid pair the sandwich factors for every operator.  With
+        # a_1 != a_4 the vector sum_i a_i conj(b_ibar) e_i is no longer
+        # parallel to v, the sandwich does not factor, and the check says so.
+        pair = _pair4()
+        X = np.random.default_rng(0).standard_normal((16, 16))
+        rep_conditional_expectation(pair, X)
+        bad = MotzkinPair(4, pair.lam, pair.a + [0.1, 0, 0, 0], pair.b)
+        for Y in (X, np.eye(16)):
+            with pytest.raises(StructureError):
+                rep_conditional_expectation(bad, Y)
 
     def test_jones_wenzl_expectation(self):
         # E must contract the evaluated tower with the exact coefficient.

@@ -34,14 +34,11 @@ from .errors import (
     ParameterError,
     ParseError,
     StructureError,
-    UnsupportedDiagramError,
 )
 from .fock import (
     SubproductSystem,
-    ToeplitzOps,
     build_subproduct,
     coassociativity_residuals,
-    creation_operators,
     cuntz_pimsner_residual,
     gauge_average,
     ideal_generator,
@@ -105,7 +102,6 @@ __all__ = [
     "ParameterError",
     "ParseError",
     "StructureError",
-    "UnsupportedDiagramError",
     "PhiFunction",
     "chebyshev_P",
     "chebyshev_Q",
@@ -132,10 +128,8 @@ __all__ = [
     "span_dimension",
     "validate_pair",
     "SubproductSystem",
-    "ToeplitzOps",
     "build_subproduct",
     "coassociativity_residuals",
-    "creation_operators",
     "cuntz_pimsner_residual",
     "gauge_average",
     "ideal_generator",

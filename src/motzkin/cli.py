@@ -12,14 +12,14 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import MAX_EXPONENT, MAX_NESTING, TOL_CHECK, TOL_RANK, TOL_TOEPLITZ
+from .config import MAX_EXPONENT, MAX_NESTING, TOL_CHECK, TOL_TOEPLITZ
 from .diagram_core import (
     Element,
     adjoint,
@@ -31,14 +31,19 @@ from .diagram_core import (
     identity,
     motzkin_number,
 )
-from .errors import MotzkinError, ParameterError, ParseError, StructureError
+from .errors import (
+    LimitError,
+    MotzkinError,
+    ParameterError,
+    ParseError,
+    StructureError,
+)
 from .fock import (
     build_subproduct,
     coassociativity_residuals,
     cuntz_pimsner_residual,
     ideal_generator,
     matrix_unit_dimension,
-    operator_family,
     projection_rank,
     reverse_identity,
     subproduct_projection,
@@ -454,12 +459,17 @@ def evaluate_operator(expr, width: int, pair: MotzkinPair) -> np.ndarray:
     through the pair's representation instead: generator atoms become their
     matrices, g<i> the level-i projection padded on the right, and E(...)
     the operator-level expectation.  The scalar lam of the expression is
-    the pair's lam.
+    the pair's lam.  A result with an infinite or undefined entry raises
+    LimitError.
     """
     node = parse_expression(expr) if isinstance(expr, str) else expr
     if width < 1:
         raise ParameterError(f"need width >= 1, got {width}")
-    return _eval_operator(node, width, pair)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mat = _eval_operator(node, width, pair)
+    if not np.isfinite(mat).all():
+        raise LimitError("operator entries leave the floating-point range")
+    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +518,20 @@ def _emit(args, payload, csv_lines=None) -> None:
         sys.stdout.write(text)
 
 
+def _emit_report(args, report, **extra) -> int:
+    """Emit a report's fields, the extras and ``ok``; return the exit code.
+
+    The field ``lam`` (or an extra ``lam``) is written as ``"lambda"``.
+    """
+    payload = {f.name: getattr(report, f.name) for f in fields(report)}
+    payload.update(extra)
+    if "lam" in payload:
+        payload["lambda"] = payload.pop("lam")
+    payload["ok"] = report.ok
+    _emit(args, payload)
+    return 0 if report.ok else 1
+
+
 def _load_pair(args) -> MotzkinPair:
     infile = getattr(args, "infile", None)
     if infile:
@@ -546,61 +570,18 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_presentation(args) -> int:
-    report = check_presentation(args.k, args.lam)
-    _emit(
-        args,
-        {
-            "width": report.width,
-            "lambda": report.lam,
-            "checked": report.checked,
-            "failures": report.failures,
-            "ok": report.ok,
-        },
-    )
-    return 0 if report.ok else 1
+    return _emit_report(args, check_presentation(args.k, args.lam))
 
 
 def _cmd_jw(args) -> int:
     report = jw_report(args.k, args.lam)
-    payload = {
-        "width": report.width,
-        "lambda": report.lam,
-        "idempotent": report.idempotent,
-        "self_adjoint": report.self_adjoint,
-        "reflect_invariant": report.reflect_invariant,
-        "annihilation": report.annihilation,
-        "kills_top_p": report.kills_top_p,
-        "expectation_coefficient": report.expectation_coefficient,
-        "expectation_ok": report.expectation_ok,
-        "symmetric_recursion": report.symmetric_recursion,
-        "absorption": report.absorption,
-        "identity_coefficient": report.identity_coefficient,
-        "terms": len(jones_wenzl(args.k, args.lam).terms),
-        "ok": report.ok,
-    }
-    _emit(args, payload)
-    return 0 if report.ok else 1
+    return _emit_report(args, report, terms=len(jones_wenzl(args.k, args.lam).terms))
 
 
 def _cmd_pair_validate(args) -> int:
     pair = _load_pair(args)
     report = validate_pair(pair, tol=args.tol)
-    payload = {
-        "n": pair.n,
-        "lambda": pair.lam,
-        "norm_a": report.norm_a,
-        "norm_b": report.norm_b,
-        "pairing": report.pairing,
-        "compatibility": report.compatibility,
-        "modulus_symmetry": report.modulus_symmetry,
-        "a_symmetry_on_support": report.a_symmetry_on_support,
-        "weighted_sum": report.weighted_sum,
-        "extended": report.extended,
-        "tol": report.tol,
-        "ok": report.ok,
-    }
-    _emit(args, payload)
-    return 0 if report.ok else 1
+    return _emit_report(args, report, n=pair.n, lam=pair.lam)
 
 
 def _cmd_pair_make(args) -> int:
@@ -686,18 +667,9 @@ def _cmd_fock_toeplitz(args) -> int:
     pair = _load_pair(args)
     system = build_subproduct(pair, args.levels)
     report = toeplitz_residuals(system, tol=args.tol)
-    payload = {
-        "n": pair.n,
-        "lambda": pair.lam,
-        "levels": report.levels,
-        "residuals": report.residuals,
-        "skipped": report.skipped,
-        "max_residual": report.max_residual,
-        "tol": report.tol,
-        "ok": report.ok,
-    }
-    _emit(args, payload)
-    return 0 if report.ok else 1
+    return _emit_report(
+        args, report, n=pair.n, lam=pair.lam, max_residual=report.max_residual
+    )
 
 
 def _cmd_fock_matrix_units(args) -> int:
@@ -731,38 +703,14 @@ def _cmd_fock_reverse(args) -> int:
     pair = _load_pair(args)
     system = build_subproduct(pair, max(args.k, 1))
     report = reverse_identity(system, args.k, tol=args.tol)
-    payload = {
-        "n": pair.n,
-        "lambda": pair.lam,
-        "k": report.k,
-        "constant": report.constant,
-        "closed_form": report.closed_form,
-        "closed_form_error": report.closed_form_error,
-        "residual": report.residual,
-        "tol": report.tol,
-        "ok": report.ok,
-    }
-    _emit(args, payload)
-    return 0 if report.ok else 1
+    return _emit_report(args, report, n=pair.n, lam=pair.lam)
 
 
 def _cmd_fock_ideal(args) -> int:
     pair = _load_pair(args)
     system = build_subproduct(pair, 2)
     report = ideal_generator(system, tol=args.tol)
-    payload = {
-        "n": pair.n,
-        "lambda": pair.lam,
-        "vector": report.vector,
-        "norm": report.norm,
-        "alignment": report.alignment,
-        "annihilation": report.annihilation,
-        "complement": report.complement,
-        "tol": report.tol,
-        "ok": report.ok,
-    }
-    _emit(args, payload)
-    return 0 if report.ok else 1
+    return _emit_report(args, report, n=pair.n, lam=pair.lam)
 
 
 def _cmd_fock_cp(args) -> int:
@@ -790,7 +738,10 @@ def _cmd_eval(args) -> int:
     if args.rep:
         pair = _load_pair(args)
         mat = evaluate_operator(node, args.k, pair)
-        norm = float(np.linalg.norm(mat))
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(mat))
+        if not np.isfinite(norm):
+            raise LimitError("the norm of the result overflows")
         payload = {
             "n": pair.n,
             "lambda": pair.lam,
@@ -965,17 +916,18 @@ def _add_output_args(sub, default_format="json"):
     sub.add_argument("--out", default=None, help="write output to this file")
 
 
+def _add_lambda_arg(sub):
+    sub.add_argument(
+        "--lambda", dest="lam", type=_fraction_arg, default=Fraction(1, 4),
+        metavar="P/Q",
+    )
+
+
 def _add_pair_args(sub):
     sub.add_argument("--family", choices=("i", "ii", "iii"), default="iii")
     sub.add_argument("--n", type=int, default=4)
     sub.add_argument("--r", type=int, default=1)
-    sub.add_argument(
-        "--lambda",
-        dest="lam",
-        type=_fraction_arg,
-        default=Fraction(1, 4),
-        metavar="P/Q",
-    )
+    _add_lambda_arg(sub)
     sub.add_argument(
         "--in",
         dest="infile",
@@ -1006,19 +958,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("presentation", help="verify the defining relations exactly")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument(
-        "--lambda", dest="lam", type=_fraction_arg, default=Fraction(1, 4),
-        metavar="P/Q",
-    )
+    _add_lambda_arg(p)
     _add_output_args(p)
     p.set_defaults(func=_cmd_presentation)
 
     p = sub.add_parser("jw", help="build and verify a tower idempotent")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument(
-        "--lambda", dest="lam", type=_fraction_arg, default=Fraction(1, 4),
-        metavar="P/Q",
-    )
+    _add_lambda_arg(p)
     _add_output_args(p)
     p.set_defaults(func=_cmd_jw)
 
@@ -1101,23 +1047,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expression")
     p.add_argument("--k", type=int, required=True)
     p.add_argument(
-        "--lambda", dest="lam", type=_fraction_arg, default=Fraction(1, 4),
-        metavar="P/Q",
-    )
-    p.add_argument(
         "--rep",
         action="store_true",
         help="evaluate through a pair's operators instead of diagrams",
     )
-    p.add_argument("--family", choices=("i", "ii", "iii"), default="iii")
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument(
-        "--in",
-        dest="infile",
-        default=None,
-        help="read the pair for --rep from this json file",
-    )
+    _add_pair_args(p)
     _add_output_args(p)
     p.set_defaults(func=_cmd_eval)
 

@@ -22,6 +22,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .config import MAX_TERMS, MAX_WIDTH
 from .errors import LimitError, ParameterError
+from .qpoly import as_fraction
 
 Pairing = tuple[int, ...]
 
@@ -276,16 +277,6 @@ def _mark_dead(p1: Pairing, p2: Pairing, k: int, m: int,
 # Elements
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise ParameterError(f"expected an exact rational, got {value!r}")
-
-
 class Element:
     """A Fraction-linear combination of Motzkin diagrams of one width.
 
@@ -297,13 +288,13 @@ class Element:
 
     def __init__(self, width: int, lam, terms: dict | None = None):
         self.width = int(width)
-        self.lam = _as_fraction(lam)
+        self.lam = as_fraction(lam)
         if self.lam <= 0:
             raise ParameterError(f"lam must be positive, got {self.lam}")
         clean: dict[MotzkinDiagram, Fraction] = {}
         if terms:
             for d, c in terms.items():
-                c = _as_fraction(c)
+                c = as_fraction(c)
                 if c == 0:
                     continue
                 if not isinstance(d, MotzkinDiagram):
@@ -323,7 +314,7 @@ class Element:
 
     @classmethod
     def from_diagram(cls, diagram: MotzkinDiagram, lam, coeff=1) -> "Element":
-        return cls(diagram.width, lam, {diagram: _as_fraction(coeff)})
+        return cls(diagram.width, lam, {diagram: as_fraction(coeff)})
 
     # -- basic queries ------------------------------------------------
 
@@ -390,7 +381,7 @@ class Element:
         return self._with_terms({d: -c for d, c in self.terms.items()})
 
     def scale(self, scalar) -> "Element":
-        c = _as_fraction(scalar)
+        c = as_fraction(scalar)
         if c == 0:
             return Element.zero(self.width, self.lam)
         return self._with_terms({d: c * v for d, v in self.terms.items()})
@@ -649,7 +640,7 @@ def generator(k: int, name: str, i: int | None = None, *, lam) -> Element:
     else:  # "t"
         arr[c], arr[c + 1] = c + 1, c
         arr[k + c], arr[k + c + 1] = k + c + 1, k + c
-        coeff = _as_fraction(lam)
+        coeff = as_fraction(lam)
     return Element(k, lam, {_wrap(tuple(arr)): coeff})
 
 
@@ -752,7 +743,7 @@ def _word_element(k: int, lam, word) -> Element:
 
 
 def _side_element(k: int, lam, side) -> Element:
-    lam = _as_fraction(lam)
+    lam = as_fraction(lam)
     total = Element.zero(k, lam)
     for power, word in side:
         total = total + _word_element(k, lam, word).scale(lam**power)
@@ -774,7 +765,7 @@ class PresentationReport:
 def check_presentation(k: int, lam) -> PresentationReport:
     """Verify every defining relation exactly at width k; all arithmetic
     is done in Fractions, so a pass is a proof for this width and lam."""
-    lam = _as_fraction(lam)
+    lam = as_fraction(lam)
     checked = 0
     failures = []
     for label, lhs, rhs in presentation_relations(k):

@@ -15,10 +15,6 @@ class LimitError(MotzkinError):
     """A requested computation exceeds the configured resource bounds."""
 
 
-class UnsupportedDiagramError(MotzkinError):
-    """Direct diagram evaluation was asked for a shape it does not cover."""
-
-
 class StructureError(MotzkinError):
     """A structural identity that the computation relies on failed to hold."""
 

@@ -396,62 +396,6 @@ def operator_family(pair: MotzkinPair, *, tol: float = TOL_CHECK) -> OperatorFam
     return fam
 
 
-@dataclass
-class ToeplitzOps:
-    """The family's creation operators assembled on the truncated Fock space.
-
-    ``matrices`` maps each family label to its full block-superdiagonal
-    matrix.  Every report entry point in this module accepts either this
-    bundle or the underlying system.
-    """
-
-    system: SubproductSystem
-    family: OperatorFamily
-    matrices: dict[str, np.ndarray]
-
-    @property
-    def pair(self) -> MotzkinPair:
-        return self.system.pair
-
-    @property
-    def levels(self) -> int:
-        return self.system.levels
-
-    def matrix(self, label: str) -> np.ndarray:
-        return self.matrices[label]
-
-    def level_projection(self, m: int) -> np.ndarray:
-        return self.system.level_projection(m)
-
-    def vacuum(self) -> np.ndarray:
-        return self.system.vacuum()
-
-
-def creation_operators(
-    source: MotzkinPair | SubproductSystem,
-    levels: int | None = None,
-    fam: OperatorFamily | None = None,
-    *,
-    tol: float = TOL_CONSTRUCT,
-) -> ToeplitzOps:
-    """Build the ToeplitzOps bundle for a pair or an existing system."""
-    system = _as_system(source, levels, tol=tol)
-    if fam is None:
-        fam = operator_family(system.pair)
-    matrices = {
-        label: system.toeplitz_matrix(fam.vectors[idx])
-        for idx, label in enumerate(fam.labels)
-    }
-    return ToeplitzOps(system=system, family=fam, matrices=matrices)
-
-
-def _ops_args(system, fam):
-    """Normalize a system-or-bundle first argument to (system, family)."""
-    if isinstance(system, ToeplitzOps):
-        return system.system, fam if fam is not None else system.family
-    return system, fam
-
-
 # ---------------------------------------------------------------------------
 # Toeplitz relations
 
@@ -488,8 +432,59 @@ def _bar(n: int, j: int) -> int:
     return n + 1 - j
 
 
+def _commutation_residuals(
+    system: SubproductSystem,
+    fam: OperatorFamily,
+    blocks: dict,
+    m: int,
+    coefficient: float,
+):
+    """Yield (relation, indices, residual) for eq4, eq5 and eq6 at level m.
+
+    Each relation reads S_x^* S_y = [x = y] - c w S_x' S_y'^* on level m,
+    with S_x' the partner of S_x and w a fixed weight from the pair.  The
+    Toeplitz relations take c = phi(m); the limiting relations take
+    c = phi_inf.
+    """
+    pair = system.pair
+    n, a, lam = pair.n, pair.a, float(pair.lam)
+    eye_m = np.eye(system.dims[m])
+
+    def down_up(kind_left, kind_right):
+        if m == 0:
+            return 0.0
+        return blocks[kind_left][m - 1] @ blocks[kind_right][m - 1].conj().T
+
+    for j in fam.interior:
+        for i in fam.interior:
+            lhs = blocks[("v", j)][m].conj().T @ blocks[("v", i)][m]
+            rhs = (i == j) * eye_m - coefficient * np.conj(a[i - 1]) * a[
+                j - 1
+            ] * down_up(("v", _bar(n, j)), ("v", _bar(n, i)))
+            yield "eq4", f"i={i},j={j}", float(np.linalg.norm(lhs - rhs))
+    for j in fam.interior:
+        for s in range(1, 2 * fam.r):
+            js = fam.j_list[s - 1]
+            lhs = blocks[("v", j)][m].conj().T @ blocks[("w", s)][m]
+            rhs = (
+                -coefficient
+                * np.conj(a[js - 1])
+                * a[j - 1]
+                * _orbit_phase(fam.r, s)
+                * down_up(("v", _bar(n, j)), ("w", s))
+            )
+            yield "eq5", f"j={j},s={s}", float(np.linalg.norm(lhs - rhs))
+    for s in range(1, 2 * fam.r):
+        for sp in range(1, 2 * fam.r):
+            lhs = blocks[("w", sp)][m].conj().T @ blocks[("w", s)][m]
+            rhs = (s == sp) * eye_m - coefficient * lam * _orbit_phase(
+                fam.r, s - sp
+            ) * down_up(("w", sp), ("w", s))
+            yield "eq6", f"s={s},s'={sp}", float(np.linalg.norm(lhs - rhs))
+
+
 def toeplitz_residuals(
-    system: SubproductSystem | ToeplitzOps,
+    system: SubproductSystem,
     fam: OperatorFamily | None = None,
     *,
     tol: float = TOL_TOEPLITZ,
@@ -501,13 +496,11 @@ def toeplitz_residuals(
     the level range, and the range-sum relation at the top level is
     reported as skipped rather than silently tested against a cut-off sum.
     """
-    system, fam = _ops_args(system, fam)
     pair = system.pair
     n, N = pair.n, system.levels
     if fam is None:
         fam = operator_family(pair)
     phi = system.phi
-    lam = float(pair.lam)
     a = pair.a
     blocks = _family_blocks(system, fam)
     res: dict[str, float] = {}
@@ -573,42 +566,11 @@ def toeplitz_residuals(
         res[f"eq3[m={m}]"] = float(np.linalg.norm(acc))
 
     # Commutation relations between annihilation and creation parts.
-    def down_up(kind_left, kind_right, m):
-        if m == 0:
-            return 0.0
-        bl = blocks[kind_left][m - 1]
-        br = blocks[kind_right][m - 1]
-        return bl @ br.conj().T
-
     for m in range(N):
-        phim = float(phi(m))
-        eye_m = np.eye(system.dims[m])
-        for j in fam.interior:
-            for i in fam.interior:
-                lhs = blocks[("v", j)][m].conj().T @ blocks[("v", i)][m]
-                rhs = (i == j) * eye_m - phim * np.conj(a[i - 1]) * a[
-                    j - 1
-                ] * down_up(("v", _bar(n, j)), ("v", _bar(n, i)), m)
-                res[f"eq4[i={i},j={j},m={m}]"] = float(np.linalg.norm(lhs - rhs))
-        for j in fam.interior:
-            for s in range(1, 2 * fam.r):
-                js = fam.j_list[s - 1]
-                lhs = blocks[("v", j)][m].conj().T @ blocks[("w", s)][m]
-                rhs = (
-                    -phim
-                    * np.conj(a[js - 1])
-                    * a[j - 1]
-                    * _orbit_phase(fam.r, s)
-                    * down_up(("v", _bar(n, j)), ("w", s), m)
-                )
-                res[f"eq5[j={j},s={s},m={m}]"] = float(np.linalg.norm(lhs - rhs))
-        for s in range(1, 2 * fam.r):
-            for sp in range(1, 2 * fam.r):
-                lhs = blocks[("w", sp)][m].conj().T @ blocks[("w", s)][m]
-                rhs = (s == sp) * eye_m - phim * lam * _orbit_phase(
-                    fam.r, s - sp
-                ) * down_up(("w", sp), ("w", s), m)
-                res[f"eq6[s={s},s'={sp},m={m}]"] = float(np.linalg.norm(lhs - rhs))
+        for eq, index, value in _commutation_residuals(
+            system, fam, blocks, m, float(phi(m))
+        ):
+            res[f"{eq}[{index},m={m}]"] = value
 
     return ToeplitzReport(levels=N, tol=tol, residuals=res, skipped=skipped)
 
@@ -652,7 +614,7 @@ def word_vectors(
 
 
 def matrix_unit_dimension(
-    system: SubproductSystem | ToeplitzOps,
+    system: SubproductSystem,
     k: int,
     fam: OperatorFamily | None = None,
     *,
@@ -664,7 +626,6 @@ def matrix_unit_dimension(
     psi_alpha psi_beta^* span the full matrix algebra on it: the measured
     value is rank(Psi)^2 against the expected d_k^2.
     """
-    system, fam = _ops_args(system, fam)
     if fam is None:
         fam = operator_family(system.pair)
     psi = word_vectors(system, fam, k)
@@ -684,10 +645,9 @@ def matrix_unit_dimension(
 
 
 def gauge_average(
-    system: SubproductSystem | ToeplitzOps, X: np.ndarray
+    system: SubproductSystem, X: np.ndarray
 ) -> np.ndarray:
     """Keep only the level-diagonal blocks of a Fock-space operator."""
-    system, _ = _ops_args(system, None)
     D = system.total_dimension
     X = np.asarray(X, dtype=complex)
     if X.shape != (D, D):
@@ -719,7 +679,7 @@ class ReverseIdentityReport:
 
 
 def reverse_identity(
-    system: SubproductSystem | ToeplitzOps,
+    system: SubproductSystem,
     k: int,
     fam: OperatorFamily | None = None,
     *,
@@ -733,7 +693,6 @@ def reverse_identity(
     its closed form lam (q^{k+1} - q^{-k-1}) / (q^k - q^{-k}), which reads
     lam (k+1)/k in the q -> 1 limit.
     """
-    system, fam = _ops_args(system, fam)
     if not 1 <= k <= system.levels:
         raise ParameterError(f"need 1 <= k <= {system.levels}, got {k}")
     pair = system.pair
@@ -746,7 +705,7 @@ def reverse_identity(
         weight = abs(pair.a[_bar(n, home) - 1]) ** 2
         blk = system.creation_blocks(fam.vectors[idx])[k - 1]
         acc += weight * (blk.conj().T @ blk)
-    lam = pair.lam if isinstance(pair.lam, Fraction) else Fraction(pair.lam)
+    lam = pair.lam
     constant = 1 - lam - lam * lam * system.phi(k - 1)
     q = system.phi.q
     if abs(q - 1.0) < 1e-12:
@@ -785,7 +744,7 @@ class IdealReport:
 
 
 def ideal_generator(
-    system: MotzkinPair | SubproductSystem | ToeplitzOps,
+    system: MotzkinPair | SubproductSystem,
     fam: OperatorFamily | None = None,
     *,
     tol: float = TOL_CHECK,
@@ -798,7 +757,6 @@ def ideal_generator(
     of its line inside H_1 (x) H_1.  A bare pair is accepted, in which case
     the two levels needed for the checks are built here.
     """
-    system, fam = _ops_args(system, fam)
     if isinstance(system, MotzkinPair):
         system = SubproductSystem(system, 2)
     pair = system.pair
@@ -858,7 +816,7 @@ class AsymptoticReport:
 
 
 def cuntz_pimsner_residual(
-    system: SubproductSystem | ToeplitzOps,
+    system: SubproductSystem,
     m: int,
     fam: OperatorFamily | None = None,
 ) -> AsymptoticReport:
@@ -870,51 +828,19 @@ def cuntz_pimsner_residual(
     in m, so the creation operators satisfy the limiting relations
     asymptotically.
     """
-    system, fam = _ops_args(system, fam)
-    pair = system.pair
-    n = pair.n
     if fam is None:
-        fam = operator_family(pair)
+        fam = operator_family(system.pair)
     if not 1 <= m <= system.levels - 1:
         raise ParameterError(
             f"need 1 <= m <= {system.levels - 1}, got {m}"
         )
-    a = pair.a
-    lam = float(pair.lam)
     phi_inf = system.phi.infinity
-    blocks = _family_blocks(system, fam)
-    eye_m = np.eye(system.dims[m])
-    res: dict[str, float] = {}
-
-    def down_up(kind_left, kind_right):
-        return blocks[kind_left][m - 1] @ blocks[kind_right][m - 1].conj().T
-
-    for j in fam.interior:
-        for i in fam.interior:
-            lhs = blocks[("v", j)][m].conj().T @ blocks[("v", i)][m]
-            rhs = (i == j) * eye_m - phi_inf * np.conj(a[i - 1]) * a[
-                j - 1
-            ] * down_up(("v", _bar(n, j)), ("v", _bar(n, i)))
-            res[f"eq4o[i={i},j={j}]"] = float(np.linalg.norm(lhs - rhs))
-    for j in fam.interior:
-        for s in range(1, 2 * fam.r):
-            js = fam.j_list[s - 1]
-            lhs = blocks[("v", j)][m].conj().T @ blocks[("w", s)][m]
-            rhs = (
-                -phi_inf
-                * np.conj(a[js - 1])
-                * a[j - 1]
-                * _orbit_phase(fam.r, s)
-                * down_up(("v", _bar(n, j)), ("w", s))
-            )
-            res[f"eq5o[j={j},s={s}]"] = float(np.linalg.norm(lhs - rhs))
-    for s in range(1, 2 * fam.r):
-        for sp in range(1, 2 * fam.r):
-            lhs = blocks[("w", sp)][m].conj().T @ blocks[("w", s)][m]
-            rhs = (s == sp) * eye_m - phi_inf * lam * _orbit_phase(
-                fam.r, s - sp
-            ) * down_up(("w", sp), ("w", s))
-            res[f"eq6o[s={s},s'={sp}]"] = float(np.linalg.norm(lhs - rhs))
+    res = {
+        f"{eq}o[{index}]": value
+        for eq, index, value in _commutation_residuals(
+            system, fam, _family_blocks(system, fam), m, phi_inf
+        )
+    }
 
     defect = abs(float(system.phi(m)) - phi_inf)
     return AsymptoticReport(level=m, residuals=res, defect=defect)

@@ -27,13 +27,7 @@ from .diagram_core import (
     reflect,
 )
 from .errors import LimitError, ParameterError, StructureError
-from .qpoly import PhiFunction, chebyshev_P
-
-
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(value)
+from .qpoly import PhiFunction, as_fraction, chebyshev_P
 
 
 class JWCache:
@@ -49,7 +43,7 @@ class JWCache:
         return self._phi[lam]
 
     def element(self, k: int, lam) -> Element:
-        lam = _as_fraction(lam)
+        lam = as_fraction(lam)
         if k < 0:
             raise ParameterError(f"need k >= 0, got {k}")
         if k > MAX_WIDTH:
@@ -100,7 +94,7 @@ def qk_element(k: int, lam, cache: JWCache | None = None) -> tuple[Element, Elem
     these exact identities raises StructureError.
     """
     cache = cache or _default_cache
-    lam = _as_fraction(lam)
+    lam = as_fraction(lam)
     c = cache.phi(lam)(k)
     g = embed(cache.element(k, lam))
     t = generator(k + 1, "t", k, lam=lam)
@@ -167,7 +161,7 @@ class JWReport:
 def jw_report(k: int, lam, cache: JWCache | None = None) -> JWReport:
     """Run the exact property suite for g_k."""
     cache = cache or _default_cache
-    lam = _as_fraction(lam)
+    lam = as_fraction(lam)
     if k < 1:
         raise ParameterError(f"need k >= 1, got {k}")
     phi = cache.phi(lam)
@@ -283,7 +277,7 @@ def uniqueness_probe(k: int, lam, cache: JWCache | None = None) -> UniquenessRep
     if not 1 <= k <= 3:
         raise LimitError("uniqueness probe is limited to 1 <= k <= 3")
     cache = cache or _default_cache
-    lam = _as_fraction(lam)
+    lam = as_fraction(lam)
     g = cache.element(k, lam)
 
     from .diagram_core import enumerate_basis

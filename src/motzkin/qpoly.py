@@ -24,7 +24,8 @@ from .errors import ParameterError
 _MAX_INDEX = 10**4
 
 
-def _as_fraction(value) -> Fraction:
+def as_fraction(value) -> Fraction:
+    """An exact rational from a Fraction, int or str; floats are rejected."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)):
@@ -40,7 +41,7 @@ def _check_index(m: int) -> None:
 def chebyshev_P(m: int, x) -> Fraction:
     """P_m(x) for exact rational x."""
     _check_index(m)
-    x = _as_fraction(x)
+    x = as_fraction(x)
     prev, cur = Fraction(1), Fraction(1)
     for _ in range(m - 1):
         prev, cur = cur, cur - x * prev
@@ -50,7 +51,7 @@ def chebyshev_P(m: int, x) -> Fraction:
 def chebyshev_Q(m: int, y) -> Fraction:
     """Q_m(y) for exact rational y."""
     _check_index(m)
-    y = _as_fraction(y)
+    y = as_fraction(y)
     prev, cur = Fraction(1), y
     if m == 0:
         return prev
@@ -61,7 +62,7 @@ def chebyshev_Q(m: int, y) -> Fraction:
 
 def validate_lam(lam) -> Fraction:
     """Check lam is an exact rational in (0, 1/3] and return it as a Fraction."""
-    lam = _as_fraction(lam)
+    lam = as_fraction(lam)
     if not 0 < lam <= Fraction(1, 3):
         raise ParameterError(
             f"lam must lie in (0, 1/3], got {lam}"
@@ -69,13 +70,11 @@ def validate_lam(lam) -> Fraction:
     return lam
 
 
-_check_lam = validate_lam
-
 
 def phi(m: int, lam) -> Fraction:
     """The exact ratio phi(m); phi(0) = 0."""
     _check_index(m)
-    lam = _check_lam(lam)
+    lam = validate_lam(lam)
     if m == 0:
         return Fraction(0)
     y = 1 / lam - 1
@@ -84,14 +83,14 @@ def phi(m: int, lam) -> Fraction:
 
 def q_parameter(lam) -> float:
     """The root q in (0, 1] of q + 1/q = 1/lam - 1."""
-    lam = _check_lam(lam)
+    lam = validate_lam(lam)
     y = float(1 / lam - 1)
     return (y - math.sqrt(y * y - 4.0)) / 2.0
 
 
 def phi_infinity(lam) -> float:
     """Limit of phi(m) as m grows: q / lam."""
-    lam = _check_lam(lam)
+    lam = validate_lam(lam)
     return q_parameter(lam) / float(lam)
 
 
@@ -99,7 +98,7 @@ class PhiFunction:
     """phi for a fixed lam, with caching and the limiting value attached."""
 
     def __init__(self, lam):
-        self.lam = _check_lam(lam)
+        self.lam = validate_lam(lam)
         self._cache: dict[int, Fraction] = {}
 
     def __call__(self, m: int) -> Fraction:
@@ -121,7 +120,7 @@ class PhiFunction:
 
 def is_generic(lam, kmax: int) -> bool:
     """True when P_k((1/lam - 1)**-2) != 0 for every 1 <= k <= kmax."""
-    lam = _as_fraction(lam)
+    lam = as_fraction(lam)
     if lam <= 0 or lam >= 1:
         raise ParameterError(f"lam must lie in (0, 1), got {lam}")
     _check_index(kmax)

@@ -27,12 +27,7 @@ from .diagram_core import (
     MotzkinDiagram,
     presentation_relations,
 )
-from .errors import (
-    LimitError,
-    ParameterError,
-    StructureError,
-    UnsupportedDiagramError,
-)
+from .errors import LimitError, ParameterError, StructureError
 from .qpoly import validate_lam
 
 
@@ -420,38 +415,16 @@ def evaluate_word(pair: MotzkinPair, k: int, word) -> np.ndarray:
 # Direct diagram evaluation
 
 
-def _row_arcs(pairing, lo, hi):
-    return [
-        (i, pairing[i])
-        for i in range(lo, hi)
-        if lo <= pairing[i] < hi and pairing[i] > i
-    ]
-
-
-def _max_nesting(arcs) -> int:
-    depth = 0
-    for (s, e) in arcs:
-        d = sum(1 for (s2, e2) in arcs if s2 < s and e < e2)
-        depth = max(depth, d)
-    return depth
-
-
 def evaluate_diagram(pair: MotzkinPair, diagram: MotzkinDiagram) -> np.ndarray:
     """The matrix of a single diagram, assembled from its strand features.
 
-    Supports nesting depth at most one per edge row (an arc may sit over
-    isolated points and innermost arcs only); deeper nesting raises
-    UnsupportedDiagramError.
+    Every through strand, arc and isolated point contributes one factor on
+    its own tensor axes (a delta, the scaled pair vector, or b), and the
+    matrix is their product; how deeply arcs nest does not enter.
     """
     n, k = pair.n, diagram.width
     _check_dim(n, k)
     p = diagram.pairing
-    top_arcs = _row_arcs(p, 0, k)
-    bottom_arcs = _row_arcs(p, k, 2 * k)
-    if _max_nesting(top_arcs) > 1 or _max_nesting(bottom_arcs) > 1:
-        raise UnsupportedDiagramError(
-            f"diagram {list(p)} nests arcs more than one level deep"
-        )
 
     lam = float(pair.lam)
     root = lam**-0.5

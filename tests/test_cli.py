@@ -250,6 +250,7 @@ class TestRunCommand:
         assert run_command(["eval", "t5", "--k", "2"]) == 2
         assert "width" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_eval_input_bounds(self, capsys):
         # Deep nesting, long chains and huge exponents end in a typed error
         # with exit code 2, not a RecursionError traceback or an endless loop.
@@ -262,6 +263,11 @@ class TestRunCommand:
              "error: exponent 100000000 exceeds"),
             (["eval", "t1^100000000", "--k", "2", "--rep"],
              "error: exponent 100000000 exceeds"),
+            # Finite exponents whose operator powers leave the float range.
+            (["eval", "(t1+l1)^4096", "--k", "2", "--rep"],
+             "error: operator entries leave the floating-point range"),
+            (["eval", "(t1+l1)^1000", "--k", "2", "--rep"],
+             "error: the norm of the result overflows"),
         ]:
             assert run_command(argv) == 2
             err = capsys.readouterr().err
@@ -298,6 +304,38 @@ class TestRunCommand:
         assert run_command(["jw", "--k", "2"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["ok"] is True and data["identity_coefficient"] == "1"
+
+    def test_report_payload_keys(self, capsys):
+        # Each report command writes its report's fields (lam as "lambda"),
+        # ok, and its extras.
+        checks = {
+            ("presentation", "--k", "2"):
+                {"width", "lambda", "checked", "failures", "ok"},
+            ("jw", "--k", "2"):
+                {"width", "lambda", "idempotent", "self_adjoint",
+                 "reflect_invariant", "annihilation", "kills_top_p",
+                 "expectation_coefficient", "expectation_ok",
+                 "symmetric_recursion", "absorption", "identity_coefficient",
+                 "terms", "ok"},
+            ("pair", "validate"):
+                {"n", "lambda", "norm_a", "norm_b", "pairing", "compatibility",
+                 "modulus_symmetry", "a_symmetry_on_support", "weighted_sum",
+                 "extended", "tol", "ok"},
+            ("fock", "toeplitz", "--levels", "2"):
+                {"n", "lambda", "levels", "residuals", "skipped",
+                 "max_residual", "tol", "ok"},
+            ("fock", "reverse", "--k", "2"):
+                {"n", "lambda", "k", "constant", "closed_form",
+                 "closed_form_error", "residual", "tol", "ok"},
+            ("fock", "ideal"):
+                {"n", "lambda", "vector", "norm", "alignment", "annihilation",
+                 "complement", "tol", "ok"},
+        }
+        for argv, keys in checks.items():
+            assert run_command(list(argv)) == 0, argv
+            data = json.loads(capsys.readouterr().out)
+            assert set(data) == keys, argv
+            assert data["lambda"] == "1/4" and data["ok"] is True, argv
 
     def test_pair_round_trip(self, tmp_path, capsys):
         path = tmp_path / "pair.json"

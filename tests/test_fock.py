@@ -8,10 +8,8 @@ import pytest
 
 from motzkin.errors import LimitError, ParameterError
 from motzkin.fock import (
-    ToeplitzOps,
     build_subproduct,
     coassociativity_residuals,
-    creation_operators,
     cuntz_pimsner_residual,
     gauge_average,
     ideal_generator,
@@ -72,6 +70,57 @@ def _ambient_projections(pair, levels):
         B = np.einsum("Ar,urs->uAs", B, B_hat).reshape(n ** (k + 1), d_next)
         out.append(B @ B.conj().T)
     return out
+
+
+def _reference_limit_relations(system, m, coefficient):
+    """Reference: eq4o-eq6o at level m with the given coefficient, each
+    relation written out on its own, independent of the shared evaluator."""
+    pair = system.pair
+    n, a, lam = pair.n, pair.a, float(pair.lam)
+    fam = operator_family(pair)
+    blocks = {
+        kind: system.creation_blocks(fam.vectors[idx])
+        for idx, kind in enumerate(fam.kinds)
+    }
+    eye_m = np.eye(system.dims[m])
+
+    def bar(j):
+        return n + 1 - j
+
+    def phase(aexp):
+        return complex(np.exp(2j * np.pi * aexp / (2 * fam.r)))
+
+    def down_up(kind_left, kind_right):
+        return blocks[kind_left][m - 1] @ blocks[kind_right][m - 1].conj().T
+
+    res = {}
+    for j in fam.interior:
+        for i in fam.interior:
+            lhs = blocks[("v", j)][m].conj().T @ blocks[("v", i)][m]
+            rhs = (i == j) * eye_m - coefficient * np.conj(a[i - 1]) * a[
+                j - 1
+            ] * down_up(("v", bar(j)), ("v", bar(i)))
+            res[f"eq4o[i={i},j={j}]"] = float(np.linalg.norm(lhs - rhs))
+    for j in fam.interior:
+        for s in range(1, 2 * fam.r):
+            js = fam.j_list[s - 1]
+            lhs = blocks[("v", j)][m].conj().T @ blocks[("w", s)][m]
+            rhs = (
+                -coefficient
+                * np.conj(a[js - 1])
+                * a[j - 1]
+                * phase(s)
+                * down_up(("v", bar(j)), ("w", s))
+            )
+            res[f"eq5o[j={j},s={s}]"] = float(np.linalg.norm(lhs - rhs))
+    for s in range(1, 2 * fam.r):
+        for sp in range(1, 2 * fam.r):
+            lhs = blocks[("w", sp)][m].conj().T @ blocks[("w", s)][m]
+            rhs = (s == sp) * eye_m - coefficient * lam * phase(
+                s - sp
+            ) * down_up(("w", sp), ("w", s))
+            res[f"eq6o[s={s},s'={sp}]"] = float(np.linalg.norm(lhs - rhs))
+    return res
 
 
 class TestBuild:
@@ -261,40 +310,6 @@ class TestToeplitzRelations:
             gauge_average(sys, np.eye(3))
 
 
-class TestToeplitzBundle:
-    def test_structure(self):
-        ops = creation_operators(_pair(4), 4)
-        assert isinstance(ops, ToeplitzOps)
-        assert sorted(ops.matrices) == ["v2", "v3", "w1"]
-        assert ops.levels == 4 and ops.pair.n == 4
-        fam = ops.family
-        for idx, label in enumerate(fam.labels):
-            expected = ops.system.toeplitz_matrix(fam.vectors[idx])
-            assert np.allclose(ops.matrix(label), expected)
-
-    def test_reuses_built_system(self):
-        sys = _system(3, 4)
-        ops = creation_operators(sys)
-        assert ops.system is sys
-        assert np.allclose(ops.level_projection(2), sys.level_projection(2))
-        assert np.allclose(ops.vacuum(), sys.vacuum())
-        with pytest.raises(ParameterError):
-            creation_operators(_pair(3))  # a bare pair needs the level count
-
-    def test_reports_accept_bundle(self):
-        sys = _system(4, 4)
-        ops = creation_operators(sys)
-        direct = toeplitz_residuals(sys)
-        via_ops = toeplitz_residuals(ops)
-        assert via_ops.residuals == direct.residuals
-        assert matrix_unit_dimension(ops, 2).measured == 64
-        assert reverse_identity(ops, 2).ok
-        assert cuntz_pimsner_residual(ops, 1).residual == pytest.approx(
-            cuntz_pimsner_residual(sys, 1).residual
-        )
-        assert np.linalg.norm(gauge_average(ops, ops.matrix("w1"))) == 0.0
-
-
 class TestWords:
     def test_absorption(self):
         # A word applied to the vacuum is the compressed elementary tensor.
@@ -417,3 +432,23 @@ class TestAsymptotics:
         assert "eq6[s=1,s'=2,m=1]" in rep.residuals
         residuals = [cuntz_pimsner_residual(sys, m).residual for m in (1, 2, 3)]
         assert all(x > y for x, y in zip(residuals, residuals[1:]))
+
+    def test_matches_reference_relations(self):
+        # The limiting relations and the Toeplitz eq4-eq6 are the same
+        # relations with coefficient phi_inf and phi(m) respectively.
+        cases = [
+            build_subproduct(_pair(4), 4),
+            build_subproduct(build_example_pair("iii", 5, 2, Fraction(1, 5)), 4),
+        ]
+        for sys in cases:
+            toeplitz = toeplitz_residuals(sys).residuals
+            for m in range(1, sys.levels):
+                got = cuntz_pimsner_residual(sys, m).residuals
+                ref = _reference_limit_relations(sys, m, sys.phi.infinity)
+                assert list(got) == list(ref)
+                for label, value in ref.items():
+                    assert abs(got[label] - value) <= 1e-14, (sys.pair.n, m, label)
+                ref = _reference_limit_relations(sys, m, float(sys.phi(m)))
+                for label, value in ref.items():
+                    label = label.replace("o[", "[")[:-1] + f",m={m}]"
+                    assert abs(toeplitz[label] - value) <= 1e-14, (sys.pair.n, label)

@@ -16,6 +16,7 @@ import pytest
 from motzkin import (
     Element,
     LimitError,
+    ParameterError,
     adjoint,
     conditional_expectation,
     embed,
@@ -30,7 +31,7 @@ from motzkin.jones_wenzl import (
     qk_element,
     uniqueness_probe,
 )
-from motzkin.qpoly import PhiFunction
+from motzkin.qpoly import PhiFunction, phi
 
 LAMS = (Fraction(1, 3), Fraction(1, 4))
 
@@ -137,3 +138,11 @@ def test_cache_reuse_and_clear():
     cache.clear()
     assert cache.element(3, Fraction(1, 4)) is not g
     assert cache.element(3, Fraction(1, 4)) == g
+
+
+def test_float_lam_rejected():
+    # lam is exact everywhere: a float is refused by the tower as by phi.
+    with pytest.raises(ParameterError):
+        jones_wenzl(2, 0.25)
+    with pytest.raises(ParameterError):
+        phi(2, 0.25)

@@ -17,12 +17,7 @@ from motzkin.diagram_core import (
     motzkin_number,
     presentation_relations,
 )
-from motzkin.errors import (
-    LimitError,
-    ParameterError,
-    StructureError,
-    UnsupportedDiagramError,
-)
+from motzkin.errors import LimitError, ParameterError, StructureError
 from motzkin.jones_wenzl import jones_wenzl
 from motzkin.representation import (
     MotzkinPair,
@@ -323,13 +318,29 @@ class TestDiagramEvaluation:
                 lin = evaluate_element(pair, elem)
                 assert np.linalg.norm(mat - lin) < 1e-10, (pair.n, word)
 
-    def test_triple_nesting_rejected(self):
-        pair = _pair3()
-        # width 6: top arcs (0,5),(1,4),(2,3) - the innermost arc sits under
-        # two others, which the strand feature map does not cover.
-        pairing = [5, 4, 3, 2, 1, 0] + [-1] * 6
-        with pytest.raises(UnsupportedDiagramError):
-            evaluate_diagram(pair, MotzkinDiagram(pairing))
+    def test_homomorphism_at_nesting_depth_two(self):
+        # Width 6 is the first width with an arc nested two deep: the
+        # rainbow (0,5),(1,4),(2,3) on one row.  A diagonal unitary makes
+        # the second pair complex.
+        real = _pair3()
+        u = np.exp(1j * np.array([0.3, 1.1, -0.7]))
+        rotated = MotzkinPair(n=3, lam=real.lam, a=real.a * u * u[::-1], b=real.b * u)
+        basis = enumerate_basis(6)
+        deep = [
+            d for d in basis
+            if d.pairing[:3] == (5, 4, 3) or d.pairing[6:9] == (11, 10, 9)
+        ]
+        rng = np.random.default_rng(5)
+        for pair in (real, rotated):
+            for _ in range(6):
+                x = deep[rng.integers(len(deep))]
+                y = basis[rng.integers(len(basis))]
+                if rng.integers(2):
+                    x, y = y, x
+                product = evaluate_diagram(pair, x) @ evaluate_diagram(pair, y)
+                xy = Element.from_diagram(x, pair.lam) * Element.from_diagram(y, pair.lam)
+                err = np.linalg.norm(evaluate_element(pair, xy) - product)
+                assert err <= 1e-12 * max(1.0, np.linalg.norm(product)), (x, y)
 
     def test_single_nesting_supported(self):
         pair = _pair3()

@@ -25,7 +25,6 @@ from .diagram_core import (
     identity,
     juxtapose,
     motzkin_number,
-    multiply,
     reflect,
 )
 from .errors import (
@@ -95,7 +94,6 @@ __all__ = [
     "identity",
     "juxtapose",
     "motzkin_number",
-    "multiply",
     "reflect",
     "LimitError",
     "MotzkinError",

@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .config import MAX_EXPONENT, MAX_NESTING, TOL_CHECK, TOL_TOEPLITZ
 from .diagram_core import (
+    _SITES,
     Element,
     adjoint,
     check_presentation,
@@ -289,11 +290,7 @@ def _check_widths(node, k: int) -> None:
         _check_widths(node.operand, k + 1)
 
 
-def _needs_parens_in_sum(node) -> bool:
-    return isinstance(node, (Add, Sub, Neg))
-
-
-def _needs_parens_in_product(node) -> bool:
+def _needs_parens(node) -> bool:
     return isinstance(node, (Add, Sub, Neg))
 
 
@@ -312,22 +309,22 @@ def pretty(node) -> str:
         return node.name + suffix
     if isinstance(node, Neg):
         inner = pretty(node.operand)
-        if _needs_parens_in_sum(node.operand):
+        if _needs_parens(node.operand):
             inner = f"({inner})"
         return "-" + inner
     if isinstance(node, (Add, Sub)):
         op = " + " if isinstance(node, Add) else " - "
         left = pretty(node.left)
         right = pretty(node.right)
-        if _needs_parens_in_sum(node.right):
+        if _needs_parens(node.right):
             right = f"({right})"
         return left + op + right
     if isinstance(node, Mul):
         left = pretty(node.left)
-        if _needs_parens_in_product(node.left):
+        if _needs_parens(node.left):
             left = f"({left})"
         right = pretty(node.right)
-        if _needs_parens_in_product(node.right) or isinstance(node.right, Mul):
+        if _needs_parens(node.right) or isinstance(node.right, Mul):
             right = f"({right})"
         return f"{left}*{right}"
     if isinstance(node, Adj):
@@ -352,7 +349,7 @@ def _check_gen(node: Gen, k: int) -> None:
     elif i is None:
         raise ParameterError(f"generator {name!r} needs an index, e.g. {name}1")
     else:
-        hi = k if name == "p" else k - 1
+        hi = k - _SITES[name] + 1
         if not 1 <= i <= hi:
             raise ParameterError(
                 f"{name}{i} does not fit in width {k} (need 1 <= i <= {hi})"
@@ -585,9 +582,7 @@ def _cmd_pair_validate(args) -> int:
 
 
 def _cmd_pair_make(args) -> int:
-    r = 0 if args.family == "i" else args.r
-    pair = build_example_pair(args.family, args.n, r, args.lam)
-    _emit(args, pair.to_json_dict())
+    _emit(args, _load_pair(args).to_json_dict())
     return 0
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import os
 
+from .errors import ParameterError
+
 # Exact diagram calculus.
 MAX_WIDTH = 6
 MAX_TERMS = 10**6
@@ -43,6 +45,11 @@ def max_rep_dimension() -> int:
     if value is None:
         return DEFAULT_MAX_DIM
     try:
-        return int(value)
+        bound = int(value)
     except ValueError:
-        return DEFAULT_MAX_DIM
+        bound = 0
+    if bound < 1:
+        raise ParameterError(
+            f"MOTZKIN_MAX_DIM must be a positive integer, got {value!r}"
+        )
+    return bound

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .config import MAX_TERMS, MAX_WIDTH
 from .errors import LimitError, ParameterError
@@ -26,7 +26,8 @@ from .qpoly import as_fraction
 
 Pairing = tuple[int, ...]
 
-_GENERATOR_NAMES = ("id", "l", "r", "t", "p")
+# Number of adjacent columns each generator other than "id" occupies.
+_SITES = {"p": 1, "l": 2, "r": 2, "t": 2}
 
 
 def motzkin_number(m: int) -> int:
@@ -103,10 +104,6 @@ class MotzkinDiagram:
     def __repr__(self) -> str:
         return f"MotzkinDiagram({list(self.pairing)})"
 
-    def is_identity(self) -> bool:
-        k = self.width
-        return all(self.pairing[i] == k + i for i in range(k))
-
     def to_json_dict(self) -> dict:
         return {"width": self.width, "pairing": list(self.pairing)}
 
@@ -169,108 +166,58 @@ def enumerate_basis(k: int) -> list[MotzkinDiagram]:
 # Composition of diagrams
 
 
-def _follow(p1: Pairing, p2: Pairing, k: int, m: int, via_upper: bool,
-            visited: list[bool]) -> tuple[int, int] | None:
-    """Walk the glued middle row starting at middle node m.
+def _walk(p1: Pairing, p2: Pairing, k: int, seen: list[bool], m: int,
+          down: bool) -> int | None:
+    """Follow the glued middle row of p1 over p2 from middle node m.
 
-    `via_upper` means the edge that brought us here belonged to the upper
-    factor, so the next edge to use is the lower factor's.  Returns
-    (0, a) when the walk exits at top point a of the upper factor,
-    (1, c) when it exits at bottom column c of the lower factor, or None
-    when the strand dies on an unmatched middle point.
+    Middle node m is the bottom point k+m of p1 glued to the top point m
+    of p2.  The walk leaves m through p2 when `down` and through p1
+    otherwise, then alternates, marking each node it passes in `seen`.
+    Returns the outer point reached (top points numbered as in p1, bottom
+    points as in p2), -1 at a dead end, or None when it closes back on m.
     """
+    start = m
     while True:
-        visited[m] = True
-        if via_upper:
+        seen[m] = True
+        if down:
             j = p2[m]
-            if j < 0:
-                return None
-            if j >= k:
-                return (1, j - k)
-            m, via_upper = j, False
+            if not 0 <= j < k:
+                return j
         else:
             j = p1[k + m]
-            if j < 0:
-                return None
             if j < k:
-                return (0, j)
-            m, via_upper = j - k, True
+                return j
+            j -= k
+        if j == start:
+            return None
+        m, down = j, not down
 
 
 def _compose_pairings(p1: Pairing, p2: Pairing, k: int) -> tuple[Pairing, int]:
     """Stack p1 over p2; return (result pairing, number of closed loops)."""
     res = [-1] * (2 * k)
-    visited = [False] * k
+    seen = [False] * k
     for i in range(k):
         j = p1[i]
-        if j < 0:
-            continue
-        if j < k:
-            res[i] = j
-            continue
-        end = _follow(p1, p2, k, j - k, True, visited)
-        if end is None:
-            continue
-        kind, a = end
-        if kind == 0:
-            res[i], res[a] = a, i
-        else:
-            res[i], res[k + a] = k + a, i
-    for c in range(k):
-        j = p2[k + c]
-        if j < 0 or res[k + c] >= 0:
-            continue
         if j >= k:
-            res[k + c] = j
+            j = _walk(p1, p2, k, seen, j - k, True)
+        if j >= 0:
+            res[i], res[j] = j, i
+    for c in range(k, 2 * k):
+        if res[c] >= 0:
             continue
-        end = _follow(p1, p2, k, j, False, visited)
-        if end is None:
-            continue
-        kind, a = end
-        assert kind == 1, "strand from the bottom row cannot exit at the top twice"
-        res[k + c], res[k + a] = k + a, k + c
+        j = p2[c]
+        if 0 <= j < k:
+            j = _walk(p1, p2, k, seen, j, False)
+        if j >= 0:
+            res[c], res[j] = j, c
+    # What is left unseen lies on closed loops or on middle paths with two
+    # dead ends; such a path never closes, so it is erased with no factor.
     loops = 0
     for m in range(k):
-        if visited[m]:
-            continue
-        if p1[k + m] < 0 or p2[m] < 0:
-            # Middle path with a free end: erased without any factor.
-            _mark_dead(p1, p2, k, m, visited)
-            continue
-        cur, via = m, True
-        is_cycle = False
-        while True:
-            visited[cur] = True
-            j = p2[cur] if via else p1[k + cur]
-            if j < 0:
-                break
-            nxt = j if via else j - k
-            assert 0 <= nxt < k
-            if visited[nxt]:
-                is_cycle = True
-                break
-            cur, via = nxt, not via
-        if is_cycle:
+        if not seen[m] and _walk(p1, p2, k, seen, m, True) is None:
             loops += 1
-        else:
-            _mark_dead(p1, p2, k, m, visited)
     return tuple(res), loops
-
-
-def _mark_dead(p1: Pairing, p2: Pairing, k: int, m: int,
-               visited: list[bool]) -> None:
-    # Mark every middle node reachable from m (in both directions).
-    for start_via in (True, False):
-        cur, via = m, start_via
-        while True:
-            visited[cur] = True
-            j = p2[cur] if via else p1[k + cur]
-            if j < 0:
-                break
-            nxt = j if via else j - k
-            if not 0 <= nxt < k or visited[nxt]:
-                break
-            cur, via = nxt, not via
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +254,14 @@ class Element:
         self.terms = clean
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, width: int, lam: Fraction, terms: dict) -> "Element":
+        # Internal fast path: trusts that `terms` maps diagrams of this
+        # width to nonzero Fractions and that `lam` is a positive Fraction.
+        e = cls.__new__(cls)
+        e.width, e.lam, e.terms = width, lam, terms
+        return e
 
     @classmethod
     def zero(cls, width: int, lam) -> "Element":
@@ -372,31 +327,28 @@ class Element:
                 acc.pop(d, None)
             else:
                 acc[d] = s
-        return self._with_terms(acc)
+        return Element._trusted(self.width, self.lam, acc)
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
 
     def __neg__(self) -> "Element":
-        return self._with_terms({d: -c for d, c in self.terms.items()})
+        return Element._trusted(
+            self.width, self.lam, {d: -c for d, c in self.terms.items()}
+        )
 
     def scale(self, scalar) -> "Element":
         c = as_fraction(scalar)
         if c == 0:
             return Element.zero(self.width, self.lam)
-        return self._with_terms({d: c * v for d, v in self.terms.items()})
+        return Element._trusted(
+            self.width, self.lam, {d: c * v for d, v in self.terms.items()}
+        )
 
     def __rmul__(self, scalar) -> "Element":
         if isinstance(scalar, (int, Fraction)):
             return self.scale(scalar)
         return NotImplemented
-
-    def _with_terms(self, terms: dict) -> "Element":
-        e = Element.__new__(Element)
-        e.width = self.width
-        e.lam = self.lam
-        e.terms = terms
-        return e
 
     # -- multiplication -----------------------------------------------
 
@@ -418,7 +370,7 @@ class Element:
         if len(acc) > MAX_TERMS:
             raise LimitError(f"product has more than {MAX_TERMS} terms")
         terms = {_wrap(p): c for p, c in acc.items() if c != 0}
-        return self._with_terms(terms)
+        return Element._trusted(k, self.lam, terms)
 
     def adjoint(self) -> "Element":
         return adjoint(self)
@@ -448,40 +400,33 @@ class Element:
         return cls(width, lam, terms)
 
 
-def multiply(x: Element, y: Element) -> Element:
-    return x * y
+def _relabel(p: Pairing, point_map: Sequence[int], out: list[int]) -> list[int]:
+    """Copy the strands of p into `out`, sending point i to point_map[i]."""
+    for i, j in enumerate(p):
+        if j >= 0:
+            out[point_map[i]] = point_map[j]
+    return out
+
+
+def _relabel_terms(x: Element, point_map: Sequence[int]) -> dict:
+    return {
+        _wrap(tuple(_relabel(d.pairing, point_map, [-1] * (2 * x.width)))): c
+        for d, c in x.terms.items()
+    }
 
 
 def adjoint(x: Element) -> Element:
     """Flip every diagram upside down (coefficients are real, so left alone)."""
     k = x.width
-
-    def flip(i: int) -> int:
-        return i + k if i < k else i - k
-
-    terms = {}
-    for d, c in x.terms.items():
-        p = d.pairing
-        new = [-1] * (2 * k)
-        for i, j in enumerate(p):
-            if j >= 0:
-                new[flip(i)] = flip(j)
-        terms[_wrap(tuple(new))] = c
-    out = Element.__new__(Element)
-    out.width, out.lam, out.terms = k, x.lam, terms
-    return out
+    flip = list(range(k, 2 * k)) + list(range(k))
+    return Element._trusted(k, x.lam, _relabel_terms(x, flip))
 
 
-def _shift_pairing(p: Pairing, k: int, top_off: int, bot_off: int,
-                   new_width: int, out: list[int]) -> None:
-    # Copy pairing p of width k into `out` (width new_width), placing its
-    # top points at columns top_off.. and bottom points at columns bot_off..
-    def m(i: int) -> int:
-        return i + top_off if i < k else new_width + (i - k) + bot_off
-
-    for i, j in enumerate(p):
-        if j >= 0:
-            out[m(i)] = m(j)
+def reflect(x: Element) -> Element:
+    """Mirror every diagram left-to-right."""
+    k = x.width
+    mirror = list(range(k - 1, -1, -1)) + list(range(2 * k - 1, k - 1, -1))
+    return Element._trusted(k, x.lam, _relabel_terms(x, mirror))
 
 
 def embed(x: Element, h: int = 1) -> Element:
@@ -491,19 +436,7 @@ def embed(x: Element, h: int = 1) -> Element:
         raise ParameterError(f"embed needs h >= 0, got {h}")
     if h == 0:
         return x
-    k, w = x.width, x.width + h
-    if w > MAX_WIDTH:
-        raise LimitError(f"width {w} exceeds the configured bound {MAX_WIDTH}")
-    terms = {}
-    for d, c in x.terms.items():
-        new = [-1] * (2 * w)
-        _shift_pairing(d.pairing, k, 0, 0, w, new)
-        for j in range(k, w):
-            new[j], new[w + j] = w + j, j
-        terms[_wrap(tuple(new))] = c
-    out = Element.__new__(Element)
-    out.width, out.lam, out.terms = w, x.lam, terms
-    return out
+    return juxtapose(x, identity(h, lam=x.lam))
 
 
 def juxtapose(x: Element, y: Element) -> Element:
@@ -514,40 +447,19 @@ def juxtapose(x: Element, y: Element) -> Element:
     w = p + q
     if w > MAX_WIDTH:
         raise LimitError(f"width {w} exceeds the configured bound {MAX_WIDTH}")
+    left = list(range(p)) + list(range(w, w + p))
+    right = list(range(p, w)) + list(range(w + p, 2 * w))
     terms: dict[MotzkinDiagram, Fraction] = {}
     for d1, c1 in x.terms.items():
-        base = [-1] * (2 * w)
-        _shift_pairing(d1.pairing, p, 0, 0, w, base)
+        base = _relabel(d1.pairing, left, [-1] * (2 * w))
         for d2, c2 in y.terms.items():
-            new = list(base)
-            _shift_pairing(d2.pairing, q, p, p, w, new)
-            key = _wrap(tuple(new))
+            key = _wrap(tuple(_relabel(d2.pairing, right, list(base))))
             c = c1 * c2
             prev = terms.get(key)
             terms[key] = c if prev is None else prev + c
-    out = Element.__new__(Element)
-    out.width, out.lam = w, x.lam
-    out.terms = {d: c for d, c in terms.items() if c != 0}
-    return out
-
-
-def reflect(x: Element) -> Element:
-    """Mirror every diagram left-to-right."""
-    k = x.width
-
-    def m(i: int) -> int:
-        return k - 1 - i if i < k else 3 * k - 1 - i
-
-    terms = {}
-    for d, c in x.terms.items():
-        new = [-1] * (2 * k)
-        for i, j in enumerate(d.pairing):
-            if j >= 0:
-                new[m(i)] = m(j)
-        terms[_wrap(tuple(new))] = c
-    out = Element.__new__(Element)
-    out.width, out.lam, out.terms = k, x.lam, terms
-    return out
+    return Element._trusted(
+        w, x.lam, {d: c for d, c in terms.items() if c != 0}
+    )
 
 
 def conditional_expectation(x: Element) -> Element:
@@ -589,10 +501,9 @@ def conditional_expectation(x: Element) -> Element:
         key = tuple(new)
         prev = acc.get(key)
         acc[key] = coeff if prev is None else prev + coeff
-    out = Element.__new__(Element)
-    out.width, out.lam = w, lam
-    out.terms = {_wrap(p): c for p, c in acc.items() if c != 0}
-    return out
+    return Element._trusted(
+        w, lam, {_wrap(p): c for p, c in acc.items() if c != 0}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -604,23 +515,28 @@ def identity(k: int, *, lam) -> Element:
     return Element(k, lam, {_wrap(pairing): Fraction(1)})
 
 
-def generator(k: int, name: str, i: int | None = None, *, lam) -> Element:
-    """The generator `name` with (1-based) index i inside width k.
-
-    'id' needs no index.  'l', 'r' and 't' need 1 <= i <= k-1; 'p' needs
-    1 <= i <= k.  't' carries its defining coefficient lam.
-    """
-    if k < 0 or k > MAX_WIDTH:
-        raise ParameterError(f"width {k} out of range 0..{MAX_WIDTH}")
-    if name not in _GENERATOR_NAMES:
-        raise ParameterError(f"unknown generator {name!r}")
+def _check_generator(k: int, name: str, i: int | None) -> None:
+    """'id' needs no index.  'l', 'r' and 't' need 1 <= i <= k-1; 'p' needs
+    1 <= i <= k."""
     if name == "id":
-        return identity(k, lam=lam)
+        return
+    if name not in _SITES:
+        raise ParameterError(f"unknown generator {name!r}")
     if i is None:
         raise ParameterError(f"generator {name!r} needs an index")
-    hi = k if name == "p" else k - 1
+    hi = k - _SITES[name] + 1
     if not 1 <= i <= hi:
         raise ParameterError(f"index {i} of {name!r} out of range 1..{hi}")
+
+
+def generator(k: int, name: str, i: int | None = None, *, lam) -> Element:
+    """The generator `name` with (1-based) index i inside width k; 't'
+    carries its defining coefficient lam."""
+    if k < 0 or k > MAX_WIDTH:
+        raise ParameterError(f"width {k} out of range 0..{MAX_WIDTH}")
+    _check_generator(k, name, i)
+    if name == "id":
+        return identity(k, lam=lam)
     arr = list(range(k, 2 * k)) + list(range(k))
     c = i - 1  # 0-based column
     if name == "p":
@@ -659,13 +575,13 @@ def presentation_relations(k: int) -> Iterator[tuple[str, list, list]]:
     def L(i, dag=False):
         return ("l", i, dag)
 
-    def T(i):
-        return ("t", i, False)
+    def T(i, dag=False):
+        return ("t", i, dag)
 
     one = 0  # lam power zero
 
     for i in range(1, k):
-        yield (f"(0)[i={i}]", [(one, (T(i),))], [(one, (("adj", (T(i),)),))])
+        yield (f"(0)[i={i}]", [(one, (T(i),))], [(one, (T(i, True),))])
         yield (f"(1)[i={i}]", [(one, (L(i), L(i)))], [(one, (L(i), L(i), L(i)))])
         yield (f"(3)[i={i}]", [(one, (L(i), L(i, True), L(i)))], [(one, (L(i),))])
         yield (f"(7)[i={i}]", [(one, (T(i), T(i)))], [(one, (T(i),))])
@@ -727,9 +643,6 @@ def presentation_relations(k: int) -> Iterator[tuple[str, list, list]]:
 
 
 def _token_element(k: int, lam, token) -> Element:
-    if token[0] == "adj":
-        inner = _word_element(k, lam, token[1])
-        return adjoint(inner)
     name, idx, dag = token
     g = generator(k, name, idx, lam=lam)
     return adjoint(g) if dag else g

@@ -170,14 +170,6 @@ class SubproductSystem:
             offs.append(offs[-1] + d)
         return offs
 
-    def level_projection(self, m: int) -> np.ndarray:
-        self._check_level(m)
-        offs = self.level_offsets()
-        D = self.total_dimension
-        E = np.zeros((D, D), dtype=complex)
-        E[offs[m] : offs[m + 1], offs[m] : offs[m + 1]] = np.eye(self.dims[m])
-        return E
-
     def vacuum(self) -> np.ndarray:
         v = np.zeros(self.total_dimension, dtype=complex)
         v[0] = 1.0

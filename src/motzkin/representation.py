@@ -23,8 +23,10 @@ import numpy as np
 
 from .config import TOL_CHECK, TOL_CONSTRUCT, TOL_RANK, max_rep_dimension
 from .diagram_core import (
+    _SITES,
     Element,
     MotzkinDiagram,
+    _check_generator,
     presentation_relations,
 )
 from .errors import LimitError, ParameterError, StructureError
@@ -306,21 +308,6 @@ def l_matrix(pair: MotzkinPair) -> np.ndarray:
     return L
 
 
-_SITES = {"p": 1, "l": 2, "r": 2, "t": 2}
-
-
-def _check_index(k: int, name: str, i: int | None) -> None:
-    if name == "id":
-        return
-    if i is None:
-        raise ParameterError(f"generator {name!r} needs an index")
-    if name not in _SITES:
-        raise ParameterError(f"unknown generator {name!r}")
-    hi = k - _SITES[name] + 1
-    if not 1 <= i <= hi:
-        raise ParameterError(f"index {i} of {name!r} out of range 1..{hi}")
-
-
 def _generator_base(pair: MotzkinPair, name: str) -> np.ndarray:
     """The block a generator applies to its own slots: n x n for p,
     n^2 x n^2 for l, r and t."""
@@ -340,7 +327,7 @@ def generator_operator(pair: MotzkinPair, k: int, name: str, i: int | None = Non
     _check_dim(n, k)
     if name == "id":
         return np.eye(n**k, dtype=complex)
-    _check_index(k, name, i)
+    _check_generator(k, name, i)
     left = np.eye(n ** (i - 1), dtype=complex)
     right = np.eye(n ** (k - i - _SITES[name] + 1), dtype=complex)
     return np.kron(np.kron(left, _generator_base(pair, name)), right)
@@ -375,19 +362,6 @@ def _parse_word_token(token) -> tuple[str, int | None, bool]:
     return (name, int(digits) if digits else None, dag)
 
 
-def _flat_tokens(word) -> list[tuple[str, int | None, bool]]:
-    """A word as (name, index, dagger) triples.  An ("adj", word) token
-    becomes the reversed inner word with every dagger flipped."""
-    out = []
-    for token in word:
-        if isinstance(token, tuple) and token[0] == "adj":
-            inner = _flat_tokens(token[1])
-            out.extend((name, i, not dag) for name, i, dag in reversed(inner))
-        else:
-            out.append(_parse_word_token(token))
-    return out
-
-
 def _word_product(n: int, width: int, bases: dict, tokens) -> np.ndarray:
     """The product of the tokens on the width-fold power of C^n, applied
     right to left to the identity one generator at a time."""
@@ -400,12 +374,12 @@ def _word_product(n: int, width: int, bases: dict, tokens) -> np.ndarray:
 
 def evaluate_word(pair: MotzkinPair, k: int, word) -> np.ndarray:
     """Product of generator matrices; tokens like "l1", "t2", "p1'", "id",
-    tuples (name, index) or (name, index, dagger), or ("adj", word)."""
+    or tuples (name, index) or (name, index, dagger)."""
     n = pair.n
     _check_dim(n, k)
-    tokens = _flat_tokens(word)
+    tokens = [_parse_word_token(token) for token in word]
     for name, i, _ in tokens:
-        _check_index(k, name, i)
+        _check_generator(k, name, i)
     names = {name for name, _, _ in tokens} - {"id"}
     bases = {name: _generator_base(pair, name) for name in names}
     return _word_product(n, k, bases, tokens)
@@ -484,7 +458,7 @@ def relation_residuals(pair: MotzkinPair, k: int) -> dict[str, float]:
     out: dict[str, float] = {}
     for label, lhs, rhs in presentation_relations(k):
         terms = [
-            (sign * lam**power, _flat_tokens(word))
+            (sign * lam**power, word)
             for sign, side in ((1, lhs), (-1, rhs))
             for power, word in side
         ]

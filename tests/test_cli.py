@@ -360,6 +360,19 @@ class TestRunCommand:
             data = json.loads(capsys.readouterr().out)
             assert data["ok"] is True and data["n"] == 4
 
+    def test_pair_make_reads_its_input(self, tmp_path, capsys):
+        path = tmp_path / "pair.json"
+        argv = ["pair", "make", "--family", "i", "--n", "3", "--lambda", "1/3"]
+        assert run_command([*argv, "--out", str(path)]) == 0
+        assert run_command(["pair", "make", "--in", str(path)]) == 0
+        assert capsys.readouterr().out == path.read_text()
+
+    def test_pair_make_missing_input(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert run_command(["pair", "make", "--in", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert "cannot read" in captured.err and captured.out == ""
+
     def test_pair_json_is_validated(self, tmp_path, capsys):
         good = build_example_pair("iii", 4, 1, QUARTER).to_json_dict()
         payloads = [

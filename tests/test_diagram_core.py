@@ -1,5 +1,6 @@
 """Tests for the exact diagram calculus."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,9 +18,9 @@ from motzkin import (
     identity,
     juxtapose,
     motzkin_number,
-    multiply,
     reflect,
 )
+from motzkin.diagram_core import _compose_pairings
 
 LAM = Fraction(1, 3)
 
@@ -288,11 +289,6 @@ def test_presentation_counts_grow():
     assert c2 < c4
 
 
-def test_multiply_function_alias():
-    x = _gen(2, "t", 1)
-    assert multiply(x, x) == x * x
-
-
 def test_incompatible_elements_rejected():
     with pytest.raises(ParameterError):
         identity(2, lam=LAM) * identity(3, lam=LAM)
@@ -308,3 +304,122 @@ def test_serialization_round_trip():
     assert data["lambda"] == "1/3"
     y = Element.from_json_dict(data)
     assert y == x
+
+
+# ---------------------------------------------------------------------------
+# Reference composition: the earlier three-walker implementation (one walk
+# per outer strand, one loop finder, one dead-path marker), kept verbatim to
+# check the single strand walker against.
+
+
+def _ref_follow(p1, p2, k, m, via_upper, visited):
+    while True:
+        visited[m] = True
+        if via_upper:
+            j = p2[m]
+            if j < 0:
+                return None
+            if j >= k:
+                return (1, j - k)
+            m, via_upper = j, False
+        else:
+            j = p1[k + m]
+            if j < 0:
+                return None
+            if j < k:
+                return (0, j)
+            m, via_upper = j - k, True
+
+
+def _ref_mark_dead(p1, p2, k, m, visited):
+    for start_via in (True, False):
+        cur, via = m, start_via
+        while True:
+            visited[cur] = True
+            j = p2[cur] if via else p1[k + cur]
+            if j < 0:
+                break
+            nxt = j if via else j - k
+            if not 0 <= nxt < k or visited[nxt]:
+                break
+            cur, via = nxt, not via
+
+
+def _ref_compose_pairings(p1, p2, k):
+    res = [-1] * (2 * k)
+    visited = [False] * k
+    for i in range(k):
+        j = p1[i]
+        if j < 0:
+            continue
+        if j < k:
+            res[i] = j
+            continue
+        end = _ref_follow(p1, p2, k, j - k, True, visited)
+        if end is None:
+            continue
+        kind, a = end
+        if kind == 0:
+            res[i], res[a] = a, i
+        else:
+            res[i], res[k + a] = k + a, i
+    for c in range(k):
+        j = p2[k + c]
+        if j < 0 or res[k + c] >= 0:
+            continue
+        if j >= k:
+            res[k + c] = j
+            continue
+        end = _ref_follow(p1, p2, k, j, False, visited)
+        if end is None:
+            continue
+        kind, a = end
+        assert kind == 1
+        res[k + c], res[k + a] = k + a, k + c
+    loops = 0
+    for m in range(k):
+        if visited[m]:
+            continue
+        if p1[k + m] < 0 or p2[m] < 0:
+            _ref_mark_dead(p1, p2, k, m, visited)
+            continue
+        cur, via = m, True
+        is_cycle = False
+        while True:
+            visited[cur] = True
+            j = p2[cur] if via else p1[k + cur]
+            if j < 0:
+                break
+            nxt = j if via else j - k
+            assert 0 <= nxt < k
+            if visited[nxt]:
+                is_cycle = True
+                break
+            cur, via = nxt, not via
+        if is_cycle:
+            loops += 1
+        else:
+            _ref_mark_dead(p1, p2, k, m, visited)
+    return tuple(res), loops
+
+
+class TestCompositionReference:
+    def test_every_pair_up_to_width_four(self):
+        for k in range(5):
+            basis = [d.pairing for d in enumerate_basis(k)]
+            for a in basis:
+                for b in basis:
+                    assert _compose_pairings(a, b, k) == _ref_compose_pairings(a, b, k)
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_random_pairs(self, k):
+        rng = random.Random(20141 + k)
+        basis = [d.pairing for d in enumerate_basis(k)]
+        loops = set()
+        for _ in range(20000):
+            a, b = rng.choice(basis), rng.choice(basis)
+            out = _compose_pairings(a, b, k)
+            assert out == _ref_compose_pairings(a, b, k)
+            loops.add(out[1])
+        # The sample reaches products with no loop and with several loops.
+        assert {0, 1, 2} <= loops

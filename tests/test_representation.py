@@ -157,15 +157,24 @@ class TestGeneratorOperators:
         with pytest.raises(LimitError):
             generator_operator(pair, 7, "p", 1)
 
+    @pytest.mark.parametrize("value", ["abc", "", "0", "-5", "1.5"])
+    def test_dimension_bound_must_be_positive_integer(self, monkeypatch, value):
+        monkeypatch.setenv("MOTZKIN_MAX_DIM", value)
+        with pytest.raises(ParameterError, match="MOTZKIN_MAX_DIM"):
+            generator_operator(_pair4(), 2, "p", 1)
+
+    def test_dimension_bound_override(self, monkeypatch):
+        monkeypatch.setenv("MOTZKIN_MAX_DIM", "15")
+        with pytest.raises(LimitError):
+            generator_operator(_pair4(), 2, "p", 1)
+        monkeypatch.setenv("MOTZKIN_MAX_DIM", "16")
+        assert generator_operator(_pair4(), 2, "p", 1).shape == (16, 16)
+
 
 def _dense_word(pair, k, word):
     # The product of full n**k x n**k generator matrices, left to right.
     out = np.eye(pair.n**k, dtype=complex)
-    for token in word:
-        if token[0] == "adj":
-            out = out @ _dense_word(pair, k, token[1]).conj().T
-            continue
-        name, idx, dag = token
+    for name, idx, dag in word:
         m = generator_operator(pair, k, name, idx)
         out = out @ (m.conj().T if dag else m)
     return out
@@ -260,7 +269,7 @@ class TestWordEvaluation:
 
     def test_adjoint_token_and_id(self):
         pair = _pair4()
-        word = [("adj", (("l", 1, False), ("p", 2, True))), "id", "t2"]
+        word = [("p", 2, True), ("l", 1, True), "id", "t2"]
         expected = evaluate_word(pair, 3, ["p2", "l1'", "t2"])
         assert np.linalg.norm(evaluate_word(pair, 3, word) - expected) < 1e-14
         swapped = evaluate_word(pair, 3, ["l1'", "p2", "t2"])

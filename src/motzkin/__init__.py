@@ -39,7 +39,6 @@ from .fock import (
     build_subproduct,
     coassociativity_residuals,
     cuntz_pimsner_residual,
-    gauge_average,
     ideal_generator,
     matrix_unit_dimension,
     operator_family,
@@ -75,7 +74,6 @@ from .representation import (
     evaluate_diagram,
     evaluate_element,
     evaluate_word,
-    generator_operator,
     relation_residuals,
     rep_conditional_expectation,
     span_dimension,
@@ -120,7 +118,6 @@ __all__ = [
     "evaluate_diagram",
     "evaluate_element",
     "evaluate_word",
-    "generator_operator",
     "relation_residuals",
     "rep_conditional_expectation",
     "span_dimension",
@@ -129,7 +126,6 @@ __all__ = [
     "build_subproduct",
     "coassociativity_residuals",
     "cuntz_pimsner_residual",
-    "gauge_average",
     "ideal_generator",
     "matrix_unit_dimension",
     "operator_family",

@@ -54,8 +54,9 @@ from .jones_wenzl import jones_wenzl, jw_report
 from .qpoly import PhiFunction, dim_subproduct, validate_lam
 from .representation import (
     MotzkinPair,
+    _apply_local,
     build_example_pair,
-    generator_operator,
+    evaluate_word,
     relation_residuals,
     rep_conditional_expectation,
     span_dimension,
@@ -419,16 +420,15 @@ def evaluate(expr, width: int, lam) -> Element:
 
 
 def _eval_operator(node, k: int, pair) -> np.ndarray:
-    n = pair.n
     if isinstance(node, Num):
-        return float(node.value) * np.eye(n**k, dtype=complex)
+        return float(node.value) * evaluate_word(pair, k, [])
     if isinstance(node, Gen):
         _check_gen(node, k)
         if node.name == "g":
             i = k if node.index is None else node.index
-            G = subproduct_projection(pair, i)
-            return np.kron(G, np.eye(n ** (k - i), dtype=complex))
-        return generator_operator(pair, k, node.name, node.index)
+            eye = evaluate_word(pair, k, [])
+            return _apply_local(eye, pair.n, subproduct_projection(pair, i), 1)
+        return evaluate_word(pair, k, [(node.name, node.index, False)])
     if isinstance(node, Neg):
         return -_eval_operator(node.operand, k, pair)
     if isinstance(node, Add):

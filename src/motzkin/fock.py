@@ -9,7 +9,7 @@ the n^k-sized ambient frames and projections are built only on request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +24,7 @@ from .config import (
 )
 from .errors import LimitError, ParameterError, StructureError
 from .qpoly import PhiFunction, dim_subproduct
-from .representation import MotzkinPair, p_matrix
+from .representation import MotzkinPair, p_matrix, validate_pair
 
 _SNAP_TOL = 1e-6
 
@@ -99,9 +99,10 @@ class SubproductSystem:
                 snapped = np.round(evals)
                 drift = np.abs(evals - snapped).max()
                 if drift > _SNAP_TOL or not np.isin(snapped, (0.0, 1.0)).all():
-                    raise StructureError(
+                    raise _level_failure(
+                        pair,
                         f"level {k + 1}: compressed projection has spectrum "
-                        f"away from {{0, 1}} (drift {drift:.3e})"
+                        f"away from {{0, 1}} (drift {drift:.3e})",
                     )
                 mag = float(drift)
                 G_hat = (vecs * snapped) @ vecs.conj().T
@@ -111,9 +112,10 @@ class SubproductSystem:
             keep = evals > 0.5
             found = int(keep.sum())
             if found != d_next:
-                raise StructureError(
+                raise _level_failure(
+                    pair,
                     f"level {k + 1} basis: extracted {found} independent "
-                    f"directions, expected {d_next}"
+                    f"directions, expected {d_next}",
                 )
             self.dims.append(d_next)
             self.hat_bases.append(vecs[:, keep])
@@ -199,6 +201,20 @@ class SubproductSystem:
         for k, blk in enumerate(self.creation_blocks(u)):
             S[offs[k + 1] : offs[k + 2], offs[k] : offs[k + 1]] = blk
         return S
+
+
+def _level_failure(pair: MotzkinPair, message: str) -> StructureError:
+    """The error of a failed level build, naming the conditions of
+    `validate_pair` that the pair violates, if any."""
+    report = validate_pair(pair)
+    broken = [
+        f"{f.name} {getattr(report, f.name):.3e}"
+        for f in fields(report)
+        if f.name != "tol" and getattr(report, f.name) > report.tol
+    ]
+    if broken:
+        message += f"; the pair violates {', '.join(broken)} (tol {report.tol:.0e})"
+    return StructureError(message)
 
 
 def build_subproduct(
@@ -634,22 +650,6 @@ def matrix_unit_dimension(
         expected=d_k * d_k,
         measured=rank * rank,
     )
-
-
-def gauge_average(
-    system: SubproductSystem, X: np.ndarray
-) -> np.ndarray:
-    """Keep only the level-diagonal blocks of a Fock-space operator."""
-    D = system.total_dimension
-    X = np.asarray(X, dtype=complex)
-    if X.shape != (D, D):
-        raise ParameterError(f"operator shape {X.shape} does not match ({D}, {D})")
-    out = np.zeros_like(X)
-    offs = system.level_offsets()
-    for m in range(system.levels + 1):
-        sl = slice(offs[m], offs[m + 1])
-        out[sl, sl] = X[sl, sl]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -272,7 +272,7 @@ def build_example_pair(family: str, n: int, r: int = 0, lam=Fraction(1, 4)) -> M
 
 
 # ---------------------------------------------------------------------------
-# Generator matrices
+# Generator blocks and their action on the tensor power
 
 
 def _check_dim(n: int, k: int) -> int:
@@ -321,18 +321,6 @@ def _generator_base(pair: MotzkinPair, name: str) -> np.ndarray:
     return L if name == "l" else L.conj().T
 
 
-def generator_operator(pair: MotzkinPair, k: int, name: str, i: int | None = None) -> np.ndarray:
-    """The matrix of the generator on the k-fold tensor power of C^n."""
-    n = pair.n
-    _check_dim(n, k)
-    if name == "id":
-        return np.eye(n**k, dtype=complex)
-    _check_generator(k, name, i)
-    left = np.eye(n ** (i - 1), dtype=complex)
-    right = np.eye(n ** (k - i - _SITES[name] + 1), dtype=complex)
-    return np.kron(np.kron(left, _generator_base(pair, name)), right)
-
-
 def _apply_local(X: np.ndarray, n: int, base: np.ndarray, i: int, dag: bool = False) -> np.ndarray:
     """(1 (x) B (x) 1) @ X, where B = base (or its adjoint when `dag`) acts
     on the tensor slots i, i+1, ... (1-based) of the row index of X.
@@ -348,20 +336,6 @@ def _apply_local(X: np.ndarray, n: int, base: np.ndarray, i: int, dag: bool = Fa
     return out.reshape(rows, cols)
 
 
-def _parse_word_token(token) -> tuple[str, int | None, bool]:
-    if isinstance(token, tuple):
-        if len(token) == 2:
-            return (token[0], token[1], False)
-        return token
-    s = str(token)
-    dag = s.endswith("'")
-    if dag:
-        s = s[:-1]
-    name = s.rstrip("0123456789")
-    digits = s[len(name):]
-    return (name, int(digits) if digits else None, dag)
-
-
 def _word_product(n: int, width: int, bases: dict, tokens) -> np.ndarray:
     """The product of the tokens on the width-fold power of C^n, applied
     right to left to the identity one generator at a time."""
@@ -373,16 +347,18 @@ def _word_product(n: int, width: int, bases: dict, tokens) -> np.ndarray:
 
 
 def evaluate_word(pair: MotzkinPair, k: int, word) -> np.ndarray:
-    """Product of generator matrices; tokens like "l1", "t2", "p1'", "id",
-    or tuples (name, index) or (name, index, dagger)."""
+    """The product of a word of generators on the k-fold power of C^n.
+
+    The word is a sequence of (name, index, dagger) tokens, the form
+    `presentation_relations` yields, e.g. ("l", 1, True) for l_1*; ("id",
+    None, False) is the identity, and so is the empty word.
+    """
     n = pair.n
     _check_dim(n, k)
-    tokens = [_parse_word_token(token) for token in word]
-    for name, i, _ in tokens:
+    for name, i, _ in word:
         _check_generator(k, name, i)
-    names = {name for name, _, _ in tokens} - {"id"}
-    bases = {name: _generator_base(pair, name) for name in names}
-    return _word_product(n, k, bases, tokens)
+    bases = {name: _generator_base(pair, name) for name, _, _ in word if name != "id"}
+    return _word_product(n, k, bases, word)
 
 
 # ---------------------------------------------------------------------------
@@ -475,67 +451,42 @@ def relation_residuals(pair: MotzkinPair, k: int) -> dict[str, float]:
     return out
 
 
-def span_dimension(
-    pair: MotzkinPair,
-    k: int,
-    tol: float = TOL_RANK,
-    max_rounds: int = 12,
-) -> tuple[int, int]:
+MAX_SPAN_ROUNDS = 12
+
+
+def span_dimension(pair: MotzkinPair, k: int) -> tuple[int, int]:
     """Dimension of the algebra generated by the generator matrices at
     width k, found by closing the span under left multiplication.
 
-    Returns (dimension, rounds), where `rounds` counts the closure sweeps
-    needed before the span stops growing.
+    The span starts at the identity and the generators.  Each round applies
+    every generator, in one call, to the directions the previous round added
+    (a direction found earlier maps into the span already), and keeps what
+    is new of each generator's image in one SVD.  Returns (dimension,
+    rounds), where `rounds` counts the closure sweeps needed before the span
+    stops growing.
     """
     n = pair.n
     dim = _check_dim(n, k)
-    gens = [np.eye(dim, dtype=complex)]
-    for i in range(1, k):
-        for name in ("l", "r", "t"):
-            gens.append(generator_operator(pair, k, name, i))
-    for i in range(1, k + 1):
-        gens.append(generator_operator(pair, k, "p", i))
-
-    basis: list[np.ndarray] = []      # orthonormal vectorised operators
-    members: list[np.ndarray] = []    # the matrices they came from
-
-    def try_add(candidates: list[np.ndarray]) -> int:
-        vecs = [c.reshape(-1) for c in candidates]
-        norms = [float(np.linalg.norm(v)) for v in vecs]
-        scale = max(norms) if norms else 1.0
-        added = 0
-        residuals = []
-        for v in vecs:
-            w = v.copy()
-            for q in basis:
-                w -= np.vdot(q, w) * q
-            residuals.append(w)
-        live = list(range(len(vecs)))
-        while live:
-            pick = max(live, key=lambda idx: (np.linalg.norm(residuals[idx]), -idx))
-            w = residuals[pick]
-            nw = float(np.linalg.norm(w))
-            if nw <= tol * scale:
-                break
-            q = w / nw
-            basis.append(q)
-            members.append(candidates[pick])
-            added += 1
-            live.remove(pick)
-            for idx in live:
-                residuals[idx] = residuals[idx] - np.vdot(q, residuals[idx]) * q
-        return added
-
-    try_add(gens)
-    rounds = 0
-    while rounds < max_rounds:
-        rounds += 1
-        new = [g @ m for g in gens[1:] for m in list(members)]
-        if try_add(new) == 0:
-            break
-    else:
-        raise LimitError(f"span did not stabilise in {max_rounds} rounds")
-    return len(basis), rounds
+    blocks = [(_generator_base(pair, name), i) for i in range(1, k) for name in ("l", "r", "t")]
+    blocks += [(_generator_base(pair, "p"), i) for i in range(1, k + 1)]
+    eye = np.eye(dim, dtype=complex)
+    basis = np.zeros((dim * dim, 0), dtype=complex)  # orthonormal, vectorised
+    images = [eye] + [_apply_local(eye, n, base, i) for base, i in blocks]
+    for rounds in range(MAX_SPAN_ROUNDS + 1):
+        # Each image holds its operators side by side; one column per operator.
+        images = [x.reshape(dim, -1, dim).transpose(0, 2, 1).reshape(dim * dim, -1) for x in images]
+        cut = TOL_RANK * max(np.linalg.norm(x, axis=0).max() for x in images)
+        old = basis.shape[1]
+        for x in images:
+            for _ in range(2):
+                x = x - basis @ (basis.conj().T @ x)
+            u, s, _ = np.linalg.svd(x[:, np.linalg.norm(x, axis=0) > cut], full_matrices=False)
+            basis = np.hstack([basis, u[:, s > cut]])
+        if basis.shape[1] == old:
+            return old, rounds
+        new = basis[:, old:].reshape(dim, dim, -1).transpose(0, 2, 1).reshape(dim, -1)
+        images = [_apply_local(new, n, base, i) for base, i in blocks]
+    raise LimitError(f"span did not stabilise in {MAX_SPAN_ROUNDS} rounds")
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +529,7 @@ def rep_conditional_expectation(
         "s,t,IstJuv,u,v->IJ",
         b.conj(), b.conj(), Zr, b, b, optimize=True,
     )
-    # what (x) P (x) P, entry by entry as np.kron would form it.
+    # what (x) P (x) P, entry by entry in the tensor product's index order.
     rebuilt = (
         what[:, None, None, :, None, None]
         * P[None, :, None, None, :, None]

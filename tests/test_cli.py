@@ -297,6 +297,16 @@ class TestRunCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["is_zero"] is False
 
+    def test_eval_rep_dimension_bound(self, monkeypatch, capsys):
+        # Scalars, generators and g<i> all pass the size guard before any
+        # n**k x n**k array is formed.
+        monkeypatch.setenv("MOTZKIN_MAX_DIM", "64")
+        for expression in ("l1", "2", "g2", "2*p1 + g"):
+            assert run_command(["eval", expression, "--k", "4", "--rep"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: dimension n**k = 256 exceeds"), expression
+        assert run_command(["eval", "g2 - p1", "--k", "3", "--rep"]) == 0
+
     def test_presentation_and_jw(self, capsys):
         assert run_command(["presentation", "--k", "2", "--lambda", "1/3"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -417,6 +427,23 @@ class TestRunCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["dims"] == [1, 2, 3, 4, 5]
         assert data["ok"] is True
+
+    def test_fock_build_names_failing_pair_conditions(self, tmp_path, capsys):
+        # A pair that loads but breaks the Motzkin conditions fails in the
+        # level build; the error names the conditions it breaks.
+        data = build_example_pair("iii", 4, 1, QUARTER).to_json_dict()
+        data["a"][0][0] += 0.1
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code = run_command(["fock", "build", "--in", str(path), "--levels", "3"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "structure check failed: level 2: compressed projection has "
+            "spectrum away from {0, 1} (drift 1.051e-01); the pair violates "
+            "norm_a 1.100e-01, pairing 5.000e-02, "
+        )
+        assert "norm_b" not in err and err.endswith(" (tol 1e-12)\n")
 
     def test_fock_toeplitz_tolerance_failure(self, capsys):
         # an absurd tolerance flips the check into a reported failure

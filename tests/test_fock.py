@@ -11,7 +11,6 @@ from motzkin.fock import (
     build_subproduct,
     coassociativity_residuals,
     cuntz_pimsner_residual,
-    gauge_average,
     ideal_generator,
     matrix_unit_dimension,
     operator_family,
@@ -291,23 +290,9 @@ class TestToeplitzRelations:
         offs = sys.level_offsets()
         blk = S[offs[2] : offs[3], offs[1] : offs[2]]
         assert np.allclose(blk, sys.creation_blocks(fam.vectors[0])[1])
-        # strictly level-raising
-        assert np.linalg.norm(gauge_average(sys, S)) == 0.0
-
-    def test_gauge_average(self):
-        sys = _system(3, 4)
-        D = sys.total_dimension
-        rng = np.random.default_rng(7)
-        X = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-        avg = gauge_average(sys, X)
-        offs = sys.level_offsets()
+        # strictly level-raising: every level-diagonal block vanishes
         for m in range(sys.levels + 1):
-            sl = slice(offs[m], offs[m + 1])
-            assert np.allclose(avg[sl, sl], X[sl, sl])
-        assert abs(np.linalg.norm(avg) ** 2 + np.linalg.norm(X - avg) ** 2
-                   - np.linalg.norm(X) ** 2) < 1e-8
-        with pytest.raises(ParameterError):
-            gauge_average(sys, np.eye(3))
+            assert not S[offs[m] : offs[m + 1], offs[m] : offs[m + 1]].any()
 
 
 class TestWords:

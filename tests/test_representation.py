@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from motzkin.config import TOL_RANK
 from motzkin.diagram_core import (
     Element,
     MotzkinDiagram,
@@ -25,7 +26,6 @@ from motzkin.representation import (
     evaluate_diagram,
     evaluate_element,
     evaluate_word,
-    generator_operator,
     l_matrix,
     p_matrix,
     rep_conditional_expectation,
@@ -48,6 +48,20 @@ def _pair3():
 
 
 PAIRS = [_pair4(), _pair3()]
+
+
+def _gen(pair, k, name, i):
+    # One generator through the operator layer's word evaluation.
+    return evaluate_word(pair, k, [(name, i, False)])
+
+
+def _dense_generator(pair, k, name, i):
+    # Reference: the generator as a Kronecker product on the whole power.
+    L = l_matrix(pair)
+    base = {"p": p_matrix(pair), "t": t_matrix(pair), "l": L, "r": L.conj().T}[name]
+    left = np.eye(pair.n ** (i - 1), dtype=complex)
+    right = np.eye(pair.n**k // (left.shape[0] * base.shape[0]), dtype=complex)
+    return np.kron(np.kron(left, base), right)
 
 
 class TestExamplePairs:
@@ -138,44 +152,51 @@ class TestGeneratorOperators:
             P = p_matrix(pair)
             for j in range(n):
                 assert np.allclose(Lr[j, :, :, j], P)
-            R = generator_operator(pair, 2, "r", 1)
+            R = _gen(pair, 2, "r", 1)
             assert np.allclose(R, L.conj().T)
 
     def test_exact_generator_identities(self):
         for pair in PAIRS:
             for k in (2, 3):
                 for i in range(1, k):
-                    l = generator_operator(pair, k, "l", i)
-                    r = generator_operator(pair, k, "r", i)
-                    p = generator_operator(pair, k, "p", i)
-                    p_next = generator_operator(pair, k, "p", i + 1)
+                    l = _gen(pair, k, "l", i)
+                    r = _gen(pair, k, "r", i)
+                    p = _gen(pair, k, "p", i)
+                    p_next = _gen(pair, k, "p", i + 1)
                     assert np.linalg.norm(r @ l - p) < 1e-12
                     assert np.linalg.norm(l @ l.conj().T - p_next) < 1e-12
 
     def test_dimension_guard(self):
         pair = _pair4()
         with pytest.raises(LimitError):
-            generator_operator(pair, 7, "p", 1)
+            _gen(pair, 7, "p", 1)
+        with pytest.raises(LimitError):
+            span_dimension(pair, 7)
 
     @pytest.mark.parametrize("value", ["abc", "", "0", "-5", "1.5"])
     def test_dimension_bound_must_be_positive_integer(self, monkeypatch, value):
         monkeypatch.setenv("MOTZKIN_MAX_DIM", value)
         with pytest.raises(ParameterError, match="MOTZKIN_MAX_DIM"):
-            generator_operator(_pair4(), 2, "p", 1)
+            _gen(_pair4(), 2, "p", 1)
+        with pytest.raises(ParameterError, match="MOTZKIN_MAX_DIM"):
+            span_dimension(_pair4(), 2)
 
     def test_dimension_bound_override(self, monkeypatch):
         monkeypatch.setenv("MOTZKIN_MAX_DIM", "15")
         with pytest.raises(LimitError):
-            generator_operator(_pair4(), 2, "p", 1)
+            _gen(_pair4(), 2, "p", 1)
+        with pytest.raises(LimitError):
+            span_dimension(_pair4(), 2)
         monkeypatch.setenv("MOTZKIN_MAX_DIM", "16")
-        assert generator_operator(_pair4(), 2, "p", 1).shape == (16, 16)
+        assert _gen(_pair4(), 2, "p", 1).shape == (16, 16)
+        assert span_dimension(_pair4(), 2) == (9, 2)
 
 
 def _dense_word(pair, k, word):
     # The product of full n**k x n**k generator matrices, left to right.
     out = np.eye(pair.n**k, dtype=complex)
     for name, idx, dag in word:
-        m = generator_operator(pair, k, name, idx)
+        m = _dense_generator(pair, k, name, idx)
         out = out @ (m.conj().T if dag else m)
     return out
 
@@ -260,7 +281,7 @@ class TestWordEvaluation:
         dense = np.eye(pair.n**k, dtype=complex)
         elem = identity(k, lam=pair.lam)
         for name, i, dag in word:
-            g = generator_operator(pair, k, name, i)
+            g = _dense_generator(pair, k, name, i)
             dense = dense @ (g.conj().T if dag else g)
             d = diagram_generator(k, name, i, lam=pair.lam)
             elem = elem * (adjoint(d) if dag else d)
@@ -269,19 +290,20 @@ class TestWordEvaluation:
 
     def test_adjoint_token_and_id(self):
         pair = _pair4()
-        word = [("p", 2, True), ("l", 1, True), "id", "t2"]
-        expected = evaluate_word(pair, 3, ["p2", "l1'", "t2"])
+        word = [("p", 2, True), ("l", 1, True), ("id", None, False), ("t", 2, False)]
+        expected = evaluate_word(pair, 3, [("p", 2, False), ("l", 1, True), ("t", 2, False)])
         assert np.linalg.norm(evaluate_word(pair, 3, word) - expected) < 1e-14
-        swapped = evaluate_word(pair, 3, ["l1'", "p2", "t2"])
+        swapped = evaluate_word(pair, 3, [("l", 1, True), ("p", 2, False), ("t", 2, False)])
         assert np.linalg.norm(swapped - expected) > 0.1
+        assert np.array_equal(evaluate_word(pair, 3, []), np.eye(64))
 
     def test_index_and_size_checks(self):
         pair = _pair4()
-        for word in (["t3"], ["p4"], ["x1"], ["l"]):
+        for token in (("t", 3, False), ("p", 4, False), ("x", 1, False), ("l", None, False)):
             with pytest.raises(ParameterError):
-                evaluate_word(pair, 3, word)
+                evaluate_word(pair, 3, [token])
         with pytest.raises(LimitError):
-            evaluate_word(pair, 7, ["p1"])
+            evaluate_word(pair, 7, [("p", 1, False)])
 
 
 class TestDiagramEvaluation:
@@ -295,19 +317,19 @@ class TestDiagramEvaluation:
                         assert (
                             np.linalg.norm(
                                 evaluate_element(pair, d)
-                                - generator_operator(pair, k, name, i)
+                                - _gen(pair, k, name, i)
                             )
                             < 1e-12
                         )
 
     def test_word_products_match_linear_extension(self):
         words = [
-            ["t1", "l1"],
-            ["l1", "l2"],
-            ["t1", "t2", "t1"],
-            ["r1", "l1", "p2"],
-            ["l2", "r1", "t2"],
-            ["p1", "t2", "l1'"],
+            [("t", 1, False), ("l", 1, False)],
+            [("l", 1, False), ("l", 2, False)],
+            [("t", 1, False), ("t", 2, False), ("t", 1, False)],
+            [("r", 1, False), ("l", 1, False), ("p", 2, False)],
+            [("l", 2, False), ("r", 1, False), ("t", 2, False)],
+            [("p", 1, False), ("t", 2, False), ("l", 1, True)],
         ]
         for pair in PAIRS:
             k = 3
@@ -317,11 +339,9 @@ class TestDiagramEvaluation:
                     MotzkinDiagram(tuple(range(k, 2 * k)) + tuple(range(k))),
                     pair.lam,
                 )
-                for token in word:
-                    name = token.rstrip("'0123456789")
-                    idx = int(token.rstrip("'")[len(name):])
+                for name, idx, dag in word:
                     g = diagram_generator(k, name, idx, lam=pair.lam)
-                    if token.endswith("'"):
+                    if dag:
                         g = adjoint(g)
                     elem = elem * g
                 lin = evaluate_element(pair, elem)
@@ -367,12 +387,108 @@ class TestDiagramEvaluation:
         assert np.isfinite(mat).all()
 
 
+def _reference_span_dimension(pair, k, tol=TOL_RANK, max_rounds=12):
+    # Reference: the span closed under dense generator products, one
+    # greedy Gram-Schmidt pick at a time.
+    gens = [np.eye(pair.n**k, dtype=complex)]
+    for i in range(1, k):
+        for name in ("l", "r", "t"):
+            gens.append(_dense_generator(pair, k, name, i))
+    for i in range(1, k + 1):
+        gens.append(_dense_generator(pair, k, "p", i))
+
+    basis = []
+    members = []
+
+    def try_add(candidates):
+        vecs = [c.reshape(-1) for c in candidates]
+        norms = [float(np.linalg.norm(v)) for v in vecs]
+        scale = max(norms) if norms else 1.0
+        added = 0
+        residuals = []
+        for v in vecs:
+            w = v.copy()
+            for q in basis:
+                w -= np.vdot(q, w) * q
+            residuals.append(w)
+        live = list(range(len(vecs)))
+        while live:
+            pick = max(live, key=lambda idx: (np.linalg.norm(residuals[idx]), -idx))
+            w = residuals[pick]
+            nw = float(np.linalg.norm(w))
+            if nw <= tol * scale:
+                break
+            q = w / nw
+            basis.append(q)
+            members.append(candidates[pick])
+            added += 1
+            live.remove(pick)
+            for idx in live:
+                residuals[idx] = residuals[idx] - np.vdot(q, residuals[idx]) * q
+        return added
+
+    try_add(gens)
+    rounds = 0
+    while rounds < max_rounds:
+        rounds += 1
+        new = [g @ m for g in gens[1:] for m in list(members)]
+        if try_add(new) == 0:
+            break
+    else:
+        raise LimitError(f"span did not stabilise in {max_rounds} rounds")
+    return len(basis), rounds
+
+
+def _random_pair(rng, n):
+    # A pair of random unit vectors: no Motzkin conditions hold.
+    a, b = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    return MotzkinPair(n, QUARTER, a / np.linalg.norm(a), b / np.linalg.norm(b))
+
+
+STANDARD_SPANS = [
+    (build_example_pair("i", 3, 0, THIRD), (1, 2, 3)),
+    (build_example_pair("iii", 4, 1, QUARTER), (1, 2, 3)),
+    (build_example_pair("ii", 5, 1, Fraction(1, 5)), (1, 2)),
+    (build_example_pair("iii", 5, 2, Fraction(1, 5)), (1, 2)),
+]
+
+
 class TestSpanDimension:
     def test_width_two(self):
         for pair in PAIRS:
             dim, rounds = span_dimension(pair, 2)
             assert dim == motzkin_number(4) == 9
             assert rounds <= 8
+
+    def test_matches_reference_on_standard_families(self):
+        for pair, ks in STANDARD_SPANS:
+            for k in ks:
+                span = span_dimension(pair, k)
+                assert span == _reference_span_dimension(pair, k), (pair.n, k)
+                assert span[0] == motzkin_number(2 * k)
+
+    def test_matches_reference_off_the_motzkin_conditions(self):
+        rng = np.random.default_rng(2024)
+        cases = [(2, 2), (2, 3), (3, 2), (3, 2), (4, 2)]
+        perturbed = _pair4()
+        perturbed.a = perturbed.a + np.array([0.1, 0.0, 0.05j, 0.0])
+        pairs = [(_random_pair(rng, n), k) for n, k in cases] + [(perturbed, 2)]
+        for pair, k in pairs:
+            span = span_dimension(pair, k)
+            assert span == _reference_span_dimension(pair, k), (pair.n, k)
+            assert span[0] > motzkin_number(2 * k)
+
+    def test_equals_rank_of_evaluated_basis(self):
+        # l, r, t and p generate the Motzkin algebra, so the generated span
+        # is the span of the evaluated basis diagrams.
+        for pair, ks in STANDARD_SPANS:
+            for k in ks:
+                stack = np.array(
+                    [evaluate_diagram(pair, d).reshape(-1) for d in enumerate_basis(k)]
+                )
+                s = np.linalg.svd(stack, compute_uv=False)
+                rank = int(np.sum(s > TOL_RANK * s[0]))
+                assert rank == span_dimension(pair, k)[0] == motzkin_number(2 * k), (pair.n, k)
 
 
 class TestRepConditionalExpectation:
@@ -387,7 +503,7 @@ class TestRepConditionalExpectation:
                     )
                     < 1e-10
                 )
-                Xp = generator_operator(pair, k + 1, "p", k + 1)
+                Xp = _gen(pair, k + 1, "p", k + 1)
                 assert (
                     np.linalg.norm(
                         rep_conditional_expectation(pair, Xp)

@@ -30,6 +30,11 @@ MAX_EXPONENT = 4096
 DEFAULT_MAX_DIM = 4096
 # Full n^k x n^k projection matrices are only materialised below this size.
 FULL_MATRIX_DIM = 1024
+# Bytes the span closure may hold at once: its basis and one round's images,
+# each a column of n^(2k) complex entries.  At k = 3 it holds at most 280
+# columns, 70 MB for n = 5; n = 4 at k = 5 would need 288 MiB before its
+# first round.
+SPAN_MAX_BYTES = 2**28
 
 # Tolerances.
 TOL_CHECK = 1e-10       # pass/fail residual threshold for identities

@@ -18,7 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from functools import lru_cache
+from math import lcm
+from typing import Collection, Iterator, Sequence
+
+import numpy as np
 
 from .config import MAX_TERMS, MAX_WIDTH
 from .errors import LimitError, ParameterError
@@ -165,59 +169,159 @@ def enumerate_basis(k: int) -> list[MotzkinDiagram]:
 # ---------------------------------------------------------------------------
 # Composition of diagrams
 
+# Term pairs of a product are composed this many at a time.  Each working
+# array of a block then stays under 100 kB at every width up to MAX_WIDTH,
+# below the size at which the C allocator maps fresh pages for it.  Blocks
+# of 2048 and 4096 pairs made g_5 * i(g_4) slower and raised the peak
+# resident memory by 2-5 MB.
+_BLOCK_PAIRS = 512
 
-def _walk(p1: Pairing, p2: Pairing, k: int, seen: list[bool], m: int,
-          down: bool) -> int | None:
-    """Follow the glued middle row of p1 over p2 from middle node m.
 
-    Middle node m is the bottom point k+m of p1 glued to the top point m
-    of p2.  The walk leaves m through p2 when `down` and through p1
-    otherwise, then alternates, marking each node it passes in `seen`.
-    Returns the outer point reached (top points numbered as in p1, bottom
-    points as in p2), -1 at a dead end, or None when it closes back on m.
+@lru_cache(maxsize=MAX_WIDTH + 1)
+def _width_tables(k: int) -> tuple[np.ndarray, ...]:
+    """Index tables of `_compose_rows` and the place values of `_decode`
+    at width k; they depend on k alone and are never written to."""
+    # The state each entry x of a pairing leads to, at position x (x = -1
+    # reads the last position).  In the top diagram an entry x >= k is the
+    # middle node x-k, left downwards; in the bottom one an entry x < k is
+    # the middle node x, left upwards.  Outer point x is x - 2k and the
+    # dead end -(2k+1); these index the absorbing tail from the end.
+    via_top = np.array([x - k if x >= k else x - 2 * k for x in range(2 * k)]
+                       + [-2 * k - 1])
+    via_bottom = np.array([x + k if x < k else x - 2 * k for x in range(2 * k)]
+                          + [-2 * k - 1])
+    tail = np.arange(-2 * k - 1, 0)
+    place = (2 * k + 1) ** np.arange(2 * k, dtype=np.int64)
+    tables = (via_top, via_bottom, tail, place)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _compose_rows(top: np.ndarray, bottom: np.ndarray, k: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Stack top[b] over bottom[b] for every row b of two (B, 2k) integer
+    arrays of pairings.  Return the (B,) codes of the result pairings (see
+    `_decode`) and the (B,) numbers of closed loops.
+
+    Middle node m is the bottom point k+m of the top diagram glued to the
+    top point m of the bottom one.  Row b has 2k states, "down at m" (at
+    2kb + m, leave m through the bottom diagram) and "up at m" (at
+    2kb + k + m, leave through the top diagram).  One flat transition table
+    holds them all, followed by 2k+1 absorbing states shared by every row:
+    the dead end and the outer points (top points as in the top diagram,
+    bottom points as in the bottom one).  No walk meets a middle node twice
+    without closing, so every walk ends within k steps, and ceil(log2 k)
+    squarings of the table carry each state to its end.  A state still on
+    a middle node then lies on a closed loop, which is two directed cycles
+    (one per orientation); the squarings also track the least state seen,
+    which picks one state per cycle.
     """
-    start = m
-    while True:
-        seen[m] = True
-        if down:
-            j = p2[m]
-            if not 0 <= j < k:
-                return j
-        else:
-            j = p1[k + m]
-            if j < k:
-                return j
-            j -= k
-        if j == start:
-            return None
-        m, down = j, not down
+    via_top, via_bottom, tail, place = _width_tables(k)
+    rows = len(top)
+    t = via_top[top]
+    b = via_bottom[bottom]
+    # Each row's middle-state transitions, then the state each outer point
+    # leads to; middle states move to the row's place in the flat table.
+    local = np.concatenate((b[:, :k], t[:, k:], t[:, :k], b[:, k:]), axis=1)
+    offset = np.arange(rows)[:, None] * (2 * k)
+    flat = np.where(local >= 0, local + offset, local)
+    table = np.concatenate((flat[:, :2 * k].ravel(), tail))
+    states = np.arange(len(table))
+    least = states
+    for _ in range(max(k - 1, 0).bit_length()):  # 2**steps >= k
+        least = np.minimum(least, least.take(table))
+        table = table.take(table)
+    heads = (least == states) & (table >= 0)
+    loops = heads[:2 * k * rows].reshape(rows, 2 * k).sum(axis=1) // 2
+    return (table.take(flat[:, 2 * k:]) + (2 * k + 1)) @ place, loops
 
 
-def _compose_pairings(p1: Pairing, p2: Pairing, k: int) -> tuple[Pairing, int]:
-    """Stack p1 over p2; return (result pairing, number of closed loops)."""
-    res = [-1] * (2 * k)
-    seen = [False] * k
-    for i in range(k):
-        j = p1[i]
-        if j >= k:
-            j = _walk(p1, p2, k, seen, j - k, True)
-        if j >= 0:
-            res[i], res[j] = j, i
-    for c in range(k, 2 * k):
-        if res[c] >= 0:
-            continue
-        j = p2[c]
-        if 0 <= j < k:
-            j = _walk(p1, p2, k, seen, j, False)
-        if j >= 0:
-            res[c], res[j] = j, c
-    # What is left unseen lies on closed loops or on middle paths with two
-    # dead ends; such a path never closes, so it is erased with no factor.
-    loops = 0
-    for m in range(k):
-        if not seen[m] and _walk(p1, p2, k, seen, m, True) is None:
-            loops += 1
-    return tuple(res), loops
+def _decode(codes: np.ndarray, k: int) -> list[Pairing]:
+    """The pairings with the given codes.  A code holds point i's partner
+    plus one (0 when isolated) as digit i in base 2k+1."""
+    digits = codes[:, None] // _width_tables(k)[3] % (2 * k + 1) - 1
+    return [tuple(row) for row in digits.tolist()]
+
+
+def _numerators(coeffs: Collection[Fraction]) -> tuple[list[int], int]:
+    """`coeffs` as integers over their least common denominator, and that
+    denominator."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _sum_dtype(a1: list[int], a2: list[int], lam: Fraction, k: int) -> type:
+    """np.int64 when no sum of `_product_terms` over numerators a1 and a2 at
+    width k can reach 2**62 in size, else object (Python ints)."""
+    big = max(lam.numerator, lam.denominator) ** (k // 2)
+    bound = max(map(abs, a1)) * max(map(abs, a2)) * big * len(a1) * len(a2)
+    return np.int64 if bound < 2**62 else object
+
+
+def _group(code: np.ndarray, value: np.ndarray, first: np.ndarray):
+    """Sum `value` over equal `code`s; keep the least `first` of each code."""
+    order = code.argsort(kind="stable")
+    code = code[order]
+    head = np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1])))
+    return (code[head], np.add.reduceat(value[order], head),
+            np.minimum.reduceat(first[order], head))
+
+
+def _product_terms(x: "Element", y: "Element") -> dict:
+    """The terms of x * y, composing every term pair with `_compose_rows`,
+    _BLOCK_PAIRS pairs at a time.
+
+    With lam = p/q, coefficients a1/d1 and a2/d2, and at most L = k // 2
+    loops at width k, a pair that closes l loops adds a1 a2 q^l p^(L-l)
+    over the common denominator d1 d2 p^L.  These integer sums are exact:
+    in int64 where `_sum_dtype` allows, otherwise in Python ints.  A
+    block is reduced to its distinct results before the next is composed,
+    and the result terms come in the order in which the pairs (x's terms
+    outer, y's inner) first reach them.
+    """
+    k = x.width
+    if k > MAX_WIDTH:
+        # Result codes (see `_decode`) fit in int64 only up to width 7.
+        raise LimitError(f"width {k} exceeds the configured bound {MAX_WIDTH}")
+    n1, n2 = len(x.terms), len(y.terms)
+    if not n1 or not n2:
+        return {}
+    a1, d1 = _numerators(x.terms.values())
+    a2, d2 = _numerators(y.terms.values())
+    p, q = x.lam.numerator, x.lam.denominator
+    most = k // 2
+    dtype = _sum_dtype(a1, a2, x.lam, k)
+    a1 = np.array(a1, dtype=dtype)
+    a2 = np.array(a2, dtype=dtype)
+    weight = np.array([q**l * p ** (most - l) for l in range(most + 1)], dtype=dtype)
+    top = np.array([d.pairing for d in x.terms], dtype=np.intp).reshape(n1, 2 * k)
+    bottom = np.array([d.pairing for d in y.terms], dtype=np.intp).reshape(n2, 2 * k)
+
+    found: list[tuple] = []
+    held, limit = 0, 4 * _BLOCK_PAIRS
+    for start in range(0, n1 * n2, _BLOCK_PAIRS):
+        pair = np.arange(start, min(start + _BLOCK_PAIRS, n1 * n2))
+        i, j = np.divmod(pair, n2)
+        code, loops = _compose_rows(top[i], bottom[j], k)
+        found.append(_group(code, a1[i] * a2[j] * weight[loops], pair))
+        held += len(found[-1][0])
+        if held > limit:
+            found = [_group(*map(np.concatenate, zip(*found)))]
+            held = len(found[0][0])
+            limit = max(limit, 2 * held)
+    if len(found) > 1:
+        found = [_group(*map(np.concatenate, zip(*found)))]
+    code, total, first = found[0]
+    if len(code) > MAX_TERMS:
+        raise LimitError(f"product has more than {MAX_TERMS} terms")
+    keep = np.flatnonzero(total)
+    keep = keep[first[keep].argsort()]
+    den = d1 * d2 * p**most
+    return {
+        _wrap(pairing): Fraction(num, den)
+        for pairing, num in zip(_decode(code[keep], k), total[keep].tolist())
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -356,21 +460,7 @@ class Element:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_compatible(other)
-        k = self.width
-        delta = 1 / self.lam
-        acc: dict[Pairing, Fraction] = {}
-        for d1, c1 in self.terms.items():
-            for d2, c2 in other.terms.items():
-                pairing, loops = _compose_pairings(d1.pairing, d2.pairing, k)
-                c = c1 * c2
-                if loops:
-                    c *= delta**loops
-                prev = acc.get(pairing)
-                acc[pairing] = c if prev is None else prev + c
-        if len(acc) > MAX_TERMS:
-            raise LimitError(f"product has more than {MAX_TERMS} terms")
-        terms = {_wrap(p): c for p, c in acc.items() if c != 0}
-        return Element._trusted(k, self.lam, terms)
+        return Element._trusted(self.width, self.lam, _product_terms(self, other))
 
     def adjoint(self) -> "Element":
         return adjoint(self)
@@ -649,8 +739,10 @@ def _token_element(k: int, lam, token) -> Element:
 
 
 def _word_element(k: int, lam, word) -> Element:
-    out = identity(k, lam=lam)
-    for token in word:
+    if not word:
+        return identity(k, lam=lam)
+    out = _token_element(k, lam, word[0])
+    for token in word[1:]:
         out = out * _token_element(k, lam, token)
     return out
 
@@ -677,7 +769,7 @@ class PresentationReport:
 
 def check_presentation(k: int, lam) -> PresentationReport:
     """Verify every defining relation exactly at width k; all arithmetic
-    is done in Fractions, so a pass is a proof for this width and lam."""
+    is exact, so a pass is a proof for this width and lam."""
     lam = as_fraction(lam)
     checked = 0
     failures = []

@@ -14,10 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 from .config import MAX_WIDTH
 from .diagram_core import (
     Element,
+    _numerators,
     adjoint,
     conditional_expectation,
     embed,
@@ -228,29 +231,44 @@ def jw_report(k: int, lam, cache: JWCache | None = None) -> JWReport:
 # Uniqueness probe
 
 
+def _primitive(ints: list[int]) -> list[int]:
+    """`ints` divided by the gcd of its entries."""
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
+def _integer_row(row: list[Fraction]) -> list[int]:
+    """`row` times a positive rational: integers with no common factor."""
+    return _primitive(_numerators(row)[0])
+
+
 def _rational_rank(rows: list[list[Fraction]]) -> int:
-    """Rank of a matrix of Fractions by plain Gaussian elimination."""
-    rows = [row[:] for row in rows if any(v != 0 for v in row)]
-    if not rows:
+    """Rank of a matrix of Fractions by fraction-free Gaussian elimination.
+
+    Each row is scaled to coprime integers; a pivot row `prow` with pivot
+    `pv` clears the entry f of a row below it as pv*row - f*prow, and every
+    new row is divided by the gcd of its entries.
+    """
+    work = [_integer_row(row) for row in rows if any(v != 0 for v in row)]
+    if not work:
         return 0
-    ncols = len(rows[0])
+    ncols = len(work[0])
     rank = 0
     col = 0
-    while col < ncols and rank < len(rows):
+    while col < ncols and rank < len(work):
         pivot = next(
-            (r for r in range(rank, len(rows)) if rows[r][col] != 0), None
+            (r for r in range(rank, len(work)) if work[r][col] != 0), None
         )
         if pivot is None:
             col += 1
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        prow = [v / pv for v in rows[rank]]
-        rows[rank] = prow
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
+        work[rank], work[pivot] = work[pivot], work[rank]
+        prow = work[rank]
+        pv = prow[col]
+        for r in range(rank + 1, len(work)):
+            f = work[r][col]
+            if f != 0:
+                work[r] = _primitive([pv * a - f * b for a, b in zip(work[r], prow)])
         rank += 1
         col += 1
     return rank
@@ -279,7 +297,19 @@ def uniqueness_probe(k: int, lam, cache: JWCache | None = None) -> UniquenessRep
     cache = cache or _default_cache
     lam = as_fraction(lam)
     g = cache.element(k, lam)
+    rows, basis = _probe_rows(k, lam, g)
+    dim = len(basis) - _rational_rank(rows)
 
+    gv = _integer_row([g.coefficient(d) for d in basis])
+    contains = all(sum(map(mul, _integer_row(row), gv)) == 0 for row in rows)
+    return UniquenessReport(
+        width=k, lam=lam, solution_dimension=dim, contains_jw=contains
+    )
+
+
+def _probe_rows(k: int, lam: Fraction, g: Element) -> tuple[list[list[Fraction]], list]:
+    """The linear system of `uniqueness_probe` and the basis of width k
+    that numbers its columns."""
     from .diagram_core import enumerate_basis
 
     basis = enumerate_basis(k)
@@ -308,17 +338,4 @@ def uniqueness_probe(k: int, lam, cache: JWCache | None = None) -> UniquenessRep
             for diag, coeff in images[j][ci].terms.items():
                 out.setdefault(index[diag], [Fraction(0)] * nb)[j] = coeff
         rows.extend(out.values())
-
-    rank = _rational_rank(rows)
-    dim = nb - rank
-
-    gv = [g.coefficient(d) for d in basis]
-    contains = all(c == 0 for c in _apply_rows(rows, gv))
-    return UniquenessReport(
-        width=k, lam=lam, solution_dimension=dim, contains_jw=contains
-    )
-
-
-def _apply_rows(rows: list[list[Fraction]], vec: list[Fraction]):
-    for row in rows:
-        yield sum(a * b for a, b in zip(row, vec))
+    return rows, basis

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import TOL_CHECK, TOL_CONSTRUCT, TOL_RANK, max_rep_dimension
+from .config import SPAN_MAX_BYTES, TOL_CHECK, TOL_CONSTRUCT, TOL_RANK, max_rep_dimension
 from .diagram_core import (
     _SITES,
     Element,
@@ -454,6 +454,18 @@ def relation_residuals(pair: MotzkinPair, k: int) -> dict[str, float]:
 MAX_SPAN_ROUNDS = 12
 
 
+def _check_span_bytes(dim: int, columns: int) -> None:
+    """Refuse a span round that would hold `columns` vectorised operators
+    of dim**2 complex entries each, counting basis and images."""
+    need = 16 * dim * dim * columns
+    if need > SPAN_MAX_BYTES:
+        raise LimitError(
+            f"span closure at n**k = {dim} would hold {columns} operators, "
+            f"about {need / 2**20:.0f} MiB, above the bound "
+            f"{SPAN_MAX_BYTES / 2**20:.0f} MiB"
+        )
+
+
 def span_dimension(pair: MotzkinPair, k: int) -> tuple[int, int]:
     """Dimension of the algebra generated by the generator matrices at
     width k, found by closing the span under left multiplication.
@@ -463,12 +475,14 @@ def span_dimension(pair: MotzkinPair, k: int) -> tuple[int, int]:
     (a direction found earlier maps into the span already), and keeps what
     is new of each generator's image in one SVD.  Returns (dimension,
     rounds), where `rounds` counts the closure sweeps needed before the span
-    stops growing.
+    stops growing.  A round that would hold more than SPAN_MAX_BYTES is
+    refused with LimitError before it is built.
     """
     n = pair.n
     dim = _check_dim(n, k)
     blocks = [(_generator_base(pair, name), i) for i in range(1, k) for name in ("l", "r", "t")]
     blocks += [(_generator_base(pair, "p"), i) for i in range(1, k + 1)]
+    _check_span_bytes(dim, 1 + len(blocks))
     eye = np.eye(dim, dtype=complex)
     basis = np.zeros((dim * dim, 0), dtype=complex)  # orthonormal, vectorised
     images = [eye] + [_apply_local(eye, n, base, i) for base, i in blocks]
@@ -484,6 +498,7 @@ def span_dimension(pair: MotzkinPair, k: int) -> tuple[int, int]:
             basis = np.hstack([basis, u[:, s > cut]])
         if basis.shape[1] == old:
             return old, rounds
+        _check_span_bytes(dim, basis.shape[1] + len(blocks) * (basis.shape[1] - old))
         new = basis[:, old:].reshape(dim, dim, -1).transpose(0, 2, 1).reshape(dim, -1)
         images = [_apply_local(new, n, base, i) for base, i in blocks]
     raise LimitError(f"span did not stabilise in {MAX_SPAN_ROUNDS} rounds")

@@ -20,6 +20,7 @@ from motzkin.cli import (
     pretty,
     run_command,
 )
+from motzkin import representation
 from motzkin.diagram_core import adjoint, embed, generator, identity
 from motzkin.errors import ParameterError, ParseError
 from motzkin.jones_wenzl import jones_wenzl
@@ -415,6 +416,17 @@ class TestRunCommand:
         assert run_command(["rep", "faithful", "--k", "2"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["span_dimension"] == 9 and data["rounds"] <= 8
+
+    def test_rep_faithful_byte_budget(self, capsys, monkeypatch):
+        # n=4, k=5 passes the dimension bound (1024), but its first span
+        # round alone would hold 18 operators of 1024**2 complex entries.
+        # The estimate refuses it before any image is built.
+        def refuse(*args):
+            raise AssertionError("a generator image was built past the byte budget")
+
+        monkeypatch.setattr(representation, "_apply_local", refuse)
+        assert run_command(["rep", "faithful", "--k", "5"]) == 2
+        assert "would hold 18 operators, about 288 MiB" in capsys.readouterr().err
 
     def test_fock_build(self, capsys):
         assert (

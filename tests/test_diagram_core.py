@@ -3,10 +3,12 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from motzkin import (
     Element,
+    LimitError,
     MotzkinDiagram,
     ParameterError,
     adjoint,
@@ -20,7 +22,13 @@ from motzkin import (
     motzkin_number,
     reflect,
 )
-from motzkin.diagram_core import _compose_pairings
+from motzkin.diagram_core import (
+    _BLOCK_PAIRS,
+    _compose_rows,
+    _decode,
+    _numerators,
+    _sum_dtype,
+)
 
 LAM = Fraction(1, 3)
 
@@ -307,9 +315,92 @@ def test_serialization_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# Reference composition: the earlier three-walker implementation (one walk
-# per outer strand, one loop finder, one dead-path marker), kept verbatim to
-# check the single strand walker against.
+# Reference compositions and products.  `_compose_pairings` is the single
+# strand walker and `_ref_multiply` the Fraction double loop that
+# `Element.__mul__` used before the batched kernel; the three-walker
+# `_ref_compose_pairings` below came before the single walker.  All are
+# kept verbatim to check the batched kernel against.
+
+
+def _walk(p1, p2, k, seen, m, down):
+    """Follow the glued middle row of p1 over p2 from middle node m.
+
+    Middle node m is the bottom point k+m of p1 glued to the top point m
+    of p2.  The walk leaves m through p2 when `down` and through p1
+    otherwise, then alternates, marking each node it passes in `seen`.
+    Returns the outer point reached (top points numbered as in p1, bottom
+    points as in p2), -1 at a dead end, or None when it closes back on m.
+    """
+    start = m
+    while True:
+        seen[m] = True
+        if down:
+            j = p2[m]
+            if not 0 <= j < k:
+                return j
+        else:
+            j = p1[k + m]
+            if j < k:
+                return j
+            j -= k
+        if j == start:
+            return None
+        m, down = j, not down
+
+
+def _compose_pairings(p1, p2, k):
+    """Stack p1 over p2; return (result pairing, number of closed loops)."""
+    res = [-1] * (2 * k)
+    seen = [False] * k
+    for i in range(k):
+        j = p1[i]
+        if j >= k:
+            j = _walk(p1, p2, k, seen, j - k, True)
+        if j >= 0:
+            res[i], res[j] = j, i
+    for c in range(k, 2 * k):
+        if res[c] >= 0:
+            continue
+        j = p2[c]
+        if 0 <= j < k:
+            j = _walk(p1, p2, k, seen, j, False)
+        if j >= 0:
+            res[c], res[j] = j, c
+    # What is left unseen lies on closed loops or on middle paths with two
+    # dead ends; such a path never closes, so it is erased with no factor.
+    loops = 0
+    for m in range(k):
+        if not seen[m] and _walk(p1, p2, k, seen, m, True) is None:
+            loops += 1
+    return tuple(res), loops
+
+
+def _ref_multiply(x, y):
+    """x * y by composing each term pair and adding Fractions, as a list of
+    (pairing, coefficient) in the order the double loop first meets them."""
+    delta = 1 / x.lam
+    acc = {}
+    for d1, c1 in x.terms.items():
+        for d2, c2 in y.terms.items():
+            pairing, loops = _compose_pairings(d1.pairing, d2.pairing, x.width)
+            c = c1 * c2
+            if loops:
+                c *= delta**loops
+            prev = acc.get(pairing)
+            acc[pairing] = c if prev is None else prev + c
+    return [(p, c) for p, c in acc.items() if c != 0]
+
+
+def _batched_pairs(pairs, k):
+    """Compose (p1, p2) pairs with the batched kernel, as walker output."""
+    out = []
+    for start in range(0, len(pairs), _BLOCK_PAIRS):
+        block = pairs[start:start + _BLOCK_PAIRS]
+        top = np.array([a for a, _ in block], dtype=np.intp).reshape(len(block), 2 * k)
+        bottom = np.array([b for _, b in block], dtype=np.intp).reshape(len(block), 2 * k)
+        codes, loops = _compose_rows(top, bottom, k)
+        out += zip(_decode(codes, k), loops.tolist())
+    return out
 
 
 def _ref_follow(p1, p2, k, m, via_upper, visited):
@@ -407,19 +498,90 @@ class TestCompositionReference:
     def test_every_pair_up_to_width_four(self):
         for k in range(5):
             basis = [d.pairing for d in enumerate_basis(k)]
-            for a in basis:
-                for b in basis:
-                    assert _compose_pairings(a, b, k) == _ref_compose_pairings(a, b, k)
+            pairs = [(a, b) for a in basis for b in basis]
+            expected = [_ref_compose_pairings(a, b, k) for a, b in pairs]
+            assert [_compose_pairings(a, b, k) for a, b in pairs] == expected
+            assert _batched_pairs(pairs, k) == expected
 
     @pytest.mark.parametrize("k", [5, 6])
     def test_random_pairs(self, k):
         rng = random.Random(20141 + k)
         basis = [d.pairing for d in enumerate_basis(k)]
-        loops = set()
-        for _ in range(20000):
-            a, b = rng.choice(basis), rng.choice(basis)
-            out = _compose_pairings(a, b, k)
-            assert out == _ref_compose_pairings(a, b, k)
-            loops.add(out[1])
+        pairs = [(rng.choice(basis), rng.choice(basis)) for _ in range(20000)]
+        expected = [_ref_compose_pairings(a, b, k) for a, b in pairs]
+        assert [_compose_pairings(a, b, k) for a, b in pairs] == expected
+        assert _batched_pairs(pairs, k) == expected
         # The sample reaches products with no loop and with several loops.
-        assert {0, 1, 2} <= loops
+        assert {0, 1, 2} <= {loops for _, loops in expected}
+
+
+def _random_element(rng, basis, lam, size):
+    terms = {
+        d: Fraction(rng.randint(-30, 30), rng.randint(1, 40))
+        for d in rng.sample(basis, min(size, len(basis)))
+    }
+    return Element(basis[0].width, lam, terms)
+
+
+class TestBatchedProduct:
+    """`Element.__mul__` against the Fraction double loop: the same terms,
+    coefficients and term order."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_matches_fraction_loop(self, k):
+        rng = random.Random(7000 + k)
+        basis = enumerate_basis(k)
+        for lam in (Fraction(1, 4), Fraction(3, 13)):
+            for size1, size2 in ((1, 1), (3, 40), (60, 60)):
+                x = _random_element(rng, basis, lam, size1)
+                y = _random_element(rng, basis, lam, size2)
+                got = x * y
+                assert [(d.pairing, c) for d, c in got.terms.items()] == _ref_multiply(x, y)
+
+    def test_more_pairs_than_one_block(self):
+        lam = Fraction(2, 9)
+        rng = random.Random(7100)
+        basis = enumerate_basis(4)
+        x = _random_element(rng, basis, lam, 200)
+        y = _random_element(rng, basis, lam, 150)
+        got = x * y
+        assert [(d.pairing, c) for d, c in got.terms.items()] == _ref_multiply(x, y)
+
+    def test_large_lambda_takes_python_ints(self):
+        # A 30-digit numerator and denominator overflow the int64 bound.
+        lam = Fraction(10**29 + 3, 3 * 10**29 + 7)
+        rng = random.Random(7200)
+        for k in (2, 4, 5):
+            basis = enumerate_basis(k)
+            x = _random_element(rng, basis, lam, 30)
+            y = _random_element(rng, basis, lam, 30)
+            a1, _ = _numerators(x.terms.values())
+            a2, _ = _numerators(y.terms.values())
+            assert _sum_dtype(a1, a2, lam, k) is object
+            got = x * y
+            assert [(d.pairing, c) for d, c in got.terms.items()] == _ref_multiply(x, y)
+        u = _gen(2, "t", 1).scale(1 / lam)
+        assert u * u == u.scale(1 / lam)
+
+    def test_width_above_bound_refused(self):
+        # Width 7 is one past MAX_WIDTH; the exact layer refuses it, as
+        # enumerate_basis and juxtapose do.
+        x = Element(7, LAM, {tuple(range(7, 14)) + tuple(range(7)): 1})
+        with pytest.raises(LimitError):
+            x * x
+
+    def test_width_zero_and_zero_elements(self):
+        one = identity(0, lam=LAM)
+        assert one * one == one
+        assert one.scale(3) * one.scale(Fraction(2, 7)) == one.scale(Fraction(6, 7))
+        assert (one * one).terms == {MotzkinDiagram([]): Fraction(1)}
+        for k in (0, 1, 3):
+            zero = Element.zero(k, LAM)
+            x = identity(k, lam=LAM) - identity(k, lam=LAM).scale(2)
+            assert (zero * x).is_zero()
+            assert (x * zero).is_zero()
+            assert (zero * zero).is_zero()
+        # Pairs that cancel inside one product leave no term behind.
+        g1 = identity(1, lam=LAM) - _gen(1, "p", 1)
+        assert (g1 * _gen(1, "p", 1)).is_zero()
+        assert (g1 * g1) == g1

@@ -9,8 +9,10 @@ with c = lam/(1-lam), u the bare cup-cap, cap/cup the half diagrams and
 e0 the all-isolated diagram.
 """
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from motzkin import (
@@ -23,8 +25,12 @@ from motzkin import (
     generator,
     identity,
 )
+from motzkin.config import MAX_WIDTH
+from motzkin.diagram_core import _numerators, _sum_dtype
 from motzkin.jones_wenzl import (
     JWCache,
+    _probe_rows,
+    _rational_rank,
     cup_element,
     jones_wenzl,
     jw_report,
@@ -129,6 +135,77 @@ def test_uniqueness_probe():
             assert probe.ok
     with pytest.raises(LimitError):
         uniqueness_probe(4, Fraction(1, 4))
+
+
+def _fraction_rank(rows):
+    """Rank by Gaussian elimination in Fractions: the elimination
+    `_rational_rank` used before it worked on integer rows."""
+    rows = [row[:] for row in rows if any(v != 0 for v in row)]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    rank = 0
+    col = 0
+    while col < ncols and rank < len(rows):
+        pivot = next(
+            (r for r in range(rank, len(rows)) if rows[r][col] != 0), None
+        )
+        if pivot is None:
+            col += 1
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pv = rows[rank][col]
+        prow = [v / pv for v in rows[rank]]
+        rows[rank] = prow
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
+        rank += 1
+        col += 1
+    return rank
+
+
+def test_integer_rank_matches_fraction_elimination():
+    for lam in (Fraction(1, 4), Fraction(3, 13), Fraction(1, 3)):
+        for k in (1, 2, 3):
+            rows, basis = _probe_rows(k, lam, jones_wenzl(k, lam))
+            rank = _rational_rank(rows)
+            assert rank == _fraction_rank(rows)
+            assert rank == len(basis) - 1
+    rng = random.Random(3113)
+    for _ in range(200):
+        nrows, ncols = rng.randint(0, 9), rng.randint(1, 9)
+        # Rows built from a few random ones, so that many are dependent.
+        seeds = [
+            [Fraction(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(ncols)]
+            for _ in range(rng.randint(1, 4))
+        ]
+        rows = []
+        for _ in range(nrows):
+            row = [Fraction(0)] * ncols
+            for seed in seeds:
+                c = Fraction(rng.randint(-3, 3), rng.randint(1, 5))
+                row = [a + c * b for a, b in zip(row, seed)]
+            rows.append(row)
+        assert _rational_rank(rows) == _fraction_rank(rows)
+
+
+@pytest.mark.slow
+def test_width_six_exact():
+    # g_6 * i(g_5) composes 3876 * 728 term pairs.
+    lam = Fraction(1, 4)
+    cache = JWCache()
+    g6 = jones_wenzl(MAX_WIDTH, lam, cache)
+    padded = embed(jones_wenzl(MAX_WIDTH - 1, lam, cache))
+    assert len(g6.terms) == 3876
+    assert g6.identity_coefficient() == 1
+    assert g6 * padded == g6
+    assert adjoint(g6) == g6
+    # The product's integer sums stayed in int64.
+    a1, _ = _numerators(g6.terms.values())
+    a2, _ = _numerators(padded.terms.values())
+    assert _sum_dtype(a1, a2, lam, MAX_WIDTH) is np.int64
 
 
 def test_cache_reuse_and_clear():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from motzkin import representation
 from motzkin.config import TOL_RANK
 from motzkin.diagram_core import (
     Element,
@@ -453,12 +454,34 @@ STANDARD_SPANS = [
 ]
 
 
+def _refuse_to_apply(*args):
+    raise AssertionError("a generator image was built past the byte budget")
+
+
 class TestSpanDimension:
     def test_width_two(self):
         for pair in PAIRS:
             dim, rounds = span_dimension(pair, 2)
             assert dim == motzkin_number(4) == 9
             assert rounds <= 8
+
+    def test_byte_budget(self, monkeypatch):
+        # n=4, k=3: the identity and the 9 generator images are 10 columns
+        # of 64**2 complex entries, 640 KiB.  The rounds add 10, 27 and 14
+        # directions, and the round that adds 14 starts from 37 basis
+        # columns and 9*27 image columns, the most the closure holds.
+        pair = _pair4()
+        column = 16 * 64**2
+        monkeypatch.setattr(representation, "SPAN_MAX_BYTES", 10 * column - 1)
+        with monkeypatch.context() as m:
+            m.setattr(representation, "_apply_local", _refuse_to_apply)
+            with pytest.raises(LimitError, match="would hold 10 operators"):
+                span_dimension(pair, 3)
+        monkeypatch.setattr(representation, "SPAN_MAX_BYTES", 279 * column)
+        with pytest.raises(LimitError, match="would hold 280 operators"):
+            span_dimension(pair, 3)
+        monkeypatch.setattr(representation, "SPAN_MAX_BYTES", 280 * column)
+        assert span_dimension(pair, 3) == (51, 3)
 
     def test_matches_reference_on_standard_families(self):
         for pair, ks in STANDARD_SPANS:

@@ -650,6 +650,7 @@ def _cmd_fock_build(args) -> int:
         "total_dimension": system.total_dimension,
         "idempotent_residuals": system.idempotent_residuals,
         "rounding_magnitudes": system.rounding_magnitudes,
+        "charge_block_sizes": system.charge_block_sizes,
         "ranks": ranks,
         "coassociativity": coassoc,
         "ok": ok,

@@ -30,11 +30,17 @@ MAX_EXPONENT = 4096
 DEFAULT_MAX_DIM = 4096
 # Full n^k x n^k projection matrices are only materialised below this size.
 FULL_MATRIX_DIM = 1024
-# Bytes the span closure may hold at once: its basis and one round's images,
-# each a column of n^(2k) complex entries.  At k = 3 it holds at most 280
-# columns, 70 MB for n = 5; n = 4 at k = 5 would need 288 MiB before its
-# first round.
+# Bytes the span closure may hold at once: its basis, one round's images
+# (counted twice, as they may all become basis rows) and three images of
+# SVD work, each operator n^(2k) complex entries.  At k = 3 the largest
+# round counts 604 operators, 144 MiB for n = 5; n = 4 at k = 5 would need
+# 624 MiB before its first round.
 SPAN_MAX_BYTES = 2**28
+# Bytes the subproduct level build may hold while it adds a level: the hat
+# frames and compressed-projection blocks so far plus the new level's
+# working arrays.  The default n = 4 pair needs about 131 MiB at level 8
+# (263 MiB for a complex pair of the same shape) and 882 MiB at level 9.
+FOCK_MAX_BYTES = 2**29
 
 # Tolerances.
 TOL_CHECK = 1e-10       # pass/fail residual threshold for identities

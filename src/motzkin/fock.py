@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import (
+    FOCK_MAX_BYTES,
     FULL_MATRIX_DIM,
     RANK_GAP,
     TOL_CHECK,
@@ -36,14 +37,15 @@ class SubproductSystem:
 
     - ``hat_bases[k]``, the (n d_{k-1}) x d_k hat frame B^_k, an isometry
       onto H_k inside C^n (x) H_{k-1};
-    - ``hat_projections[k]``, the level-k projection conjugated into
-      C^n (x) H_{k-1} (see ``compressed_projection``);
-    - ``dims``, ``idempotent_residuals`` and ``rounding_magnitudes``.
+    - the level-k projection conjugated into C^n (x) H_{k-1}, as its charge
+      blocks (see below and ``compressed_projection``);
+    - ``dims``, ``idempotent_residuals``, ``rounding_magnitudes`` and
+      ``charge_block_sizes``.
 
     No stored array has more than n d_{levels-1} rows.  The n^k x d_k
     ambient frame B_k = (1 (x) B_{k-1}) B^_k (``basis``) and the full
     projection B_k B_k^* (``projection``) are built on request; the frames
-    are cached.
+    are cached, and so are the creation blocks of every vector asked for.
 
     The recursion: conjugated into C^n (x) H_k, the level-(k+1) projection
     is
@@ -58,6 +60,20 @@ class SubproductSystem:
     the pair vector as an n x n matrix.  The level-(k+1) frame is spanned by
     the eigenvectors of G^ with eigenvalue above 1/2.
 
+    Charge grading: every bar-orbit {i, ibar} with i != ibar and b zero on
+    both points carries its own U(1) charge, +1 on i and -1 on ibar; the
+    other coordinates have charge 0.  Then 1 - P and V have charge 0 for
+    every a, so G^ commutes with the total charge on C^n (x) H_k.  Every
+    frame column has a definite charge, G^ is formed and diagonalised one
+    charge block at a time (a pair without free orbits is one block), and
+    only the blocks of each compressed projection are stored.  Its
+    idempotent residual and spectral rounding are those of the whole
+    matrix.  The arithmetic is real when a and b have no imaginary part
+    (``dtype``), complex otherwise.  Before each level the bytes it needs
+    (the system so far, the new hat frame, its projection blocks and the
+    largest block's eigensolver workspace) are estimated, and a level above
+    FOCK_MAX_BYTES raises LimitError.
+
     Each frame is fixed only up to a unitary on C^{d_k}.  Hat frames,
     compressed projections and creation blocks depend on that choice;
     projections, ranks, spectra and residuals do not.
@@ -70,56 +86,120 @@ class SubproductSystem:
         self.pair = pair
         self.levels = levels
         self.phi = PhiFunction(pair.lam)
+        real = not (pair.a.imag.any() or pair.b.imag.any())
+        self.dtype = np.dtype(float if real else complex)
         self.dims: list[int] = [1]
         self.hat_bases: list[np.ndarray | None] = [None]
-        self.hat_projections: list[np.ndarray | None] = [None]
         self.idempotent_residuals: list[float] = [0.0]
         self.rounding_magnitudes: list[float] = [0.0]
-        self._bases: dict[int, np.ndarray] = {0: np.ones((1, 1), dtype=complex)}
+        self.charge_block_sizes: list[list[int]] = [[]]
+        # Per level: (rows, block) for each charge block of the compressed
+        # projection, and the charge vector of every frame column.
+        self._projection_blocks: list[list[tuple[np.ndarray, np.ndarray]]] = [[]]
+        self._charges = [np.zeros((1, 1), dtype=np.int64)]
+        self._bases: dict[int, np.ndarray] = {0: np.ones((1, 1), dtype=self.dtype)}
+        self._creation: dict[bytes, list[np.ndarray]] = {}
 
-        Q = np.eye(n) - p_matrix(pair)
-        V = pair.vA().reshape(n, n)
+        a, b = (pair.a.real, pair.b.real) if real else (pair.a, pair.b)
+        Q = np.eye(n) - np.outer(b, b.conj())
+        weights = _charge_weights(pair)
         for k in range(levels):
-            d_k = self.dims[k]
-            G_hat = np.kron(Q, np.eye(d_k)).astype(complex)
-            phik = self.phi(k)
-            if phik:
-                # Z = H (V (x) 1)^*, so that Y Y^* = Z^* Z.
-                H = self.hat_bases[k].reshape(n, self.dims[k - 1], d_k)
-                Z = np.einsum("qts,jq->tjs", H, V.conj())
-                Z = Z.reshape(self.dims[k - 1], n * d_k)
-                G_hat -= float(phik) * (Z.conj().T @ Z)
+            self._add_level(k, Q, a, weights, tol)
 
-            G_hat = (G_hat + G_hat.conj().T) / 2.0
-            res = float(np.linalg.norm(G_hat @ G_hat - G_hat))
-            self.idempotent_residuals.append(res)
-            evals, vecs = np.linalg.eigh(G_hat)
-            mag = 0.0
+    def _add_level(self, k: int, Q, a, weights, tol: float) -> None:
+        """Build level k + 1 from level k, one charge block at a time."""
+        n, d_k = self.pair.n, self.dims[k]
+        d_next = dim_subproduct(n, k + 1)
+        row_charges = (weights[:, None, :] + self._charges[k][None, :, :]).reshape(n * d_k, -1)
+        charges, group = np.unique(row_charges, axis=0, return_inverse=True)
+        members = [np.flatnonzero(group.reshape(-1) == g) for g in range(len(charges))]
+        self._check_level_bytes(k + 1, d_next, [rows.size for rows in members])
+
+        phik = float(self.phi(k))
+        if phik:
+            # Z = H (V (x) 1)^*, so that Y Y^* = Z^* Z; V holds a_j at (j, jbar).
+            H = self.hat_bases[k].reshape(n, self.dims[k - 1], d_k)
+            Z = (a.conj()[:, None, None] * H[::-1]).transpose(1, 0, 2)
+            Z = Z.reshape(self.dims[k - 1], n * d_k)
+        blocks, res2 = [], 0.0
+        for charge, rows in zip(charges, members):
+            slot, col = np.divmod(rows, d_k)
+            G = Q[np.ix_(slot, slot)] * (col[:, None] == col[None, :])
+            if phik:
+                below = np.flatnonzero((self._charges[k - 1] == charge).all(axis=1))
+                Zb = Z[np.ix_(below, rows)]
+                G -= phik * (Zb.conj().T @ Zb)
+            G = (G + G.conj().T) / 2.0
+            res2 += float(np.linalg.norm(G @ G - G)) ** 2
+            blocks.append((rows, G))
+        res = float(np.sqrt(res2))
+        self.idempotent_residuals.append(res)
+
+        # One eigh per block; the kept eigenvectors fill the hat frame.
+        hat = np.zeros((n * d_k, d_next), dtype=self.dtype)
+        frame_charges = []
+        found, drift, off_spectrum = 0, 0.0, False
+        for (rows, G), charge in zip(blocks, charges):
+            evals, vecs = np.linalg.eigh(G)
             if res > tol:
                 snapped = np.round(evals)
-                drift = np.abs(evals - snapped).max()
-                if drift > _SNAP_TOL or not np.isin(snapped, (0.0, 1.0)).all():
-                    raise _level_failure(
-                        pair,
-                        f"level {k + 1}: compressed projection has spectrum "
-                        f"away from {{0, 1}} (drift {drift:.3e})",
-                    )
-                mag = float(drift)
-                G_hat = (vecs * snapped) @ vecs.conj().T
-            self.rounding_magnitudes.append(mag)
-
-            d_next = dim_subproduct(n, k + 1)
+                drift = max(drift, float(np.abs(evals - snapped).max(initial=0.0)))
+                off_spectrum |= not np.isin(snapped, (0.0, 1.0)).all()
+                G[...] = (vecs * snapped) @ vecs.conj().T
             keep = evals > 0.5
-            found = int(keep.sum())
-            if found != d_next:
-                raise _level_failure(
-                    pair,
-                    f"level {k + 1} basis: extracted {found} independent "
-                    f"directions, expected {d_next}",
-                )
-            self.dims.append(d_next)
-            self.hat_bases.append(vecs[:, keep])
-            self.hat_projections.append(G_hat)
+            count = int(keep.sum())
+            if found + count <= d_next:
+                hat[rows, found : found + count] = vecs[:, keep]
+            found += count
+            frame_charges += [charge] * count
+        if res > tol and (drift > _SNAP_TOL or off_spectrum):
+            raise _level_failure(
+                self.pair,
+                f"level {k + 1}: compressed projection has spectrum "
+                f"away from {{0, 1}} (drift {drift:.3e})",
+            )
+        if found != d_next:
+            raise _level_failure(
+                self.pair,
+                f"level {k + 1} basis: extracted {found} independent "
+                f"directions, expected {d_next}",
+            )
+        self.rounding_magnitudes.append(drift if res > tol else 0.0)
+        self.dims.append(d_next)
+        self.hat_bases.append(hat)
+        self._projection_blocks.append(blocks)
+        self.charge_block_sizes.append([rows.size for rows in members])
+        self._charges.append(
+            np.array(frame_charges, dtype=np.int64).reshape(d_next, weights.shape[1])
+        )
+
+    def _check_level_bytes(self, k: int, d_k: int, sizes: list[int]) -> None:
+        """Refuse level k when the system with it would exceed FOCK_MAX_BYTES:
+        what is stored so far, the level's hat frame and projection blocks,
+        the level-(k-1) frame reordered for the Y Y^* term, and five arrays
+        the size of the largest block (the eigensolver's copy, eigenvectors
+        and workspace, and the temporaries of forming the block and its
+        idempotent residual)."""
+        hats = [0] + [h.size for h in self.hat_bases[1:]]
+        stored = sum(hats) + sum(
+            G.size for blocks in self._projection_blocks for _, G in blocks
+        )
+        rows = sum(sizes)
+        entries = (
+            stored
+            + hats[-1]  # the frame below, reordered as Z
+            + rows * d_k
+            + sum(s * s for s in sizes)
+            + 5 * max(sizes) ** 2
+        )
+        need = entries * self.dtype.itemsize
+        if need > FOCK_MAX_BYTES:
+            raise LimitError(
+                f"level {k} would hold about {need / 2**20:.0f} MiB "
+                f"(hat frame {rows} x {d_k}, {len(sizes)} charge blocks of up "
+                f"to {max(sizes)} rows), above the bound "
+                f"{FOCK_MAX_BYTES / 2**20:.0f} MiB"
+            )
 
     # -- frames and projections ------------------------------------------
 
@@ -144,7 +224,8 @@ class SubproductSystem:
         return B @ B.conj().T
 
     def compressed_projection(self, k: int) -> np.ndarray:
-        """The projection at level k >= 1, conjugated into C^n (x) H_{k-1}.
+        """The projection at level k >= 1, conjugated into C^n (x) H_{k-1},
+        assembled from its charge blocks; every entry off them is zero.
 
         Its entries depend on the frame chosen for level k - 1; its
         spectrum does not.
@@ -152,7 +233,11 @@ class SubproductSystem:
         self._check_level(k)
         if k == 0:
             raise ParameterError("level 0 has no compressed form")
-        return self.hat_projections[k]
+        size = self.pair.n * self.dims[k - 1]
+        out = np.zeros((size, size), dtype=self.dtype)
+        for rows, G in self._projection_blocks[k]:
+            out[np.ix_(rows, rows)] = G
+        return out
 
     def _check_level(self, k: int) -> None:
         if not 0 <= k <= self.levels:
@@ -184,14 +269,21 @@ class SubproductSystem:
 
         Block k is d_{k+1} x d_k; in level coordinates the operator sends
         xi to the compression of u (x) xi, that is B^_{k+1}^* (u (x) xi).
+        The frames never change after the build, so the blocks of each
+        vector are computed once and cached; they are read-only.
         """
         n = self.pair.n
         u = np.asarray(u, dtype=complex).reshape(n)
-        out = []
-        for k in range(self.levels):
-            H = self.hat_bases[k + 1].reshape(n, self.dims[k], self.dims[k + 1])
-            out.append(np.tensordot(u.conj(), H, axes=(0, 0)).conj().T)
-        return out
+        key = u.tobytes()
+        if key not in self._creation:
+            out = []
+            for k in range(self.levels):
+                H = self.hat_bases[k + 1].reshape(n, self.dims[k], self.dims[k + 1])
+                blk = np.tensordot(u.conj(), H, axes=(0, 0)).conj().T
+                blk.flags.writeable = False
+                out.append(blk)
+            self._creation[key] = out
+        return list(self._creation[key])
 
     def toeplitz_matrix(self, u: np.ndarray) -> np.ndarray:
         """The creation operator of u on the truncated Fock space."""
@@ -201,6 +293,22 @@ class SubproductSystem:
         for k, blk in enumerate(self.creation_blocks(u)):
             S[offs[k + 1] : offs[k + 2], offs[k] : offs[k + 1]] = blk
         return S
+
+
+def _charge_weights(pair: MotzkinPair) -> np.ndarray:
+    """The charge vector of each coordinate, one row per index.
+
+    Each bar-orbit {i, ibar} with i != ibar on which b vanishes is a free
+    orbit with its own coordinate, +1 on i and -1 on ibar; the support of
+    b and a self-paired middle index have charge 0.  A pair without free
+    orbits gets one coordinate that is zero everywhere.
+    """
+    n = pair.n
+    free = [i for i in range(n // 2) if pair.b[i] == 0 and pair.b[n - 1 - i] == 0]
+    weights = np.zeros((n, max(len(free), 1)), dtype=np.int64)
+    for c, i in enumerate(free):
+        weights[i, c], weights[n - 1 - i, c] = 1, -1
+    return weights
 
 
 def _level_failure(pair: MotzkinPair, message: str) -> StructureError:
@@ -255,14 +363,18 @@ def orthonormal_basis(
 def projection_rank(system: SubproductSystem, k: int, *, gap: float = RANK_GAP):
     """(rank, spectral gap) of the level-k projection.
 
+    The spectrum is the union of the spectra of the stored charge blocks.
     The rank counts eigenvalues in decreasing order up to the first drop by
     a factor ``gap``; a projection of rank r shows eigenvalue 1 exactly r
     times, so the measured rank must agree with d_k.
     """
     if k == 0:
         return 1, float("inf")
-    G = system.compressed_projection(k)
-    evals = np.linalg.eigvalsh(G)[::-1]
+    system._check_level(k)
+    evals = np.concatenate(
+        [np.linalg.eigvalsh(G) for _, G in system._projection_blocks[k]]
+    )
+    evals = np.sort(evals)[::-1]
     evals = np.clip(evals, 0.0, None)
     r = int(np.sum(evals > 0.5))
     if r < evals.size and evals[r] > 0:

@@ -452,18 +452,45 @@ def relation_residuals(pair: MotzkinPair, k: int) -> dict[str, float]:
 
 
 MAX_SPAN_ROUNDS = 12
+# Arrays the size of one generator's image that a span round holds on top
+# of its basis and images: while the SVD runs, its copy of the operators
+# kept and two right factors (LAPACK's and the returned one).  The
+# operators kept replace the image itself, which is counted with the images.
+_SPAN_WORK_IMAGES = 3
 
 
-def _check_span_bytes(dim: int, columns: int) -> None:
-    """Refuse a span round that would hold `columns` vectorised operators
-    of dim**2 complex entries each, counting basis and images."""
-    need = 16 * dim * dim * columns
+def _check_span_bytes(dim: int, basis: int, images: int, size: int) -> None:
+    """Refuse a span round that would hold more than SPAN_MAX_BYTES.
+
+    The round starts from `basis` orthonormal directions and holds `images`
+    images of `size` operators each, and the SVD work of one image.  Each
+    operator is dim**2 complex entries.  The basis can grow by as many
+    operators as the images hold; its rows are written into pages of their
+    own, while the images freed along the way stay with the allocator, so
+    both are counted in full.
+    """
+    operators = basis + (2 * images + _SPAN_WORK_IMAGES) * size
+    need = 16 * dim * dim * operators
     if need > SPAN_MAX_BYTES:
         raise LimitError(
-            f"span closure at n**k = {dim} would hold {columns} operators, "
+            f"span closure at n**k = {dim} would hold {operators} operators, "
             f"about {need / 2**20:.0f} MiB, above the bound "
             f"{SPAN_MAX_BYTES / 2**20:.0f} MiB"
         )
+
+
+def _stacked(x: np.ndarray, dim: int) -> np.ndarray:
+    """Operators laid side by side (dim x c dim) as the c rows of a
+    c x dim**2 matrix, each the row-major flattening of one operator."""
+    return x.reshape(dim, -1, dim).transpose(1, 0, 2).reshape(-1, dim * dim)
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of a complex matrix, without a temporary
+    of its size."""
+    return np.sqrt(
+        np.einsum("ij,ij->i", x.real, x.real) + np.einsum("ij,ij->i", x.imag, x.imag)
+    )
 
 
 def span_dimension(pair: MotzkinPair, k: int) -> tuple[int, int]:
@@ -475,32 +502,44 @@ def span_dimension(pair: MotzkinPair, k: int) -> tuple[int, int]:
     (a direction found earlier maps into the span already), and keeps what
     is new of each generator's image in one SVD.  Returns (dimension,
     rounds), where `rounds` counts the closure sweeps needed before the span
-    stops growing.  A round that would hold more than SPAN_MAX_BYTES is
-    refused with LimitError before it is built.
+    stops growing.  A round whose basis, images and SVD work could exceed
+    SPAN_MAX_BYTES is refused with LimitError before its images are built.
+
+    Operators are flattened to rows.  The orthonormal basis is one array of
+    as many rows as SPAN_MAX_BYTES can hold, allocated once and never
+    copied; its pages become resident only as rows are written.
     """
     n = pair.n
     dim = _check_dim(n, k)
     blocks = [(_generator_base(pair, name), i) for i in range(1, k) for name in ("l", "r", "t")]
     blocks += [(_generator_base(pair, "p"), i) for i in range(1, k + 1)]
-    _check_span_bytes(dim, 1 + len(blocks))
+    _check_span_bytes(dim, 0, 1 + len(blocks), 1)
+    basis = np.empty((SPAN_MAX_BYTES // (16 * dim * dim), dim * dim), dtype=complex)
+    found = 0
     eye = np.eye(dim, dtype=complex)
-    basis = np.zeros((dim * dim, 0), dtype=complex)  # orthonormal, vectorised
-    images = [eye] + [_apply_local(eye, n, base, i) for base, i in blocks]
+    images = [_stacked(eye, dim)] + [_stacked(_apply_local(eye, n, base, i), dim) for base, i in blocks]
     for rounds in range(MAX_SPAN_ROUNDS + 1):
-        # Each image holds its operators side by side; one column per operator.
-        images = [x.reshape(dim, -1, dim).transpose(0, 2, 1).reshape(dim * dim, -1) for x in images]
-        cut = TOL_RANK * max(np.linalg.norm(x, axis=0).max() for x in images)
-        old = basis.shape[1]
-        for x in images:
+        cut = TOL_RANK * max(_row_norms(x).max() for x in images)
+        old = found
+        for g in range(len(images)):
+            x, images[g] = images[g], None
             for _ in range(2):
-                x = x - basis @ (basis.conj().T @ x)
-            u, s, _ = np.linalg.svd(x[:, np.linalg.norm(x, axis=0) > cut], full_matrices=False)
-            basis = np.hstack([basis, u[:, s > cut]])
-        if basis.shape[1] == old:
+                # x -= (x B^*) B, with the conjugate taken on x, not on B.
+                B = basis[:found]
+                x -= (x.conj() @ B.T).conj() @ B
+            x = x[_row_norms(x) > cut]
+            _, s, vh = np.linalg.svd(x, full_matrices=False)
+            del x  # the byte count allows one image's SVD at a time
+            new = vh[s > cut]
+            basis[found : found + len(new)] = new
+            found += len(new)
+            del vh, new
+        if found == old:
             return old, rounds
-        _check_span_bytes(dim, basis.shape[1] + len(blocks) * (basis.shape[1] - old))
-        new = basis[:, old:].reshape(dim, dim, -1).transpose(0, 2, 1).reshape(dim, -1)
-        images = [_apply_local(new, n, base, i) for base, i in blocks]
+        _check_span_bytes(dim, found, len(blocks), found - old)
+        new = basis[old:found].reshape(-1, dim, dim).transpose(1, 0, 2).reshape(dim, -1)
+        images = [_stacked(_apply_local(new, n, base, i), dim) for base, i in blocks]
+        del new
     raise LimitError(f"span did not stabilise in {MAX_SPAN_ROUNDS} rounds")
 
 

@@ -20,7 +20,7 @@ from motzkin.cli import (
     pretty,
     run_command,
 )
-from motzkin import representation
+from motzkin import fock, representation
 from motzkin.diagram_core import adjoint, embed, generator, identity
 from motzkin.errors import ParameterError, ParseError
 from motzkin.jones_wenzl import jones_wenzl
@@ -419,14 +419,15 @@ class TestRunCommand:
 
     def test_rep_faithful_byte_budget(self, capsys, monkeypatch):
         # n=4, k=5 passes the dimension bound (1024), but its first span
-        # round alone would hold 18 operators of 1024**2 complex entries.
-        # The estimate refuses it before any image is built.
+        # round alone counts 2*18 + 3 = 39 operators of 1024**2 complex
+        # entries (the images, the basis rows they may become, and the SVD
+        # work).  The estimate refuses it before any image is built.
         def refuse(*args):
             raise AssertionError("a generator image was built past the byte budget")
 
         monkeypatch.setattr(representation, "_apply_local", refuse)
         assert run_command(["rep", "faithful", "--k", "5"]) == 2
-        assert "would hold 18 operators, about 288 MiB" in capsys.readouterr().err
+        assert "would hold 39 operators, about 624 MiB" in capsys.readouterr().err
 
     def test_fock_build(self, capsys):
         assert (
@@ -439,6 +440,24 @@ class TestRunCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["dims"] == [1, 2, 3, 4, 5]
         assert data["ok"] is True
+        # One free orbit {1, 3}: the rows of C^3 (x) H_{k-1} carry the
+        # charges -k .. k.
+        assert data["charge_block_sizes"] == [
+            [], [1, 1, 1], [1, 1, 2, 1, 1], [1, 1, 2, 1, 2, 1, 1],
+            [1, 1, 2, 1, 2, 1, 2, 1, 1],
+        ]
+
+    def test_fock_build_size_guard(self, capsys, monkeypatch):
+        # A level whose estimated bytes pass the bound is refused before it
+        # is built, with exit code 2; the bound is lowered so that the
+        # refusal comes at level 6 instead of level 9.
+        monkeypatch.setattr(fock, "FOCK_MAX_BYTES", 2**20)
+        assert run_command(["fock", "build", "--levels", "12"]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: level 6 would hold about 3 MiB (hat frame 576 x 377, 13 "
+            "charge blocks of up to 100 rows), above the bound 1 MiB\n"
+        )
 
     def test_fock_build_names_failing_pair_conditions(self, tmp_path, capsys):
         # A pair that loads but breaks the Motzkin conditions fails in the

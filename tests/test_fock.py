@@ -6,6 +6,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from motzkin import fock
 from motzkin.errors import LimitError, ParameterError
 from motzkin.fock import (
     build_subproduct,
@@ -69,6 +70,61 @@ def _ambient_projections(pair, levels):
         B = np.einsum("Ar,urs->uAs", B, B_hat).reshape(n ** (k + 1), d_next)
         out.append(B @ B.conj().T)
     return out
+
+
+def _ungraded_frames(pair, levels):
+    """Reference: the ambient frames from the ungraded recursion, one dense
+    complex eigh of G^ on all of C^n (x) H_k per level."""
+    n = pair.n
+    Q = np.eye(n) - p_matrix(pair)
+    V = pair.vA().reshape(n, n)
+    phi = PhiFunction(pair.lam)
+    hats, frames = [None], [np.ones((1, 1), dtype=complex)]
+    dims = [1]
+    for k in range(levels):
+        d_k = dims[k]
+        G = np.kron(Q, np.eye(d_k)).astype(complex)
+        if phi(k):
+            H = hats[k].reshape(n, dims[k - 1], d_k)
+            Z = np.einsum("qts,jq->tjs", H, V.conj()).reshape(dims[k - 1], n * d_k)
+            G -= float(phi(k)) * (Z.conj().T @ Z)
+        evals, vecs = np.linalg.eigh((G + G.conj().T) / 2.0)
+        hats.append(vecs[:, evals > 0.5])
+        dims.append(hats[-1].shape[1])
+        H = hats[-1].reshape(n, d_k, dims[-1])
+        frames.append((frames[-1] @ H).reshape(-1, dims[-1]))
+    return frames
+
+
+def _projection_distance(B1, B2):
+    """||B1 B1^* - B2 B2^*||_F for isometries, as the two one-sided
+    residuals ||(1 - P_1) B_2|| and ||(1 - P_2) B_1||, free of the
+    cancellation in 2 d - 2 ||B1^* B2||^2."""
+    return float(
+        np.hypot(
+            np.linalg.norm(B2 - B1 @ (B1.conj().T @ B2)),
+            np.linalg.norm(B1 - B2 @ (B2.conj().T @ B1)),
+        )
+    )
+
+
+def _rotated_pair4():
+    # A diagonal unitary turns the real n = 4 pair into a complex one,
+    # which separates V from its transpose and conjugate.
+    real = _pair(4)
+    u = np.exp(1j * np.array([0.3, 1.1, -0.7, 2.0]))
+    return MotzkinPair(n=4, lam=real.lam, a=real.a * u * u[::-1], b=real.b * u)
+
+
+def _charge_operator(weights, k):
+    """The diagonal of the total charge on (C^n)^k, one column per charge
+    coordinate."""
+    n = weights.shape[0]
+    total = np.zeros((n**k, weights.shape[1]))
+    for slot in range(k):
+        idx = np.arange(n**k) // n ** (k - 1 - slot) % n
+        total += weights[idx]
+    return total
 
 
 def _reference_limit_relations(system, m, coefficient):
@@ -148,13 +204,18 @@ class TestBuild:
 
     def test_matches_central_idempotent(self):
         # The recursion must reproduce the evaluated projection exactly.
-        for n in (3, 4):
-            sys = _system(n, 5)
-            pair = _pair(n)
-            for k in (1, 2, 3):
+        cases = [
+            (_pair(3), 4),
+            (_pair(4), 4),
+            (build_example_pair("ii", 5, 1, Fraction(1, 5)), 3),
+            (build_example_pair("iii", 5, 2, Fraction(1, 5)), 3),
+        ]
+        for pair, kmax in cases:
+            sys = build_subproduct(pair, kmax)
+            for k in range(1, kmax + 1):
                 G = sys.projection(k)
                 GJ = evaluate_element(pair, jones_wenzl(k, pair.lam))
-                assert np.linalg.norm(G - GJ) < 1e-10, (n, k)
+                assert np.linalg.norm(G - GJ) < 1e-10, (pair.n, k)
 
     def test_ranks_and_gaps(self):
         for n, expected in ((3, [1, 2, 3, 4, 5]), (4, [1, 3, 8, 21, 55])):
@@ -165,21 +226,103 @@ class TestBuild:
                 assert gap >= 1e3
 
     def test_matches_ambient_recursion(self):
-        # A diagonal unitary turns the real n = 4 pair into a complex one,
-        # which separates V from its transpose and conjugate.
-        real = _pair(4)
-        u = np.exp(1j * np.array([0.3, 1.1, -0.7, 2.0]))
-        rotated = MotzkinPair(n=4, lam=real.lam, a=real.a * u * u[::-1], b=real.b * u)
         cases = [
             (_pair(3), 5),
-            (real, 5),
-            (rotated, 4),
+            (_pair(4), 5),
+            (_rotated_pair4(), 4),
             (build_example_pair("iii", 5, 2, Fraction(1, 5)), 4),
         ]
         for pair, levels in cases:
             sys = build_subproduct(pair, levels)
             for k, P in enumerate(_ambient_projections(pair, levels)):
                 assert np.linalg.norm(sys.projection(k) - P) < 1e-12, (pair.n, k)
+
+    def test_graded_matches_ungraded(self):
+        # One eigh per charge block gives the levels of one dense eigh on
+        # all of C^n (x) H_k: no free orbit (n = 5 with r = 2), one (n = 3,
+        # n = 4 real and complex, n = 5 with r = 1) and two (n = 6).
+        cases = [
+            (_pair(3), 6),
+            (_pair(4), 6),
+            (_rotated_pair4(), 5),
+            (build_example_pair("ii", 5, 1, Fraction(1, 5)), 4),
+            (build_example_pair("iii", 5, 2, Fraction(1, 5)), 4),
+            (build_example_pair("iii", 6, 1, Fraction(1, 8)), 4),
+        ]
+        for pair, levels in cases:
+            sys = build_subproduct(pair, levels)
+            frames = _ungraded_frames(pair, levels)
+            assert sys.dims == [B.shape[1] for B in frames]
+            for k, B in enumerate(frames):
+                assert _projection_distance(sys.basis(k), B) < 1e-12, (pair.n, k)
+
+    def test_charge_blocks(self):
+        # Every frame column has a definite charge, and the compressed
+        # projection is exactly zero between rows of different charge.
+        w4 = np.array([[0], [1], [-1], [0]])
+        w6 = np.array([[0, 0], [1, 0], [0, 1], [0, -1], [-1, 0], [0, 0]])
+        cases = [
+            (_pair(4), w4, 5),
+            (_rotated_pair4(), w4, 5),
+            (build_example_pair("iii", 6, 1, Fraction(1, 8)), w6, 3),
+        ]
+        for pair, weights, levels in cases:
+            sys = build_subproduct(pair, levels)
+            n = pair.n
+            charges = []
+            for k in range(levels + 1):
+                B, D = sys.basis(k), _charge_operator(weights, k)
+                c = np.rint(np.einsum("ij,ic,ij->jc", B.conj(), D, B).real)
+                for col in range(weights.shape[1]):
+                    assert np.linalg.norm(D[:, [col]] * B - B * c[:, col]) < 1e-12
+                charges.append(c)
+            for k in range(1, levels + 1):
+                rows = (weights[:, None, :] + charges[k - 1][None]).reshape(n * sys.dims[k - 1], -1)
+                off = (rows[:, None, :] != rows[None, :, :]).any(axis=2)
+                P = sys.compressed_projection(k)
+                assert off.any() and not P[off].any(), (n, k)
+                sizes = np.unique(rows, axis=0, return_counts=True)[1]
+                assert sorted(sys.charge_block_sizes[k]) == sorted(sizes), (n, k)
+        # n = 4: the rows of C^4 (x) H_{k-1} carry the charges -k .. k,
+        # listed in increasing order.
+        assert build_subproduct(_pair(4), 3).charge_block_sizes == [
+            [], [1, 2, 1], [1, 3, 4, 3, 1], [1, 4, 7, 8, 7, 4, 1]
+        ]
+        # Without a free orbit each level is one block.
+        sys = build_subproduct(build_example_pair("iii", 5, 2, Fraction(1, 5)), 3)
+        assert sys.charge_block_sizes == [[]] + [[5 * d] for d in sys.dims[:-1]]
+
+    def test_arithmetic_follows_the_pair(self):
+        assert build_subproduct(_pair(4), 2).hat_bases[2].dtype == np.float64
+        assert build_subproduct(_rotated_pair4(), 2).hat_bases[2].dtype == np.complex128
+
+    def test_creation_blocks_are_cached(self):
+        sys = build_subproduct(_pair(4), 4)
+        u = operator_family(_pair(4)).vectors[1]
+        first, again = sys.creation_blocks(u), sys.creation_blocks(u.copy())
+        assert all(x is y for x, y in zip(first, again))
+        assert not first[2].flags.writeable
+        H = sys.hat_bases[3].reshape(4, sys.dims[2], sys.dims[3])
+        assert np.allclose(first[2], np.tensordot(u.conj(), H, axes=(0, 0)).conj().T)
+
+    def test_size_guard(self, monkeypatch):
+        # The estimate before level 4 of the real n = 4 pair, in entries of
+        # 8 bytes: 1018 stored (hat frames 4 x 3, 12 x 8 and 32 x 21, and
+        # projection blocks of squared sizes 6, 36 and 196), the hat frame
+        # 84 x 55, the level-2 frame reordered to 8 x 84, the charge blocks
+        # [1, 5, 11, 16, 18, 16, 11, 5, 1] (1130), and five 18 x 18
+        # workspaces: 9060 entries.
+        monkeypatch.setattr(fock, "FOCK_MAX_BYTES", 8 * 9060 - 1)
+        with pytest.raises(
+            LimitError,
+            match=r"level 4 would hold about 0 MiB \(hat frame 84 x 55, 9 charge "
+            r"blocks of up to 18 rows\), above the bound 0 MiB",
+        ):
+            build_subproduct(_pair(4), 5)
+        monkeypatch.setattr(fock, "FOCK_MAX_BYTES", 8 * 9060)
+        with pytest.raises(LimitError, match="level 5 would hold"):
+            build_subproduct(_pair(4), 5)
+        assert build_subproduct(_pair(4), 4).dims[-1] == 55
 
     def test_stores_compressed_frames_only(self):
         # Until a frame is asked for, nothing stored is taller than n d_4.
@@ -191,6 +334,13 @@ class TestBuild:
                 rows += [a.shape[0] for a in items if isinstance(a, np.ndarray)]
         assert max(rows) == 4 * sys.dims[4]
         assert sys.basis(5).shape == (4**5, 144)
+
+    @pytest.mark.slow
+    def test_level_eight(self):
+        sys = build_subproduct(_pair(4), 8)
+        assert sys.dims[-1] == 2584
+        assert max(sys.idempotent_residuals) < 1e-12
+        assert projection_rank(sys, 8)[0] == 2584
 
     @pytest.mark.slow
     def test_level_seven(self):

@@ -51,7 +51,7 @@ from .fock import (
     toeplitz_residuals,
 )
 from .jones_wenzl import jones_wenzl, jw_report
-from .qpoly import PhiFunction, dim_subproduct, validate_lam
+from .qpoly import PhiFunction, dim_sequence, validate_lam
 from .representation import (
     MotzkinPair,
     _apply_local,
@@ -549,7 +549,14 @@ def _load_pair(args) -> MotzkinPair:
 
 
 def _cmd_dims(args) -> int:
-    dims = [dim_subproduct(args.n, k) for k in range(args.kmax + 1)]
+    # Python converts ints of at most this many digits to text (0: any).
+    digits = sys.get_int_max_str_digits()
+    top = 10**digits
+    dims = []
+    for k, d in enumerate(dim_sequence(args.n, args.kmax)):
+        if digits and d >= top:
+            raise LimitError(f"d_{k} has more than {digits} digits, too long to print")
+        dims.append(d)
     _emit(args, {"n": args.n, "dims": dims}, [",".join(map(str, dims))])
     return 0
 
@@ -587,6 +594,8 @@ def _cmd_pair_make(args) -> int:
 
 
 def _cmd_rep_check(args) -> int:
+    if args.k < 2:
+        raise ParameterError(f"need k >= 2 for a relation to check, got {args.k}")
     pair = _load_pair(args)
     residuals = relation_residuals(pair, args.k)
     worst_label = max(residuals, key=residuals.get)
@@ -669,6 +678,8 @@ def _cmd_fock_toeplitz(args) -> int:
 
 
 def _cmd_fock_matrix_units(args) -> int:
+    if args.kmax < 0:
+        raise ParameterError(f"need kmax >= 0, got {args.kmax}")
     pair = _load_pair(args)
     system = build_subproduct(pair, args.levels)
     rows = []
@@ -710,6 +721,8 @@ def _cmd_fock_ideal(args) -> int:
 
 
 def _cmd_fock_cp(args) -> int:
+    if args.mmax < 2:
+        raise ParameterError(f"need mmax >= 2 to compare levels, got {args.mmax}")
     pair = _load_pair(args)
     system = build_subproduct(pair, args.levels)
     rows = []

@@ -39,8 +39,8 @@ class SubproductSystem:
       onto H_k inside C^n (x) H_{k-1};
     - the level-k projection conjugated into C^n (x) H_{k-1}, as its charge
       blocks (see below and ``compressed_projection``);
-    - ``dims``, ``idempotent_residuals``, ``rounding_magnitudes`` and
-      ``charge_block_sizes``.
+    - ``dims``, ``idempotent_residuals`` and ``rounding_magnitudes``;
+      ``charge_block_sizes`` is read off the projection blocks.
 
     No stored array has more than n d_{levels-1} rows.  The n^k x d_k
     ambient frame B_k = (1 (x) B_{k-1}) B^_k (``basis``) and the full
@@ -92,7 +92,6 @@ class SubproductSystem:
         self.hat_bases: list[np.ndarray | None] = [None]
         self.idempotent_residuals: list[float] = [0.0]
         self.rounding_magnitudes: list[float] = [0.0]
-        self.charge_block_sizes: list[list[int]] = [[]]
         # Per level: (rows, block) for each charge block of the compressed
         # projection, and the charge vector of every frame column.
         self._projection_blocks: list[list[tuple[np.ndarray, np.ndarray]]] = [[]]
@@ -168,7 +167,6 @@ class SubproductSystem:
         self.dims.append(d_next)
         self.hat_bases.append(hat)
         self._projection_blocks.append(blocks)
-        self.charge_block_sizes.append([rows.size for rows in members])
         self._charges.append(
             np.array(frame_charges, dtype=np.int64).reshape(d_next, weights.shape[1])
         )
@@ -248,6 +246,11 @@ class SubproductSystem:
     # -- Fock-space bookkeeping ------------------------------------------
 
     @property
+    def charge_block_sizes(self) -> list[list[int]]:
+        """Row counts of the charge blocks of every compressed projection."""
+        return [[rows.size for rows, _ in blocks] for blocks in self._projection_blocks]
+
+    @property
     def total_dimension(self) -> int:
         return sum(self.dims)
 
@@ -256,11 +259,6 @@ class SubproductSystem:
         for d in self.dims:
             offs.append(offs[-1] + d)
         return offs
-
-    def vacuum(self) -> np.ndarray:
-        v = np.zeros(self.total_dimension, dtype=complex)
-        v[0] = 1.0
-        return v
 
     # -- creation operators ----------------------------------------------
 
@@ -443,10 +441,17 @@ class OperatorFamily:
     n: int
     r: int
     j_list: list[int] = field(default_factory=list)  # 1-based orbit coordinates
-    interior: list[int] = field(default_factory=list)  # 1-based, off the orbit
-    labels: list[str] = field(default_factory=list)
     kinds: list[tuple[str, int]] = field(default_factory=list)
     vectors: np.ndarray | None = None
+
+    @property
+    def labels(self) -> list[str]:
+        return [f"{kind}{index}" for kind, index in self.kinds]
+
+    @property
+    def interior(self) -> list[int]:
+        """The 1-based coordinates off the orbit, one per "v" direction."""
+        return [index for kind, index in self.kinds if kind == "v"]
 
     def vector(self, kind: str, index: int) -> np.ndarray:
         return self.vectors[self.kinds.index((kind, index))]
@@ -460,23 +465,13 @@ def operator_family(pair: MotzkinPair, *, tol: float = TOL_CHECK) -> OperatorFam
     """Read the operator family off the support pattern of b."""
     n = pair.n
     support = [i for i in range(n) if abs(pair.b[i]) > tol]
+    eye = np.eye(n, dtype=complex)
     if len(support) == 1:
         mid = support[0]
         if abs(pair.b[mid] - 1.0) > 1e-9:
             raise ParameterError("b concentrates on one coordinate but is not 1 there")
-        fam = OperatorFamily(n=n, r=0)
-        vecs = []
-        for j in range(1, n + 1):
-            if j - 1 == mid:
-                continue
-            v = np.zeros(n, dtype=complex)
-            v[j - 1] = 1.0
-            fam.interior.append(j)
-            fam.labels.append(f"v{j}")
-            fam.kinds.append(("v", j))
-            vecs.append(v)
-        fam.vectors = np.stack(vecs)
-        return fam
+        kinds = [("v", j) for j in range(1, n + 1) if j - 1 != mid]
+        return OperatorFamily(n=n, r=0, kinds=kinds, vectors=eye[[j - 1 for _, j in kinds]])
 
     if len(support) % 2:
         raise ParameterError("support of b must be a single point or bar-symmetric")
@@ -489,23 +484,17 @@ def operator_family(pair: MotzkinPair, *, tol: float = TOL_CHECK) -> OperatorFam
     if np.abs(pair.b[support] - 1.0 / np.sqrt(2 * r)).max() > 1e-9:
         raise ParameterError("b is not uniform over its orbit")
 
-    fam = OperatorFamily(n=n, r=r)
-    fam.j_list = [j + 1 for j in support]
-    fam.interior = list(range(r + 1, n - r + 1))
+    fam = OperatorFamily(n=n, r=r, j_list=[j + 1 for j in support])
     vecs = []
     for s in range(1, 2 * r):
         w = np.zeros(n, dtype=complex)
         for kpos, j in enumerate(fam.j_list, start=1):
             w[j - 1] = _orbit_phase(r, kpos * s) / np.sqrt(2 * r)
-        fam.labels.append(f"w{s}")
         fam.kinds.append(("w", s))
         vecs.append(w)
-    for j in fam.interior:
-        v = np.zeros(n, dtype=complex)
-        v[j - 1] = 1.0
-        fam.labels.append(f"v{j}")
+    for j in range(r + 1, n - r + 1):
         fam.kinds.append(("v", j))
-        vecs.append(v)
+        vecs.append(eye[j - 1])
     fam.vectors = np.stack(vecs)
 
     gram = fam.vectors @ fam.vectors.conj().T
@@ -627,41 +616,21 @@ def toeplitz_residuals(
     skipped: list[str] = []
 
     # Covariance with the level grading: f S = S (f o shift) for the level
-    # indicators and for one strictly positive weight function.
-    # E_m S - S E_{m-1} is row block m of S minus column block m - 1; the
-    # block where the two strips cross cancels.
-    S_full = [system.toeplitz_matrix(v) for v in fam.vectors]
-    offs = system.level_offsets()
-    worst = 0.0
-    for m in range(N + 1):
-        rows = slice(offs[m], offs[m + 1])
-        cols = slice(offs[m - 1], offs[m]) if m else slice(0, 0)
-        for S in S_full:
-            top, side = S[rows].copy(), S[:, cols].copy()
-            top[:, cols] = 0.0
-            side[rows] = 0.0
-            diff = np.hypot(np.linalg.norm(top), np.linalg.norm(side))
-            worst = max(worst, float(diff))
-    res["eq1[levels]"] = worst
-    weight = np.concatenate(
-        [
-            np.full(system.dims[m], 1.0 + 1.0 / ((1 + n) * (1 + m)))
-            for m in range(N + 1)
-        ]
+    # indicators and for one strictly positive weight function.  Block k of
+    # S maps level k to level k + 1, so on it E_m S - S E_{m-1} is
+    # [k + 1 = m] - [k = m - 1] times the block and f S - S (f o shift) is
+    # f(k + 1) - (f o shift)(k) times it; each residual is read off the
+    # block norms.
+    k = np.arange(N)
+    weight = 1.0 + 1.0 / ((1 + n) * (1 + (k + 1)))
+    shifted = 1.0 + 1.0 / ((1 + n) * (2 + k))
+    norms = [np.array([np.linalg.norm(blk) for blk in bl]) for bl in blocks.values()]
+    res["eq1[levels]"] = max(
+        float(np.linalg.norm(((k + 1 == m).astype(float) - (k == m - 1)) * s))
+        for m in range(N + 1)
+        for s in norms
     )
-    shifted = np.concatenate(
-        [
-            np.full(system.dims[m], 1.0 + 1.0 / ((1 + n) * (2 + m)))
-            for m in range(N + 1)
-        ]
-    )
-    worst = 0.0
-    for S in S_full:
-        worst = max(
-            worst,
-            float(np.linalg.norm(weight[:, None] * S - S * shifted[None, :])),
-        )
-    res["eq1[weight]"] = worst
+    res["eq1[weight]"] = max(float(np.linalg.norm((weight - shifted) * s)) for s in norms)
 
     # Range sum: sum_i S_i S_i^* is the identity off the vacuum.
     for m in range(N):
@@ -726,10 +695,10 @@ def word_vectors(
         raise LimitError(
             f"{count ** k} words at length {k}, above the cap 2048"
         )
-    blocks = [system.creation_blocks(v) for v in fam.vectors]
+    blocks = _family_blocks(system, fam).values()
     psi = np.ones((1, 1), dtype=complex)
     for level in range(k):
-        psi = np.hstack([blocks[i][level] @ psi for i in range(count)])
+        psi = np.hstack([bl[level] @ psi for bl in blocks])
     return psi
 
 
@@ -804,11 +773,10 @@ def reverse_identity(
         fam = operator_family(pair)
     n = pair.n
     acc = np.zeros((system.dims[k - 1],) * 2, dtype=complex)
-    for idx, (kind, label) in enumerate(fam.kinds):
+    for (kind, label), bl in _family_blocks(system, fam).items():
         home = label if kind == "v" else fam.j_list[label - 1]
         weight = abs(pair.a[_bar(n, home) - 1]) ** 2
-        blk = system.creation_blocks(fam.vectors[idx])[k - 1]
-        acc += weight * (blk.conj().T @ blk)
+        acc += weight * (bl[k - 1].conj().T @ bl[k - 1])
     lam = pair.lam
     constant = 1 - lam - lam * lam * system.phi(k - 1)
     q = system.phi.q

@@ -17,6 +17,7 @@ i.e. y >= 2, which keeps the Q values positive and q real.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 
 from .errors import ParameterError
@@ -131,23 +132,26 @@ def is_generic(lam, kmax: int) -> bool:
     return all(chebyshev_P(k, x) != 0 for k in range(1, kmax + 1))
 
 
-def dim_subproduct(n: int, k: int) -> int:
-    """Dimension of the k-th space of the subproduct system over an
-    n-dimensional base: d_0 = 1, d_1 = n - 1, d_{k+1} = (n-1) d_k - d_{k-1}.
+def dim_sequence(n: int, kmax: int) -> Iterator[int]:
+    """Yield d_0, ..., d_kmax, the dimensions of the spaces of the
+    subproduct system over an n-dimensional base, in one pass of
+    d_{-1} = 0, d_0 = 1, d_{k+1} = (n-1) d_k - d_{k-1}.
 
     Raises ParameterError when the recursion hits a non-positive value,
     which happens for n = 2.
     """
     if n < 2:
         raise ParameterError(f"need n >= 2, got {n}")
-    _check_index(k)
-    prev, cur = 1, n - 1
-    if k == 0:
-        return prev
-    for j in range(k - 1):
+    _check_index(kmax)
+    prev, cur = 0, 1
+    yield cur
+    for k in range(1, kmax + 1):
         prev, cur = cur, (n - 1) * cur - prev
         if cur <= 0:
-            raise ParameterError(
-                f"dimension sequence for n={n} hits {cur} at k={j + 2}"
-            )
-    return cur
+            raise ParameterError(f"dimension sequence for n={n} hits {cur} at k={k}")
+        yield cur
+
+
+def dim_subproduct(n: int, k: int) -> int:
+    """d_k, the last value of ``dim_sequence(n, k)``."""
+    return list(dim_sequence(n, k))[-1]

@@ -509,6 +509,8 @@ def span_dimension(pair: MotzkinPair, k: int) -> tuple[int, int]:
     as many rows as SPAN_MAX_BYTES can hold, allocated once and never
     copied; its pages become resident only as rows are written.
     """
+    if k < 1:
+        raise ParameterError(f"need k >= 1, got {k}")
     n = pair.n
     dim = _check_dim(n, k)
     blocks = [(_generator_base(pair, name), i) for i in range(1, k) for name in ("l", "r", "t")]

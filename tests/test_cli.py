@@ -1,10 +1,14 @@
 """Tests for the expression language and the command line front end."""
 
+import contextlib
+import io
 import json
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from motzkin.cli import (
     Add,
@@ -499,7 +503,120 @@ class TestRunCommand:
             run_command(["dims"])  # missing required --n
         assert info.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rep", "check", "--k", "1"],
+            ["rep", "check", "--k", "0"],
+            ["rep", "check", "--k", "-1"],
+            ["rep", "faithful", "--k", "0"],
+            ["rep", "faithful", "--k", "-1"],
+            ["dims", "--n", "3", "--kmax", "-1"],
+            ["fock", "matrix-units", "--kmax", "-1"],
+            ["fock", "cp-asymptotics", "--mmax", "0"],
+            ["fock", "cp-asymptotics", "--mmax", "1"],
+        ],
+    )
+    def test_empty_ranges_exit_two(self, argv, capsys):
+        # Width 1 has no relation to check and width 0 no operator to span;
+        # an empty level range has nothing to report, and the limiting
+        # relations need two levels to compare.
+        assert run_command(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+    def test_dims_too_long_to_print(self, capsys):
+        # d_1434 of n = 1000 has 4302 digits, past Python's int-to-text limit.
+        assert run_command(["dims", "--n", "1000", "--kmax", "3000"]) == 2
+        assert capsys.readouterr().err == (
+            "error: d_1434 has more than 4300 digits, too long to print\n"
+        )
+
+    def test_dims_in_one_pass(self, capsys):
+        # Re-running the recursion for every d_k took seconds here.
+        start = time.process_time()
+        assert run_command(["dims", "--n", "3", "--kmax", "10000"]) == 0
+        assert time.process_time() - start < 1.0
+        out = capsys.readouterr().out
+        assert out == ",".join(str(k + 1) for k in range(10001)) + "\n"
+
     def test_csv_not_available(self, capsys):
         code = run_command(["jw", "--k", "2", "--format", "csv"])
         assert code == 2
         assert "csv" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the command line
+
+
+def _option(flag, values):
+    """The flag with one drawn value, or nothing (the default)."""
+    return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
+
+
+def _command(prefix, *options):
+    return st.tuples(*options).map(lambda parts: prefix + sum(parts, []))
+
+
+_WIDTH = st.integers(-1, 4)
+_LEVELS = st.integers(-1, 6)
+_LAMBDA = _option("--lambda", st.sampled_from(["1/4", "1/3", "1/5", "1/8", "1/2", "0", "x"]))
+_FORMAT = _option("--format", st.sampled_from(["json", "csv"]))
+_PAIR = (
+    _option("--family", st.sampled_from(["i", "ii", "iii"])),
+    _option("--n", st.integers(2, 5)),
+    _option("--r", st.integers(0, 3)),
+    _LAMBDA,
+)
+_TOL = _option("--tol", st.sampled_from(["1e-9", "0", "-1", "nan"]))
+_ATOMS = ["t1", "l1", "r1", "p1", "p2", "g", "g1", "g2", "id", "1/2", "t3", "l2'", "E(p2)"]
+_EXPRESSIONS = st.one_of(
+    st.lists(st.sampled_from(_ATOMS), min_size=1, max_size=3).flatmap(
+        lambda atoms: st.lists(
+            st.sampled_from(["*", " + ", " - "]), min_size=len(atoms) - 1, max_size=len(atoms) - 1
+        ).map(lambda ops: "".join(a + o for a, o in zip(atoms, ops + [""])))
+    ).flatmap(lambda e: st.sampled_from([e, f"({e})'", f"({e})^2", f"E({e})"])),
+    st.text(alphabet="tlrpgE12()'*+-^/ ", max_size=8),
+)
+_ARGV = st.one_of(
+    _command(["dims"], _option("--n", st.integers(-1, 5)), _option("--kmax", st.integers(-2, 8)), _FORMAT),
+    _command(["basis"], _option("--k", _WIDTH), _FORMAT),
+    _command(["presentation"], _option("--k", _WIDTH), _LAMBDA, _FORMAT),
+    _command(["jw"], _option("--k", _WIDTH), _LAMBDA, _FORMAT),
+    _command(["pair", "validate"], *_PAIR, _TOL, _FORMAT),
+    _command(["pair", "make"], *_PAIR, _FORMAT),
+    _command(["rep", "check"], *_PAIR, _option("--k", _WIDTH), _TOL, _FORMAT),
+    _command(["rep", "faithful"], *_PAIR, _option("--k", _WIDTH), _FORMAT),
+    _command(["fock", "build"], *_PAIR, _option("--levels", _LEVELS), _FORMAT),
+    _command(["fock", "toeplitz"], *_PAIR, _option("--levels", _LEVELS), _TOL, _FORMAT),
+    _command(
+        ["fock", "matrix-units"], *_PAIR, _option("--levels", _LEVELS),
+        _option("--kmax", _WIDTH), _FORMAT,
+    ),
+    _command(["fock", "reverse"], *_PAIR, _option("--k", _WIDTH), _TOL, _FORMAT),
+    _command(["fock", "ideal"], *_PAIR, _TOL, _FORMAT),
+    _command(
+        ["fock", "cp-asymptotics"], *_PAIR, _option("--levels", _LEVELS),
+        _option("--mmax", _WIDTH), _FORMAT,
+    ),
+    _command(
+        ["eval"], _EXPRESSIONS.map(lambda e: [e]), _option("--k", _WIDTH),
+        st.sampled_from([[], ["--rep"]]), *_PAIR, _FORMAT,
+    ),
+    st.just(["check-all"]),
+)
+
+
+@given(argv=_ARGV)
+def test_cli_fuzz(argv):
+    """Every subcommand, with small and out-of-range arguments, ends in an
+    exit code: 0 or 1 for a result, 2 for a refused input (argparse exits
+    with 2 itself).  Nothing raises."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run_command(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)

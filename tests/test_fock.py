@@ -1,5 +1,7 @@
 """Tests for the subproduct system and its Toeplitz operators."""
 
+import dataclasses
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -108,12 +110,61 @@ def _projection_distance(B1, B2):
     )
 
 
+# A diagonal unitary turns the real n = 4 pair into a complex one, which
+# separates V from its transpose and conjugate.
+_ROTATION = np.exp(1j * np.array([0.3, 1.1, -0.7, 2.0]))
+
+
 def _rotated_pair4():
-    # A diagonal unitary turns the real n = 4 pair into a complex one,
-    # which separates V from its transpose and conjugate.
     real = _pair(4)
-    u = np.exp(1j * np.array([0.3, 1.1, -0.7, 2.0]))
+    u = _ROTATION
     return MotzkinPair(n=4, lam=real.lam, a=real.a * u * u[::-1], b=real.b * u)
+
+
+def _dense_grading_residuals(system, fam):
+    """Reference: eq1[levels] and eq1[weight] on the dense D x D creation
+    operators of the truncated Fock space, D = system.total_dimension."""
+    n, N = system.pair.n, system.levels
+    S_full = [system.toeplitz_matrix(v) for v in fam.vectors]
+    offs = system.level_offsets()
+    res = {}
+    worst = 0.0
+    for m in range(N + 1):
+        rows = slice(offs[m], offs[m + 1])
+        cols = slice(offs[m - 1], offs[m]) if m else slice(0, 0)
+        for S in S_full:
+            # E_m S - S E_{m-1}: row block m minus column block m - 1; the
+            # block where the two strips cross cancels.
+            top, side = S[rows].copy(), S[:, cols].copy()
+            top[:, cols] = 0.0
+            side[rows] = 0.0
+            worst = max(worst, float(np.hypot(np.linalg.norm(top), np.linalg.norm(side))))
+    res["eq1[levels]"] = worst
+    weight = np.concatenate(
+        [np.full(system.dims[m], 1.0 + 1.0 / ((1 + n) * (1 + m))) for m in range(N + 1)]
+    )
+    shifted = np.concatenate(
+        [np.full(system.dims[m], 1.0 + 1.0 / ((1 + n) * (2 + m))) for m in range(N + 1)]
+    )
+    res["eq1[weight]"] = max(
+        float(np.linalg.norm(weight[:, None] * S - S * shifted[None, :])) for S in S_full
+    )
+    return res
+
+
+def _grading_cases():
+    """(system, family) for the grading checks: i n=3 and iii n=4 to level 5,
+    iii n=5 r=2 to level 4, and the complex rotation of the n=4 pair with
+    the family rotated along."""
+    fam4 = operator_family(_pair(4))
+    rotated = dataclasses.replace(fam4, vectors=fam4.vectors * _ROTATION)
+    pair5 = build_example_pair("iii", 5, 2, Fraction(1, 5))
+    return [
+        (_system(3, 5), operator_family(_pair(3))),
+        (_system(4, 5), fam4),
+        (build_subproduct(pair5, 4), operator_family(pair5)),
+        (build_subproduct(_rotated_pair4(), 5), rotated),
+    ]
 
 
 def _charge_operator(weights, k):
@@ -432,6 +483,35 @@ class TestToeplitzRelations:
         rep3 = toeplitz_residuals(_system(3, 5))
         assert not any(lbl.startswith(("eq5", "eq6")) for lbl in rep3.residuals)
         assert "eq4[i=1,j=3,m=2]" in rep3.residuals
+
+    def test_grading_matches_dense_reference(self):
+        # The block form reads eq1 off the creation blocks; the dense form
+        # builds every D x D operator.  Both give exactly 0.
+        for system, fam in _grading_cases():
+            rep = toeplitz_residuals(system, fam)
+            dense = _dense_grading_residuals(system, fam)
+            assert list(rep.residuals)[:2] == ["eq1[levels]", "eq1[weight]"]
+            for label, value in dense.items():
+                assert repr(rep.residuals[label]) == repr(value) == "0.0", label
+
+    def test_battery_reads_creation_blocks_only(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the battery built a dense Fock-space operator")
+
+        system = _system(4, 6)
+        expected = toeplitz_residuals(system).residuals
+        monkeypatch.setattr(fock.SubproductSystem, "toeplitz_matrix", refuse)
+        monkeypatch.setattr(fock.SubproductSystem, "level_offsets", refuse)
+        # With the creation blocks cached, the battery holds less than one
+        # dense operator on the D = 609 dimensional truncated Fock space.
+        tracemalloc.start()
+        try:
+            rep = toeplitz_residuals(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.residuals == expected
+        assert peak < 16 * system.total_dimension**2
 
     def test_toeplitz_matrix_blocks(self):
         sys = _system(4, 4)

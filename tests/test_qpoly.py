@@ -10,6 +10,7 @@ from motzkin.qpoly import (
     PhiFunction,
     chebyshev_P,
     chebyshev_Q,
+    dim_sequence,
     dim_subproduct,
     is_generic,
     phi,
@@ -133,3 +134,14 @@ def test_dim_subproduct_degenerate():
         dim_subproduct(2, 2)
     with pytest.raises(ParameterError):
         dim_subproduct(1, 1)
+
+
+def test_dim_sequence():
+    for n in (3, 4, 5, 9):
+        assert list(dim_sequence(n, 12)) == [dim_subproduct(n, k) for k in range(13)]
+    assert list(dim_sequence(2, 1)) == [1, 1]
+    with pytest.raises(ParameterError, match="hits 0 at k=2"):
+        list(dim_sequence(2, 5))
+    for n, kmax in ((3, -1), (1, 3)):
+        with pytest.raises(ParameterError):
+            list(dim_sequence(n, kmax))

@@ -465,6 +465,11 @@ class TestSpanDimension:
             assert dim == motzkin_number(4) == 9
             assert rounds <= 8
 
+    def test_needs_a_width(self):
+        for k in (0, -1):
+            with pytest.raises(ParameterError, match="need k >= 1"):
+                span_dimension(_pair4(), k)
+
     def test_byte_budget(self, monkeypatch):
         # n=4, k=3: the identity and the 9 generator images are 10
         # operators of 64**2 complex entries, 640 KiB.  A round counts its

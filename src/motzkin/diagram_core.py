@@ -769,7 +769,10 @@ class PresentationReport:
 
 def check_presentation(k: int, lam) -> PresentationReport:
     """Verify every defining relation exactly at width k; all arithmetic
-    is exact, so a pass is a proof for this width and lam."""
+    is exact, so a pass is a proof for this width and lam.  Widths below
+    2 have no relation to check and raise ParameterError."""
+    if k < 2:
+        raise ParameterError(f"need k >= 2 for a relation to check, got {k}")
     lam = as_fraction(lam)
     checked = 0
     failures = []

@@ -68,11 +68,11 @@ class SubproductSystem:
     charge block at a time (a pair without free orbits is one block), and
     only the blocks of each compressed projection are stored.  Its
     idempotent residual and spectral rounding are those of the whole
-    matrix.  The arithmetic is real when a and b have no imaginary part
-    (``dtype``), complex otherwise.  Before each level the bytes it needs
-    (the system so far, the new hat frame, its projection blocks and the
-    largest block's eigensolver workspace) are estimated, and a level above
-    FOCK_MAX_BYTES raises LimitError.
+    matrix.  The arithmetic is in the pair's ``dtype``: real when a and b
+    have no imaginary part, complex otherwise.  Before each level the bytes
+    it needs (the system so far, the new hat frame, its projection blocks
+    and the largest block's eigensolver workspace) are estimated, and a
+    level above FOCK_MAX_BYTES raises LimitError.
 
     Each frame is fixed only up to a unitary on C^{d_k}.  Hat frames,
     compressed projections and creation blocks depend on that choice;
@@ -86,8 +86,7 @@ class SubproductSystem:
         self.pair = pair
         self.levels = levels
         self.phi = PhiFunction(pair.lam)
-        real = not (pair.a.imag.any() or pair.b.imag.any())
-        self.dtype = np.dtype(float if real else complex)
+        self.dtype = pair.dtype
         self.dims: list[int] = [1]
         self.hat_bases: list[np.ndarray | None] = [None]
         self.idempotent_residuals: list[float] = [0.0]
@@ -99,7 +98,7 @@ class SubproductSystem:
         self._bases: dict[int, np.ndarray] = {0: np.ones((1, 1), dtype=self.dtype)}
         self._creation: dict[bytes, list[np.ndarray]] = {}
 
-        a, b = (pair.a.real, pair.b.real) if real else (pair.a, pair.b)
+        a, b = pair.vectors()
         Q = np.eye(n) - np.outer(b, b.conj())
         weights = _charge_weights(pair)
         for k in range(levels):
@@ -268,7 +267,9 @@ class SubproductSystem:
         Block k is d_{k+1} x d_k; in level coordinates the operator sends
         xi to the compression of u (x) xi, that is B^_{k+1}^* (u (x) xi).
         The frames never change after the build, so the blocks of each
-        vector are computed once and cached; they are read-only.
+        vector are computed once and cached; they are read-only.  A real
+        frame is contracted with the real and imaginary parts of u apart,
+        so that it is never copied to complex.
         """
         n = self.pair.n
         u = np.asarray(u, dtype=complex).reshape(n)
@@ -277,7 +278,13 @@ class SubproductSystem:
             out = []
             for k in range(self.levels):
                 H = self.hat_bases[k + 1].reshape(n, self.dims[k], self.dims[k + 1])
-                blk = np.tensordot(u.conj(), H, axes=(0, 0)).conj().T
+                if np.iscomplexobj(H):
+                    blk = np.tensordot(u.conj(), H, axes=(0, 0)).conj()
+                else:
+                    blk = np.empty(H.shape[1:], dtype=complex)
+                    blk.real = np.tensordot(u.real, H, axes=(0, 0))
+                    blk.imag = np.tensordot(u.imag, H, axes=(0, 0))
+                blk = blk.T
                 blk.flags.writeable = False
                 out.append(blk)
             self._creation[key] = out

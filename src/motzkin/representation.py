@@ -35,7 +35,12 @@ from .qpoly import validate_lam
 
 @dataclass
 class MotzkinPair:
-    """The data (n, lam, a, b) of a Motzkin pair; arrays are complex."""
+    """The data (n, lam, a, b) of a Motzkin pair.
+
+    `a` and `b` are stored as complex arrays.  The operators the pair
+    defines are built in `dtype`: real when a and b have no imaginary part,
+    complex otherwise.
+    """
 
     n: int
     lam: Fraction
@@ -55,11 +60,23 @@ class MotzkinPair:
         """The index reversal i -> n-1-i (0-based)."""
         return self.n - 1 - i
 
+    @property
+    def dtype(self) -> np.dtype:
+        """float64 when a and b have no imaginary part, complex128 otherwise."""
+        return np.dtype(complex if self.a.imag.any() or self.b.imag.any() else float)
+
+    def vectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(a, b) in `dtype`: their real parts for a real pair."""
+        if self.dtype.kind == "c":
+            return self.a, self.b
+        return self.a.real, self.b.real
+
     def vA(self) -> np.ndarray:
         """The vector sum_i a_i e_i (x) e_ibar, as a length n**2 array."""
-        m = np.zeros((self.n, self.n), dtype=complex)
+        a, _ = self.vectors()
+        m = np.zeros((self.n, self.n), dtype=a.dtype)
         for i in range(self.n):
-            m[i, self.bar(i)] = self.a[i]
+            m[i, self.bar(i)] = a[i]
         return m.reshape(-1)
 
     def to_json_dict(self) -> dict:
@@ -287,7 +304,8 @@ def _check_dim(n: int, k: int) -> int:
 
 def p_matrix(pair: MotzkinPair) -> np.ndarray:
     """Rank-one projection onto v on C^n."""
-    return np.outer(pair.b, pair.b.conj())
+    _, b = pair.vectors()
+    return np.outer(b, b.conj())
 
 
 def t_matrix(pair: MotzkinPair) -> np.ndarray:
@@ -300,7 +318,7 @@ def l_matrix(pair: MotzkinPair) -> np.ndarray:
     """The two-column matrix of l: routes the second slot to the first and
     caps the free ends with v."""
     n = pair.n
-    L = np.zeros((n * n, n * n), dtype=complex)
+    L = np.zeros((n * n, n * n), dtype=pair.dtype)
     Lr = L.reshape(n, n, n, n)
     P = p_matrix(pair)
     for j in range(n):
@@ -336,10 +354,10 @@ def _apply_local(X: np.ndarray, n: int, base: np.ndarray, i: int, dag: bool = Fa
     return out.reshape(rows, cols)
 
 
-def _word_product(n: int, width: int, bases: dict, tokens) -> np.ndarray:
+def _word_product(n: int, width: int, bases: dict, tokens, dtype) -> np.ndarray:
     """The product of the tokens on the width-fold power of C^n, applied
     right to left to the identity one generator at a time."""
-    out = np.eye(n**width, dtype=complex)
+    out = np.eye(n**width, dtype=dtype)
     for name, i, dag in reversed(tokens):
         if name != "id":
             out = _apply_local(out, n, bases[name], i, dag)
@@ -358,61 +376,94 @@ def evaluate_word(pair: MotzkinPair, k: int, word) -> np.ndarray:
     for name, i, _ in word:
         _check_generator(k, name, i)
     bases = {name: _generator_base(pair, name) for name, _, _ in word if name != "id"}
-    return _word_product(n, k, bases, word)
+    return _word_product(n, k, bases, word, pair.dtype)
 
 
 # ---------------------------------------------------------------------------
 # Direct diagram evaluation
 
 
-def evaluate_diagram(pair: MotzkinPair, diagram: MotzkinDiagram) -> np.ndarray:
-    """The matrix of a single diagram, assembled from its strand features.
+def _row_keys(pairing, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The top and bottom rows of a diagram as half-diagrams.
 
-    Every through strand, arc and isolated point contributes one factor on
-    its own tensor axes (a delta, the scaled pair vector, or b), and the
-    matrix is their product; how deeply arcs nest does not enter.
+    A half-diagram lists, for each of the k points of a row, -1 for an
+    isolated point, the position of its partner for an arc on that row,
+    and k for a through strand.
     """
-    n, k = pair.n, diagram.width
-    _check_dim(n, k)
-    p = diagram.pairing
+    top = tuple(j if j < k else k for j in pairing[:k])
+    bottom = tuple(-1 if j == -1 else (j - k if j >= k else k) for j in pairing[k:])
+    return top, bottom
 
-    lam = float(pair.lam)
-    root = lam**-0.5
-    vA2 = pair.vA().reshape(n, n)
-    shape = (n,) * (2 * k)
-    X = np.ones(shape, dtype=complex)
 
-    def mul_axes(arr, axes):
-        target = [1] * (2 * k)
-        for ax in axes:
-            target[ax] = n
-        X_view = arr.reshape(target)
-        return X_view
+def _half(key: tuple[int, ...], b: np.ndarray, arc: np.ndarray) -> np.ndarray:
+    """The n**k x n**t matrix of a half-diagram with t through strands.
 
-    out = X
-    for i in range(k):
-        j = p[i]
+    Row index: the k tensor slots of the row.  Column index: one slot per
+    through strand, left to right.  An isolated point contributes b, an
+    arc the n x n matrix `arc` and a through strand a delta between its
+    slot and its column slot.
+    """
+    n, k = len(b), len(key)
+    through = [i for i, j in enumerate(key) if j == k]
+    axes = k + len(through)
+    out = np.ones((1,) * axes, dtype=b.dtype)
+
+    def on_axes(arr, positions):
+        shape = [1] * axes
+        for ax in positions:
+            shape[ax] = n
+        return arr.reshape(shape)
+
+    for i, j in enumerate(key):
         if j == -1:
-            out = out * mul_axes(pair.b, [i])
-        elif j >= k:
-            out = out * mul_axes(np.eye(n), [i, j])
+            out = out * on_axes(b, [i])
+        elif j == k:
+            out = out * on_axes(np.eye(n), [i, k + through.index(i)])
         elif j > i:
-            out = out * mul_axes(root * vA2, [i, j])
-    for i in range(k, 2 * k):
-        j = p[i]
-        if j == -1:
-            out = out * mul_axes(pair.b.conj(), [i])
-        elif j > i:
-            out = out * mul_axes(root * vA2.conj(), [i, j])
-    return out.reshape(n**k, n**k)
+            out = out * on_axes(arc, [i, j])
+    return out.reshape(n**k, n ** len(through))
+
+
+def evaluate_diagram(pair: MotzkinPair, diagram: MotzkinDiagram) -> np.ndarray:
+    """The matrix of a single diagram: T @ B^*, with T and B the matrices
+    of its top and bottom halves (`_half`), arcs scaled by lam**-1/2.
+
+    Planar through strands keep their order, so the t through strands
+    contract column slot m of T with column slot m of B.  Arcs and isolated
+    points are factors of the halves; how deeply arcs nest does not enter.
+    """
+    return evaluate_element(pair, Element.from_diagram(diagram, pair.lam))
 
 
 def evaluate_element(pair: MotzkinPair, x: Element) -> np.ndarray:
-    """Linear extension of evaluate_diagram (coefficients become floats)."""
+    """Linear extension of evaluate_diagram (coefficients become floats).
+
+    The terms are grouped by their number t of through strands.  With T_t
+    the distinct top halves side by side, B_t the distinct bottom halves
+    and C_t the coefficient of each (top, bottom) pair, the element is
+    sum_t T_t (C_t (x) 1_{n**t}) B_t^*: each half is built once and each
+    group is one matrix product.
+    """
     n, k = pair.n, x.width
-    out = np.zeros((n**k, n**k), dtype=complex)
+    dim = _check_dim(n, k)
+    _, b = pair.vectors()
+    arc = float(pair.lam) ** -0.5 * pair.vA().reshape(n, n)
+    groups: dict[int, tuple[dict, dict, list]] = {}
     for d, c in x.terms.items():
-        out += float(c) * evaluate_diagram(pair, d)
+        top, bottom = _row_keys(d.pairing, k)
+        tops, bottoms, entries = groups.setdefault(top.count(k), ({}, {}, []))
+        entries.append(
+            (tops.setdefault(top, len(tops)), bottoms.setdefault(bottom, len(bottoms)), float(c))
+        )
+    out = np.zeros((dim, dim), dtype=pair.dtype)
+    for tops, bottoms, entries in groups.values():
+        C = np.zeros((len(tops), len(bottoms)))
+        for i, j, c in entries:
+            C[i, j] = c
+        # dim x halves x n**t; C^T sums the top halves paired with each bottom.
+        T = np.stack([_half(key, b, arc) for key in tops], axis=1)
+        B = np.stack([_half(key, b, arc) for key in bottoms], axis=1)
+        out += np.matmul(C.T, T).reshape(dim, -1) @ B.reshape(dim, -1).conj().T
     return out
 
 
@@ -443,10 +494,10 @@ def relation_residuals(pair: MotzkinPair, k: int) -> dict[str, float]:
         ]
         lo = min(first for first, _ in touched)
         w = max(last for _, last in touched) - lo + 1
-        total = np.zeros((n**w, n**w), dtype=complex)
+        total = np.zeros((n**w, n**w), dtype=pair.dtype)
         for coeff, word in terms:
             local = [(name, i - lo + 1, dag) for name, i, dag in word]
-            total += coeff * _word_product(n, w, bases, local)
+            total += coeff * _word_product(n, w, bases, local, pair.dtype)
         out[label] = float(np.linalg.norm(total)) * n ** ((k - w) / 2)
     return out
 
@@ -464,10 +515,11 @@ def _check_span_bytes(dim: int, basis: int, images: int, size: int) -> None:
 
     The round starts from `basis` orthonormal directions and holds `images`
     images of `size` operators each, and the SVD work of one image.  Each
-    operator is dim**2 complex entries.  The basis can grow by as many
-    operators as the images hold; its rows are written into pages of their
-    own, while the images freed along the way stay with the allocator, so
-    both are counted in full.
+    operator is dim**2 complex entries, 16 bytes each; for a real pair,
+    whose operators take 8 bytes an entry, the count is an upper bound.
+    The basis can grow by as many operators as the images hold; its rows
+    are written into pages of their own, while the images freed along the
+    way stay with the allocator, so both are counted in full.
     """
     operators = basis + (2 * images + _SPAN_WORK_IMAGES) * size
     need = 16 * dim * dim * operators
@@ -486,11 +538,12 @@ def _stacked(x: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of a complex matrix, without a temporary
-    of its size."""
-    return np.sqrt(
-        np.einsum("ij,ij->i", x.real, x.real) + np.einsum("ij,ij->i", x.imag, x.imag)
-    )
+    """Euclidean norms of the rows of a real or complex matrix, without a
+    temporary of its size."""
+    squares = np.einsum("ij,ij->i", x.real, x.real)
+    if np.iscomplexobj(x):
+        squares += np.einsum("ij,ij->i", x.imag, x.imag)
+    return np.sqrt(squares)
 
 
 def span_dimension(pair: MotzkinPair, k: int) -> tuple[int, int]:
@@ -516,9 +569,9 @@ def span_dimension(pair: MotzkinPair, k: int) -> tuple[int, int]:
     blocks = [(_generator_base(pair, name), i) for i in range(1, k) for name in ("l", "r", "t")]
     blocks += [(_generator_base(pair, "p"), i) for i in range(1, k + 1)]
     _check_span_bytes(dim, 0, 1 + len(blocks), 1)
-    basis = np.empty((SPAN_MAX_BYTES // (16 * dim * dim), dim * dim), dtype=complex)
+    basis = np.empty((SPAN_MAX_BYTES // (16 * dim * dim), dim * dim), dtype=pair.dtype)
     found = 0
-    eye = np.eye(dim, dtype=complex)
+    eye = np.eye(dim, dtype=pair.dtype)
     images = [_stacked(eye, dim)] + [_stacked(_apply_local(eye, n, base, i), dim) for base, i in blocks]
     for rounds in range(MAX_SPAN_ROUNDS + 1):
         cut = TOL_RANK * max(_row_norms(x).max() for x in images)
@@ -580,7 +633,7 @@ def rep_conditional_expectation(
 
     dk = n**k
     Zr = Z.reshape(dk, n, n, dk, n, n)
-    b = pair.b
+    _, b = pair.vectors()
     what = np.einsum(
         "s,t,IstJuv,u,v->IJ",
         b.conj(), b.conj(), Zr, b, b, optimize=True,

@@ -506,6 +506,9 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["presentation", "--k", "1"],
+            ["presentation", "--k", "0"],
+            ["presentation", "--k", "-1"],
             ["rep", "check", "--k", "1"],
             ["rep", "check", "--k", "0"],
             ["rep", "check", "--k", "-1"],

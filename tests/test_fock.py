@@ -254,12 +254,13 @@ class TestBuild:
                 assert np.linalg.norm(gram - np.eye(sys.dims[k])) < 1e-12
 
     def test_matches_central_idempotent(self):
-        # The recursion must reproduce the evaluated projection exactly.
+        # The recursion must reproduce the evaluated projection exactly;
+        # g_5 at n = 4 has 728 terms on 1024 x 1024.
         cases = [
             (_pair(3), 4),
-            (_pair(4), 4),
-            (build_example_pair("ii", 5, 1, Fraction(1, 5)), 3),
-            (build_example_pair("iii", 5, 2, Fraction(1, 5)), 3),
+            (_pair(4), 5),
+            (build_example_pair("ii", 5, 1, Fraction(1, 5)), 4),
+            (build_example_pair("iii", 5, 2, Fraction(1, 5)), 4),
         ]
         for pair, kmax in cases:
             sys = build_subproduct(pair, kmax)
@@ -512,6 +513,27 @@ class TestToeplitzRelations:
             tracemalloc.stop()
         assert rep.residuals == expected
         assert peak < 16 * system.total_dimension**2
+
+    def test_creation_blocks_of_a_real_frame(self):
+        # A complex u against a real hat frame: the blocks are those of the
+        # complex contraction, and the frame is never copied to complex.
+        system = build_subproduct(_pair(4), 6)
+        u = np.array([0.3, 0.5j, -0.2 + 0.1j, 0.7])
+        frames = system.hat_bases[1:]
+        assert all(H.dtype == np.float64 for H in frames)
+        tracemalloc.start()
+        try:
+            blocks = system.creation_blocks(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stored = sum(blk.nbytes for blk in blocks)
+        assert peak - stored < 16 * frames[-1].size
+        for k, (H, blk) in enumerate(zip(frames, blocks)):
+            H = H.reshape(4, system.dims[k], system.dims[k + 1]).astype(complex)
+            reference = np.tensordot(u.conj(), H, axes=(0, 0)).conj().T
+            assert blk.dtype == complex and blk.shape == reference.shape
+            assert np.abs(blk - reference).max() <= 1e-15
 
     def test_toeplitz_matrix_blocks(self):
         sys = _system(4, 4)

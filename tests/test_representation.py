@@ -1,5 +1,6 @@
 """Tests for the Motzkin-pair operator layer."""
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from motzkin import representation
-from motzkin.config import TOL_RANK
+from motzkin.config import TOL_CHECK, TOL_RANK
 from motzkin.diagram_core import (
     Element,
     MotzkinDiagram,
@@ -49,6 +50,17 @@ def _pair3():
 
 
 PAIRS = [_pair4(), _pair3()]
+
+
+def _pair5():
+    return build_example_pair("ii", 5, 1, Fraction(1, 5))
+
+
+def _rotated(pair, seed=0):
+    # The pair moved by the diagonal unitary u on C^n: a and b turn complex,
+    # and every operator X on the k-fold power becomes U X U*, U = u^(x)k.
+    u = np.exp(1j * np.random.default_rng(seed).uniform(-np.pi, np.pi, pair.n))
+    return MotzkinPair(n=pair.n, lam=pair.lam, a=pair.a * u * u[::-1], b=pair.b * u), u
 
 
 def _gen(pair, k, name, i):
@@ -307,7 +319,47 @@ class TestWordEvaluation:
             evaluate_word(pair, 7, [("p", 1, False)])
 
 
+def _broadcast_diagram(pair, diagram):
+    # Reference: every through strand, arc and isolated point is one factor
+    # on its own axes of an (n,)*2k array, multiplied in by broadcasting.
+    n, k = pair.n, diagram.width
+    p = diagram.pairing
+    root = float(pair.lam) ** -0.5
+    vA2 = pair.vA().reshape(n, n)
+    out = np.ones((n,) * (2 * k), dtype=complex)
+
+    def on_axes(arr, axes):
+        target = [1] * (2 * k)
+        for ax in axes:
+            target[ax] = n
+        return arr.reshape(target)
+
+    for i in range(k):
+        j = p[i]
+        if j == -1:
+            out = out * on_axes(pair.b, [i])
+        elif j >= k:
+            out = out * on_axes(np.eye(n), [i, j])
+        elif j > i:
+            out = out * on_axes(root * vA2, [i, j])
+    for i in range(k, 2 * k):
+        j = p[i]
+        if j == -1:
+            out = out * on_axes(pair.b.conj(), [i])
+        elif j > i:
+            out = out * on_axes(root * vA2.conj(), [i, j])
+    return out.reshape(n**k, n**k)
+
+
 class TestDiagramEvaluation:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_halves_match_broadcast_reference(self, k):
+        real = _pair4()
+        for pair in (real, _rotated(real)[0]):
+            for d in enumerate_basis(k):
+                err = np.linalg.norm(evaluate_diagram(pair, d) - _broadcast_diagram(pair, d))
+                assert err <= 1e-12, (pair.dtype, d.pairing)
+
     def test_generators_match(self):
         for pair in PAIRS:
             for k in (2, 3):
@@ -386,6 +438,75 @@ class TestDiagramEvaluation:
         mat = evaluate_diagram(pair, d)
         assert mat.shape == (256, 256)
         assert np.isfinite(mat).all()
+
+
+class TestRealArithmetic:
+    # A real pair and its diagonal-unitary rotation define the same
+    # representation up to U = u^(x)k; the real one is evaluated in float64.
+
+    def test_operators_follow_the_pair(self, monkeypatch):
+        windows, images = [], []
+        word_product, apply_local = representation._word_product, representation._apply_local
+
+        def spy_word(*args):
+            out = word_product(*args)
+            windows.append(out.dtype)
+            return out
+
+        def spy_apply(*args, **kwargs):
+            out = apply_local(*args, **kwargs)
+            images.append(out.dtype)
+            return out
+
+        monkeypatch.setattr(representation, "_word_product", spy_word)
+        monkeypatch.setattr(representation, "_apply_local", spy_apply)
+        g3 = jones_wenzl(3, QUARTER)
+        d = enumerate_basis(3)[7]
+        word = [("l", 1, True), ("t", 2, False), ("p", 3, False)]
+        cases = [(_pair4(), np.float64), (_pair5(), np.float64), (_rotated(_pair4())[0], np.complex128)]
+        for pair, want in cases:
+            assert pair.dtype == want
+            windows.clear()
+            images.clear()
+            relation_residuals(pair, 3)
+            span_dimension(pair, 2)
+            assert windows and set(windows) == {np.dtype(want)}
+            assert images and set(images) == {np.dtype(want)}
+            for X in (
+                p_matrix(pair),
+                t_matrix(pair),
+                l_matrix(pair),
+                evaluate_word(pair, 3, word),
+                evaluate_word(pair, 3, []),
+                evaluate_diagram(pair, d),
+                evaluate_element(pair, g3),
+                rep_conditional_expectation(pair, evaluate_element(pair, g3)),
+            ):
+                assert X.dtype == want
+
+    @pytest.mark.parametrize("make, k", [(_pair4, 4), (_pair5, 3)])
+    def test_rotation_keeps_residuals(self, make, k):
+        real = make()
+        res = relation_residuals(real, k)
+        rot = relation_residuals(_rotated(real)[0], k)
+        assert list(res) == list(rot)
+        assert max(res.values()) < TOL_CHECK and max(rot.values()) < TOL_CHECK
+
+    @pytest.mark.parametrize("make, k", [(_pair4, 3), (_pair5, 2)])
+    def test_rotation_keeps_span(self, make, k):
+        real = make()
+        assert span_dimension(real, k) == span_dimension(_rotated(real)[0], k)
+
+    @pytest.mark.parametrize("make, k", [(_pair4, 4), (_pair5, 3)])
+    def test_rotation_conjugates_elements(self, make, k):
+        real = make()
+        rotated, u = _rotated(real)
+        g = jones_wenzl(k, real.lam)
+        E = evaluate_element(real, g)
+        uk = functools.reduce(np.kron, [u] * k)
+        expected = uk[:, None] * E * uk.conj()[None, :]
+        assert E.dtype == np.float64
+        assert np.linalg.norm(evaluate_element(rotated, g) - expected) < 1e-12
 
 
 def _reference_span_dimension(pair, k, tol=TOL_RANK, max_rounds=12):

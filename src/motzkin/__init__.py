@@ -10,14 +10,15 @@ Layers, from the bottom up:
   Motzkin pair (v_A, v).
 - ``fock``: the subproduct system, its creation operators and the
   Toeplitz-type relations they satisfy.
-- ``cli``: command line front end and a small expression language.
+- ``expression``: the expression language, its exact and operator
+  interpreters, and the checks of the defining relations through them.
+- ``cli``: command line front end.
 """
 
 from .diagram_core import (
     Element,
     MotzkinDiagram,
     adjoint,
-    check_presentation,
     conditional_expectation,
     embed,
     enumerate_basis,
@@ -34,6 +35,7 @@ from .errors import (
     ParseError,
     StructureError,
 )
+from .expression import check_presentation, relation_residuals
 from .fock import (
     SubproductSystem,
     build_subproduct,
@@ -73,8 +75,6 @@ from .representation import (
     build_example_pair,
     evaluate_diagram,
     evaluate_element,
-    evaluate_word,
-    relation_residuals,
     rep_conditional_expectation,
     span_dimension,
     validate_pair,
@@ -117,7 +117,6 @@ __all__ = [
     "build_example_pair",
     "evaluate_diagram",
     "evaluate_element",
-    "evaluate_word",
     "relation_residuals",
     "rep_conditional_expectation",
     "span_dimension",

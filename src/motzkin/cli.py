@@ -1,43 +1,37 @@
-"""Command-line interface and the expression language it evaluates.
+"""Command-line interface.
 
-Expressions combine generators at a fixed diagram width with rational
-scalars, products, sums, adjoints ('), powers (^) and the width-lowering
-expectation E(...); ``parse_expression``, ``evaluate`` and ``run_command``
-are importable for programmatic use.
+``run_command`` runs one command line and returns its exit code; the
+expressions of ``motzkin eval`` are read by ``motzkin.expression``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import MAX_EXPONENT, MAX_NESTING, TOL_CHECK, TOL_TOEPLITZ
-from .diagram_core import (
-    _SITES,
-    Element,
-    adjoint,
-    check_presentation,
-    conditional_expectation,
-    embed,
-    enumerate_basis,
-    generator,
-    identity,
-    motzkin_number,
-)
+from .config import TOL_CHECK, TOL_TOEPLITZ
+from .diagram_core import enumerate_basis, motzkin_number
 from .errors import (
     LimitError,
     MotzkinError,
     ParameterError,
     ParseError,
     StructureError,
+)
+from .expression import (
+    check_presentation,
+    evaluate,
+    evaluate_operator,
+    parse_expression,
+    pretty,
+    relation_residuals,
 )
 from .fock import (
     build_subproduct,
@@ -47,427 +41,16 @@ from .fock import (
     matrix_unit_dimension,
     projection_rank,
     reverse_identity,
-    subproduct_projection,
     toeplitz_residuals,
 )
 from .jones_wenzl import jones_wenzl, jw_report
-from .qpoly import PhiFunction, dim_sequence, validate_lam
+from .qpoly import PhiFunction, dim_sequence
 from .representation import (
     MotzkinPair,
-    _apply_local,
     build_example_pair,
-    evaluate_word,
-    relation_residuals,
-    rep_conditional_expectation,
     span_dimension,
     validate_pair,
 )
-
-# ---------------------------------------------------------------------------
-# Expression language
-
-
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Gen:
-    name: str
-    index: int | None
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: object
-
-
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Adj:
-    operand: object
-
-
-@dataclass(frozen=True)
-class Pow:
-    operand: object
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Expect:
-    operand: object
-
-
-_TOKEN_RE = re.compile(
-    r"(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z]+\d*)|(?P<op>[+\-*()'^])"
-)
-_GEN_RE = re.compile(r"(id|t|l|r|p|g)(\d*)\Z")
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(), pos))
-        pos = m.end()
-    return tokens
-
-
-def _number(text: str, offset: int) -> Fraction:
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ParseError(f"zero denominator in {text}", offset) from None
-    except ValueError:  # more digits than int() converts
-        raise ParseError(f"number of {len(text)} characters is too long", offset) from None
-
-
-def _children(node) -> tuple:
-    if isinstance(node, (Add, Sub, Mul)):
-        return (node.left, node.right)
-    if isinstance(node, (Neg, Adj, Pow, Expect)):
-        return (node.operand,)
-    return ()
-
-
-def _check_depth(node, offset: int) -> None:
-    # Iterative, because the recursive interpreters are what the bound protects.
-    stack = [(node, 1)]
-    while stack:
-        node, depth = stack.pop()
-        if depth > MAX_NESTING:
-            raise ParseError(f"expression nests deeper than {MAX_NESTING} levels", offset)
-        stack.extend((child, depth + 1) for child in _children(node))
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.depth = 0  # open parentheses
-
-    def _peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return (None, "", len(self.text))
-
-    def _accept_op(self, *ops: str):
-        kind, value, _ = self._peek()
-        if kind == "op" and value in ops:
-            self.pos += 1
-            return value
-        return None
-
-    def _expect_op(self, op: str):
-        kind, value, offset = self._peek()
-        if kind != "op" or value != op:
-            raise ParseError(f"expected {op!r}", offset)
-        self.pos += 1
-
-    def parse(self):
-        node = self._expr()
-        kind, value, offset = self._peek()
-        if kind is not None:
-            raise ParseError(f"unexpected {value!r}", offset)
-        _check_depth(node, offset)
-        return node
-
-    def _expr(self):
-        if self._accept_op("-"):
-            node = Neg(self._term())
-        else:
-            node = self._term()
-        while True:
-            op = self._accept_op("+", "-")
-            if op is None:
-                return node
-            rhs = self._term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-
-    def _term(self):
-        node = self._factor()
-        while self._accept_op("*"):
-            node = Mul(node, self._factor())
-        return node
-
-    def _factor(self):
-        node = self._atom()
-        while True:
-            if self._accept_op("'"):
-                node = Adj(node)
-                continue
-            if self._accept_op("^"):
-                kind, value, offset = self._peek()
-                if kind != "num" or "/" in value:
-                    raise ParseError("expected an integer exponent", offset)
-                self.pos += 1
-                node = Pow(node, int(_number(value, offset)))
-                continue
-            return node
-
-    def _group(self, offset: int):
-        # The expression after an opening parenthesis at `offset`.
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise ParseError(f"parentheses nest deeper than {MAX_NESTING} levels", offset)
-        node = self._expr()
-        self._expect_op(")")
-        self.depth -= 1
-        return node
-
-    def _atom(self):
-        kind, value, offset = self._peek()
-        if kind == "num":
-            self.pos += 1
-            return Num(_number(value, offset))
-        if kind == "op" and value == "(":
-            self.pos += 1
-            return self._group(offset)
-        if kind == "name":
-            self.pos += 1
-            if value == "E":
-                paren = self._peek()[2]
-                self._expect_op("(")
-                return Expect(self._group(paren))
-            m = _GEN_RE.match(value)
-            if m is None:
-                raise ParseError(f"unknown name {value!r}", offset)
-            name, digits = m.groups()
-            return Gen(name, int(digits) if digits else None)
-        raise ParseError("expected a number, generator or parenthesis", offset)
-
-
-def parse_expression(text: str, width: int | None = None):
-    """Parse an expression into its syntax tree.
-
-    When a width is supplied the tree is also elaborated against it: every
-    generator index is range-checked at the width it will be evaluated at,
-    with E(...) raising the width of its argument by one.
-    """
-    node = _Parser(text).parse()
-    if width is not None:
-        if width < 1:
-            raise ParameterError(f"need width >= 1, got {width}")
-        _check_widths(node, width)
-    return node
-
-
-def _check_widths(node, k: int) -> None:
-    if isinstance(node, Gen):
-        _check_gen(node, k)
-    elif isinstance(node, (Neg, Adj, Pow)):
-        _check_widths(node.operand, k)
-    elif isinstance(node, (Add, Sub, Mul)):
-        _check_widths(node.left, k)
-        _check_widths(node.right, k)
-    elif isinstance(node, Expect):
-        _check_widths(node.operand, k + 1)
-
-
-def _needs_parens(node) -> bool:
-    return isinstance(node, (Add, Sub, Neg))
-
-
-def _postfix_operand(node) -> str:
-    if isinstance(node, (Gen, Num, Expect, Adj, Pow)):
-        return pretty(node)
-    return f"({pretty(node)})"
-
-
-def pretty(node) -> str:
-    """Render a syntax tree back to canonical text."""
-    if isinstance(node, Num):
-        return str(node.value)
-    if isinstance(node, Gen):
-        suffix = "" if node.index is None else str(node.index)
-        return node.name + suffix
-    if isinstance(node, Neg):
-        inner = pretty(node.operand)
-        if _needs_parens(node.operand):
-            inner = f"({inner})"
-        return "-" + inner
-    if isinstance(node, (Add, Sub)):
-        op = " + " if isinstance(node, Add) else " - "
-        left = pretty(node.left)
-        right = pretty(node.right)
-        if _needs_parens(node.right):
-            right = f"({right})"
-        return left + op + right
-    if isinstance(node, Mul):
-        left = pretty(node.left)
-        if _needs_parens(node.left):
-            left = f"({left})"
-        right = pretty(node.right)
-        if _needs_parens(node.right) or isinstance(node.right, Mul):
-            right = f"({right})"
-        return f"{left}*{right}"
-    if isinstance(node, Adj):
-        return _postfix_operand(node.operand) + "'"
-    if isinstance(node, Pow):
-        return f"{_postfix_operand(node.operand)}^{node.exponent}"
-    if isinstance(node, Expect):
-        return f"E({pretty(node.operand)})"
-    raise ParameterError(f"not a syntax node: {node!r}")
-
-
-def _check_gen(node: Gen, k: int) -> None:
-    name, i = node.name, node.index
-    if name == "id":
-        if i is not None and i != k:
-            raise ParameterError(f"id{i} inside an expression of width {k}")
-    elif name == "g":
-        if i is not None and not 1 <= i <= k:
-            raise ParameterError(
-                f"g{i} does not fit in width {k} (need 1 <= i <= {k})"
-            )
-    elif i is None:
-        raise ParameterError(f"generator {name!r} needs an index, e.g. {name}1")
-    else:
-        hi = k - _SITES[name] + 1
-        if not 1 <= i <= hi:
-            raise ParameterError(
-                f"{name}{i} does not fit in width {k} (need 1 <= i <= {hi})"
-            )
-
-
-def _eval_gen(node: Gen, k: int, lam) -> Element:
-    _check_gen(node, k)
-    name, i = node.name, node.index
-    if name == "id":
-        return identity(k, lam=lam)
-    if name == "g":
-        i = k if i is None else i
-        return embed(jones_wenzl(i, lam), k - i)
-    return generator(k, name, i, lam=lam)
-
-
-def _exponent(node: Pow) -> int:
-    if node.exponent > MAX_EXPONENT:
-        raise ParameterError(
-            f"exponent {node.exponent} exceeds the bound {MAX_EXPONENT}"
-        )
-    return node.exponent
-
-
-def _eval(node, k: int, lam) -> Element:
-    if isinstance(node, Num):
-        return identity(k, lam=lam).scale(node.value)
-    if isinstance(node, Gen):
-        return _eval_gen(node, k, lam)
-    if isinstance(node, Neg):
-        return -_eval(node.operand, k, lam)
-    if isinstance(node, Add):
-        return _eval(node.left, k, lam) + _eval(node.right, k, lam)
-    if isinstance(node, Sub):
-        return _eval(node.left, k, lam) - _eval(node.right, k, lam)
-    if isinstance(node, Mul):
-        return _eval(node.left, k, lam) * _eval(node.right, k, lam)
-    if isinstance(node, Adj):
-        return adjoint(_eval(node.operand, k, lam))
-    if isinstance(node, Pow):
-        exponent = _exponent(node)
-        out = identity(k, lam=lam)
-        base = _eval(node.operand, k, lam)
-        while exponent:
-            if exponent & 1:
-                out = out * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return out
-    if isinstance(node, Expect):
-        return conditional_expectation(_eval(node.operand, k + 1, lam))
-    raise ParameterError(f"not a syntax node: {node!r}")
-
-
-def evaluate(expr, width: int, lam) -> Element:
-    """Evaluate an expression (text or tree) to an element at the width.
-
-    E(...) evaluates its argument one width higher and contracts back, so
-    nested expectations reach correspondingly wider diagrams.
-    """
-    node = parse_expression(expr) if isinstance(expr, str) else expr
-    if width < 1:
-        raise ParameterError(f"need width >= 1, got {width}")
-    return _eval(node, width, validate_lam(lam))
-
-
-def _eval_operator(node, k: int, pair) -> np.ndarray:
-    if isinstance(node, Num):
-        return float(node.value) * evaluate_word(pair, k, [])
-    if isinstance(node, Gen):
-        _check_gen(node, k)
-        if node.name == "g":
-            i = k if node.index is None else node.index
-            eye = evaluate_word(pair, k, [])
-            return _apply_local(eye, pair.n, subproduct_projection(pair, i), 1)
-        return evaluate_word(pair, k, [(node.name, node.index, False)])
-    if isinstance(node, Neg):
-        return -_eval_operator(node.operand, k, pair)
-    if isinstance(node, Add):
-        return _eval_operator(node.left, k, pair) + _eval_operator(node.right, k, pair)
-    if isinstance(node, Sub):
-        return _eval_operator(node.left, k, pair) - _eval_operator(node.right, k, pair)
-    if isinstance(node, Mul):
-        return _eval_operator(node.left, k, pair) @ _eval_operator(node.right, k, pair)
-    if isinstance(node, Adj):
-        return _eval_operator(node.operand, k, pair).conj().T
-    if isinstance(node, Pow):
-        exponent = _exponent(node)
-        return np.linalg.matrix_power(_eval_operator(node.operand, k, pair), exponent)
-    if isinstance(node, Expect):
-        return rep_conditional_expectation(
-            pair, _eval_operator(node.operand, k + 1, pair)
-        )
-    raise ParameterError(f"not a syntax node: {node!r}")
-
-
-def evaluate_operator(expr, width: int, pair: MotzkinPair) -> np.ndarray:
-    """Evaluate an expression to a concrete operator on the tensor power.
-
-    The same tree that ``evaluate`` reads off diagrammatically is run
-    through the pair's representation instead: generator atoms become their
-    matrices, g<i> the level-i projection padded on the right, and E(...)
-    the operator-level expectation.  The scalar lam of the expression is
-    the pair's lam.  A result with an infinite or undefined entry raises
-    LimitError.
-    """
-    node = parse_expression(expr) if isinstance(expr, str) else expr
-    if width < 1:
-        raise ParameterError(f"need width >= 1, got {width}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        mat = _eval_operator(node, width, pair)
-    if not np.isfinite(mat).all():
-        raise LimitError("operator entries leave the floating-point range")
-    return mat
-
 
 # ---------------------------------------------------------------------------
 # Output helpers

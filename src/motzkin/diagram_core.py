@@ -16,7 +16,6 @@ on an unmatched middle point are simply erased.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -613,10 +612,10 @@ def _check_generator(k: int, name: str, i: int | None) -> None:
     if name not in _SITES:
         raise ParameterError(f"unknown generator {name!r}")
     if i is None:
-        raise ParameterError(f"generator {name!r} needs an index")
+        raise ParameterError(f"generator {name!r} needs an index, e.g. {name}1")
     hi = k - _SITES[name] + 1
     if not 1 <= i <= hi:
-        raise ParameterError(f"index {i} of {name!r} out of range 1..{hi}")
+        raise ParameterError(f"{name}{i} does not fit in width {k} (need 1 <= i <= {hi})")
 
 
 def generator(k: int, name: str, i: int | None = None, *, lam) -> Element:
@@ -730,54 +729,3 @@ def presentation_relations(k: int) -> Iterator[tuple[str, list, list]]:
                 for y in (L(j), L(j, True), T(j)):
                     desc = f"(6)[{x[0]}{i}{'*' if x[2] else ''},{y[0]}{j}{'*' if y[2] else ''}]"
                     yield (desc, [(one, (x, y))], [(one, (y, x))])
-
-
-def _token_element(k: int, lam, token) -> Element:
-    name, idx, dag = token
-    g = generator(k, name, idx, lam=lam)
-    return adjoint(g) if dag else g
-
-
-def _word_element(k: int, lam, word) -> Element:
-    if not word:
-        return identity(k, lam=lam)
-    out = _token_element(k, lam, word[0])
-    for token in word[1:]:
-        out = out * _token_element(k, lam, token)
-    return out
-
-
-def _side_element(k: int, lam, side) -> Element:
-    lam = as_fraction(lam)
-    total = Element.zero(k, lam)
-    for power, word in side:
-        total = total + _word_element(k, lam, word).scale(lam**power)
-    return total
-
-
-@dataclass
-class PresentationReport:
-    width: int
-    lam: Fraction
-    checked: int
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def check_presentation(k: int, lam) -> PresentationReport:
-    """Verify every defining relation exactly at width k; all arithmetic
-    is exact, so a pass is a proof for this width and lam.  Widths below
-    2 have no relation to check and raise ParameterError."""
-    if k < 2:
-        raise ParameterError(f"need k >= 2 for a relation to check, got {k}")
-    lam = as_fraction(lam)
-    checked = 0
-    failures = []
-    for label, lhs, rhs in presentation_relations(k):
-        checked += 1
-        if _side_element(k, lam, lhs) != _side_element(k, lam, rhs):
-            failures.append(label)
-    return PresentationReport(width=k, lam=lam, checked=checked, failures=failures)

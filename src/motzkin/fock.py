@@ -611,9 +611,13 @@ def toeplitz_residuals(
     space; compositions that would leave the truncation are dropped from
     the level range, and the range-sum relation at the top level is
     reported as skipped rather than silently tested against a cut-off sum.
+    A system without level 1 has no creation block to check and raises
+    ParameterError.
     """
     pair = system.pair
     n, N = pair.n, system.levels
+    if N < 1:
+        raise ParameterError(f"need levels >= 1 for a relation to check, got {N}")
     if fam is None:
         fam = operator_family(pair)
     phi = system.phi

@@ -24,6 +24,7 @@ from .diagram_core import (
     adjoint,
     conditional_expectation,
     embed,
+    enumerate_basis,
     generator,
     identity,
     juxtapose,
@@ -310,8 +311,6 @@ def uniqueness_probe(k: int, lam, cache: JWCache | None = None) -> UniquenessRep
 def _probe_rows(k: int, lam: Fraction, g: Element) -> tuple[list[list[Fraction]], list]:
     """The linear system of `uniqueness_probe` and the basis of width k
     that numbers its columns."""
-    from .diagram_core import enumerate_basis
-
     basis = enumerate_basis(k)
     index = {d: j for j, d in enumerate(basis)}
     nb = len(basis)

@@ -22,13 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import SPAN_MAX_BYTES, TOL_CHECK, TOL_CONSTRUCT, TOL_RANK, max_rep_dimension
-from .diagram_core import (
-    _SITES,
-    Element,
-    MotzkinDiagram,
-    _check_generator,
-    presentation_relations,
-)
+from .diagram_core import Element, MotzkinDiagram
 from .errors import LimitError, ParameterError, StructureError
 from .qpoly import validate_lam
 
@@ -339,44 +333,17 @@ def _generator_base(pair: MotzkinPair, name: str) -> np.ndarray:
     return L if name == "l" else L.conj().T
 
 
-def _apply_local(X: np.ndarray, n: int, base: np.ndarray, i: int, dag: bool = False) -> np.ndarray:
-    """(1 (x) B (x) 1) @ X, where B = base (or its adjoint when `dag`) acts
-    on the tensor slots i, i+1, ... (1-based) of the row index of X.
+def _apply_local(X: np.ndarray, n: int, base: np.ndarray, i: int) -> np.ndarray:
+    """(1 (x) B (x) 1) @ X, where B = base acts on the tensor slots i, i+1,
+    ... (1-based) of the row index of X.
 
     The rows of X are reshaped so that B's slots form the middle axis, and B
     multiplies that axis batched over the slots before it; no Kronecker
     product is formed, and the cost is rows * cols * base.shape[0].
     """
-    if dag:
-        base = base.conj().T
     rows, cols = X.shape
     out = np.matmul(base, X.reshape(n ** (i - 1), base.shape[0], -1))
     return out.reshape(rows, cols)
-
-
-def _word_product(n: int, width: int, bases: dict, tokens, dtype) -> np.ndarray:
-    """The product of the tokens on the width-fold power of C^n, applied
-    right to left to the identity one generator at a time."""
-    out = np.eye(n**width, dtype=dtype)
-    for name, i, dag in reversed(tokens):
-        if name != "id":
-            out = _apply_local(out, n, bases[name], i, dag)
-    return out
-
-
-def evaluate_word(pair: MotzkinPair, k: int, word) -> np.ndarray:
-    """The product of a word of generators on the k-fold power of C^n.
-
-    The word is a sequence of (name, index, dagger) tokens, the form
-    `presentation_relations` yields, e.g. ("l", 1, True) for l_1*; ("id",
-    None, False) is the identity, and so is the empty word.
-    """
-    n = pair.n
-    _check_dim(n, k)
-    for name, i, _ in word:
-        _check_generator(k, name, i)
-    bases = {name: _generator_base(pair, name) for name, _, _ in word if name != "id"}
-    return _word_product(n, k, bases, word, pair.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -468,38 +435,7 @@ def evaluate_element(pair: MotzkinPair, x: Element) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Relation residuals and spanning dimension
-
-
-def relation_residuals(pair: MotzkinPair, k: int) -> dict[str, float]:
-    """Frobenius residual of every defining relation instance at width k.
-
-    Each relation is evaluated on the window of w consecutive slots its
-    words touch.  Every word is the identity outside that window, so the
-    residual on the k-fold power is the window residual times n**((k-w)/2).
-    """
-    n = pair.n
-    _check_dim(n, k)
-    lam = float(pair.lam)
-    bases = {name: _generator_base(pair, name) for name in _SITES}
-    out: dict[str, float] = {}
-    for label, lhs, rhs in presentation_relations(k):
-        terms = [
-            (sign * lam**power, word)
-            for sign, side in ((1, lhs), (-1, rhs))
-            for power, word in side
-        ]
-        touched = [
-            (i, i + _SITES[name] - 1) for _, word in terms for name, i, _ in word
-        ]
-        lo = min(first for first, _ in touched)
-        w = max(last for _, last in touched) - lo + 1
-        total = np.zeros((n**w, n**w), dtype=pair.dtype)
-        for coeff, word in terms:
-            local = [(name, i - lo + 1, dag) for name, i, dag in word]
-            total += coeff * _word_product(n, w, bases, local, pair.dtype)
-        out[label] = float(np.linalg.norm(total)) * n ** ((k - w) / 2)
-    return out
+# Spanning dimension
 
 
 MAX_SPAN_ROUNDS = 12

@@ -9,8 +9,15 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 
-from motzkin.cli import evaluate, parse_expression, pretty, run_command
-from motzkin.diagram_core import check_presentation, enumerate_basis
+from motzkin.cli import run_command
+from motzkin.diagram_core import enumerate_basis
+from motzkin.expression import (
+    check_presentation,
+    evaluate,
+    parse_expression,
+    pretty,
+    relation_residuals,
+)
 from motzkin.fock import (
     build_subproduct,
     cuntz_pimsner_residual,
@@ -22,11 +29,7 @@ from motzkin.fock import (
 )
 from motzkin.jones_wenzl import jw_report
 from motzkin.qpoly import PhiFunction, chebyshev_P, chebyshev_Q
-from motzkin.representation import (
-    build_example_pair,
-    relation_residuals,
-    span_dimension,
-)
+from motzkin.representation import build_example_pair, span_dimension
 
 QUARTER = Fraction(1, 4)
 THIRD = Fraction(1, 3)

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from motzkin.cli import (
+from motzkin.cli import run_command
+from motzkin.expression import (
     Add,
     Adj,
     Expect,
@@ -22,7 +23,6 @@ from motzkin.cli import (
     evaluate_operator,
     parse_expression,
     pretty,
-    run_command,
 )
 from motzkin import fock, representation
 from motzkin.diagram_core import adjoint, embed, generator, identity
@@ -518,12 +518,14 @@ class TestRunCommand:
             ["fock", "matrix-units", "--kmax", "-1"],
             ["fock", "cp-asymptotics", "--mmax", "0"],
             ["fock", "cp-asymptotics", "--mmax", "1"],
+            ["fock", "toeplitz", "--levels", "0"],
         ],
     )
     def test_empty_ranges_exit_two(self, argv, capsys):
         # Width 1 has no relation to check and width 0 no operator to span;
-        # an empty level range has nothing to report, and the limiting
-        # relations need two levels to compare.
+        # an empty level range has nothing to report, the limiting
+        # relations need two levels to compare, and level 0 alone has no
+        # creation operator for the Toeplitz relations.
         assert run_command(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")

@@ -24,10 +24,12 @@ from motzkin import (
 )
 from motzkin.diagram_core import (
     _BLOCK_PAIRS,
+    _SITES,
     _compose_rows,
     _decode,
     _numerators,
     _sum_dtype,
+    presentation_relations,
 )
 
 LAM = Fraction(1, 3)
@@ -295,6 +297,61 @@ def test_presentation_counts_grow():
     c2 = check_presentation(2, LAM).checked
     c4 = check_presentation(4, LAM).checked
     assert c2 < c4
+
+
+def _token_element(k, lam, token):
+    name, idx, dag = token
+    g = generator(k, name, idx, lam=lam)
+    return adjoint(g) if dag else g
+
+
+def _word_element(k, lam, word):
+    # Reference: a token word multiplied out left to right, as the
+    # presentation was checked before the exact interpreter read the words
+    # as trees.
+    if not word:
+        return identity(k, lam=lam)
+    out = _token_element(k, lam, word[0])
+    for token in word[1:]:
+        out = out * _token_element(k, lam, token)
+    return out
+
+
+def _side_element(k, lam, side):
+    total = Element.zero(k, lam)
+    for power, word in side:
+        total = total + _word_element(k, lam, word).scale(lam**power)
+    return total
+
+
+@pytest.mark.parametrize("lam", [Fraction(1, 3), Fraction(1, 4), Fraction(3, 13)])
+def test_presentation_matches_token_words(lam):
+    for k in range(2, 7):
+        failures = [
+            label
+            for label, lhs, rhs in presentation_relations(k)
+            if _side_element(k, lam, lhs) != _side_element(k, lam, rhs)
+        ]
+        report = check_presentation(k, lam)
+        assert (report.checked, report.failures) == (len(list(presentation_relations(k))), failures)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_presentation_relations_token_form(k):
+    # bench/worker.py (relation_gflop) walks these words token by token, so
+    # a change of their form has to show here first.
+    labels = []
+    for label, lhs, rhs in presentation_relations(k):
+        labels.append(label)
+        for side in (lhs, rhs):
+            assert isinstance(side, list)
+            for power, word in side:
+                assert type(power) is int and isinstance(word, tuple)
+                for token in word:
+                    assert isinstance(token, tuple) and len(token) == 3
+                    name, index, dagger = token
+                    assert name in _SITES and type(index) is int and type(dagger) is bool
+    assert len(labels) == len(set(labels))
 
 
 def test_incompatible_elements_rejected():

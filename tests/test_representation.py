@@ -1,15 +1,17 @@
 """Tests for the Motzkin-pair operator layer."""
 
 import functools
+import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from motzkin import representation
+from motzkin import expression, representation
 from motzkin.config import TOL_CHECK, TOL_RANK
 from motzkin.diagram_core import (
+    _SITES,
     Element,
     MotzkinDiagram,
     adjoint,
@@ -21,17 +23,16 @@ from motzkin.diagram_core import (
     presentation_relations,
 )
 from motzkin.errors import LimitError, ParameterError, StructureError
+from motzkin.expression import Gen, _word_tree, evaluate_operator, relation_residuals
 from motzkin.jones_wenzl import jones_wenzl
 from motzkin.representation import (
     MotzkinPair,
     build_example_pair,
     evaluate_diagram,
     evaluate_element,
-    evaluate_word,
     l_matrix,
     p_matrix,
     rep_conditional_expectation,
-    relation_residuals,
     span_dimension,
     t_matrix,
     validate_pair,
@@ -64,8 +65,13 @@ def _rotated(pair, seed=0):
 
 
 def _gen(pair, k, name, i):
-    # One generator through the operator layer's word evaluation.
-    return evaluate_word(pair, k, [(name, i, False)])
+    # One generator through the operator interpreter.
+    return evaluate_operator(Gen(name, i), k, pair)
+
+
+def _word(pair, k, word):
+    # A word of (name, index, dagger) tokens through the operator interpreter.
+    return evaluate_operator(_word_tree(word), k, pair)
 
 
 def _dense_generator(pair, k, name, i):
@@ -228,6 +234,41 @@ def _dense_relation_residuals(pair, k):
     return out
 
 
+def _word_product(n, width, bases, tokens, dtype):
+    # Reference: a word of (name, index, dagger) tokens applied right to left
+    # to the identity one generator at a time, as relation residuals were
+    # evaluated before the operator interpreter read the words as trees.
+    out = np.eye(n**width, dtype=dtype)
+    for name, i, dag in reversed(tokens):
+        if name != "id":
+            base = bases[name]
+            out = representation._apply_local(out, n, base.conj().T if dag else base, i)
+    return out
+
+
+def _word_relation_residuals(pair, k):
+    # Reference: the relation windows evaluated with `_word_product`.
+    n = pair.n
+    lam = float(pair.lam)
+    bases = {name: representation._generator_base(pair, name) for name in _SITES}
+    out = {}
+    for label, lhs, rhs in presentation_relations(k):
+        terms = [
+            (sign * lam**power, word)
+            for sign, side in ((1, lhs), (-1, rhs))
+            for power, word in side
+        ]
+        touched = [(i, i + _SITES[name] - 1) for _, word in terms for name, i, _ in word]
+        lo = min(first for first, _ in touched)
+        w = max(last for _, last in touched) - lo + 1
+        total = np.zeros((n**w, n**w), dtype=pair.dtype)
+        for coeff, word in terms:
+            local = [(name, i - lo + 1, dag) for name, i, dag in word]
+            total += coeff * _word_product(n, w, bases, local, pair.dtype)
+        out[label] = float(np.linalg.norm(total)) * n ** ((k - w) / 2)
+    return out
+
+
 def _assert_matches_dense(pair, k):
     res = relation_residuals(pair, k)
     ref = _dense_relation_residuals(pair, k)
@@ -257,6 +298,26 @@ class TestRelations:
             for k in ks:
                 res = _assert_matches_dense(pair, k)
                 assert max(res.values()) < 1e-10, (pair.n, k)
+
+    def test_interpreter_matches_word_products_bit_for_bit(self):
+        # The words run through the operator interpreter apply the same
+        # blocks in the same order as the token walk, so every residual
+        # keeps its key, its place and its bits.
+        n4 = build_example_pair("iii", 4, 1, QUARTER)
+        cases = [
+            (build_example_pair("i", 3, 0, THIRD), (2, 3, 4, 5)),
+            (n4, (2, 3, 4, 5)),
+            (build_example_pair("ii", 5, 1, Fraction(1, 5)), (2, 3, 4)),
+            (build_example_pair("iii", 5, 2, Fraction(1, 5)), (2, 3, 4)),
+            (_rotated(n4)[0], (2, 3, 4)),
+        ]
+        for pair, ks in cases:
+            for k in ks:
+                res = relation_residuals(pair, k)
+                ref = _word_relation_residuals(pair, k)
+                assert list(res) == list(ref), (pair.n, k)
+                bits = [struct.pack("<d", v) for v in res.values()]
+                assert bits == [struct.pack("<d", v) for v in ref.values()], (pair.n, k)
 
     def test_window_sees_violations(self):
         # A perturbed a-vector breaks the pair; the window evaluation must
@@ -290,7 +351,7 @@ class TestWordEvaluation:
     @given(pair=st.sampled_from(PAIRS), kw=_words())
     def test_local_matches_dense_and_diagrams(self, pair, kw):
         k, word = kw
-        mat = evaluate_word(pair, k, word)
+        mat = _word(pair, k, word)
         dense = np.eye(pair.n**k, dtype=complex)
         elem = identity(k, lam=pair.lam)
         for name, i, dag in word:
@@ -304,19 +365,19 @@ class TestWordEvaluation:
     def test_adjoint_token_and_id(self):
         pair = _pair4()
         word = [("p", 2, True), ("l", 1, True), ("id", None, False), ("t", 2, False)]
-        expected = evaluate_word(pair, 3, [("p", 2, False), ("l", 1, True), ("t", 2, False)])
-        assert np.linalg.norm(evaluate_word(pair, 3, word) - expected) < 1e-14
-        swapped = evaluate_word(pair, 3, [("l", 1, True), ("p", 2, False), ("t", 2, False)])
+        expected = _word(pair, 3, [("p", 2, False), ("l", 1, True), ("t", 2, False)])
+        assert np.linalg.norm(_word(pair, 3, word) - expected) < 1e-14
+        swapped = _word(pair, 3, [("l", 1, True), ("p", 2, False), ("t", 2, False)])
         assert np.linalg.norm(swapped - expected) > 0.1
-        assert np.array_equal(evaluate_word(pair, 3, []), np.eye(64))
+        assert np.array_equal(_word(pair, 3, []), np.eye(64))
 
     def test_index_and_size_checks(self):
         pair = _pair4()
         for token in (("t", 3, False), ("p", 4, False), ("x", 1, False), ("l", None, False)):
             with pytest.raises(ParameterError):
-                evaluate_word(pair, 3, [token])
+                _word(pair, 3, [token])
         with pytest.raises(LimitError):
-            evaluate_word(pair, 7, [("p", 1, False)])
+            _word(pair, 7, [("p", 1, False)])
 
 
 def _broadcast_diagram(pair, diagram):
@@ -387,7 +448,7 @@ class TestDiagramEvaluation:
         for pair in PAIRS:
             k = 3
             for word in words:
-                mat = evaluate_word(pair, k, word)
+                mat = _word(pair, k, word)
                 elem = Element.from_diagram(
                     MotzkinDiagram(tuple(range(k, 2 * k)) + tuple(range(k))),
                     pair.lam,
@@ -446,20 +507,19 @@ class TestRealArithmetic:
 
     def test_operators_follow_the_pair(self, monkeypatch):
         windows, images = [], []
-        word_product, apply_local = representation._word_product, representation._apply_local
+        apply_local = representation._apply_local
 
-        def spy_word(*args):
-            out = word_product(*args)
-            windows.append(out.dtype)
-            return out
+        def spy(record):
+            def apply(*args):
+                out = apply_local(*args)
+                record.append(out.dtype)
+                return out
+            return apply
 
-        def spy_apply(*args, **kwargs):
-            out = apply_local(*args, **kwargs)
-            images.append(out.dtype)
-            return out
-
-        monkeypatch.setattr(representation, "_word_product", spy_word)
-        monkeypatch.setattr(representation, "_apply_local", spy_apply)
+        # The relation windows go through the operator interpreter, the
+        # span images through the representation layer.
+        monkeypatch.setattr(expression, "_apply_local", spy(windows))
+        monkeypatch.setattr(representation, "_apply_local", spy(images))
         g3 = jones_wenzl(3, QUARTER)
         d = enumerate_basis(3)[7]
         word = [("l", 1, True), ("t", 2, False), ("p", 3, False)]
@@ -476,8 +536,8 @@ class TestRealArithmetic:
                 p_matrix(pair),
                 t_matrix(pair),
                 l_matrix(pair),
-                evaluate_word(pair, 3, word),
-                evaluate_word(pair, 3, []),
+                _word(pair, 3, word),
+                _word(pair, 3, []),
                 evaluate_diagram(pair, d),
                 evaluate_element(pair, g3),
                 rep_conditional_expectation(pair, evaluate_element(pair, g3)),

@@ -177,8 +177,6 @@ def _cmd_pair_make(args) -> int:
 
 
 def _cmd_rep_check(args) -> int:
-    if args.k < 2:
-        raise ParameterError(f"need k >= 2 for a relation to check, got {args.k}")
     pair = _load_pair(args)
     residuals = relation_residuals(pair, args.k)
     worst_label = max(residuals, key=residuals.get)

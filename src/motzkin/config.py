@@ -37,9 +37,9 @@ FULL_MATRIX_DIM = 1024
 # 624 MiB before its first round.
 SPAN_MAX_BYTES = 2**28
 # Bytes the subproduct level build may hold while it adds a level: the hat
-# frames and compressed-projection blocks so far plus the new level's
-# working arrays.  The default n = 4 pair needs about 131 MiB at level 8
-# (263 MiB for a complex pair of the same shape) and 882 MiB at level 9.
+# frames so far plus the new level's working arrays.  The default n = 4
+# pair needs about 116 MiB at level 8 (232 MiB for a complex pair of the
+# same shape) and 784 MiB at level 9, which is refused.
 FOCK_MAX_BYTES = 2**29
 
 # Tolerances.

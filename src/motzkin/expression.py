@@ -504,7 +504,10 @@ def relation_residuals(pair: MotzkinPair, k: int) -> dict[str, float]:
     Each relation is evaluated on the window of w consecutive slots its
     words touch.  Every word is the identity outside that window, so the
     residual on the k-fold power is the window residual times n**((k-w)/2).
+    Widths below 2 have no relation to check and raise ParameterError.
     """
+    if k < 2:
+        raise ParameterError(f"need k >= 2 for a relation to check, got {k}")
     n = pair.n
     _check_dim(n, k)
     lam = float(pair.lam)

@@ -37,15 +37,15 @@ class SubproductSystem:
 
     - ``hat_bases[k]``, the (n d_{k-1}) x d_k hat frame B^_k, an isometry
       onto H_k inside C^n (x) H_{k-1};
-    - the level-k projection conjugated into C^n (x) H_{k-1}, as its charge
-      blocks (see below and ``compressed_projection``);
-    - ``dims``, ``idempotent_residuals`` and ``rounding_magnitudes``;
-      ``charge_block_sizes`` is read off the projection blocks.
+    - ``dims``, ``idempotent_residuals``, ``rounding_magnitudes``,
+      ``spectral_gaps`` and ``charge_block_sizes``, recorded while the level
+      is built (see below); ``projection_rank`` reads the gap from here.
 
-    No stored array has more than n d_{levels-1} rows.  The n^k x d_k
-    ambient frame B_k = (1 (x) B_{k-1}) B^_k (``basis``) and the full
-    projection B_k B_k^* (``projection``) are built on request; the frames
-    are cached, and so are the creation blocks of every vector asked for.
+    The compressed projection itself is not kept.  No stored array has
+    more than n d_{levels-1} rows.  The n^k x d_k ambient frame
+    B_k = (1 (x) B_{k-1}) B^_k (``basis``) and the full projection
+    B_k B_k^* (``projection``) are built on request; the frames are cached,
+    and so are the creation blocks of every vector asked for.
 
     The recursion: conjugated into C^n (x) H_k, the level-(k+1) projection
     is
@@ -64,19 +64,20 @@ class SubproductSystem:
     both points carries its own U(1) charge, +1 on i and -1 on ibar; the
     other coordinates have charge 0.  Then 1 - P and V have charge 0 for
     every a, so G^ commutes with the total charge on C^n (x) H_k.  Every
-    frame column has a definite charge, G^ is formed and diagonalised one
-    charge block at a time (a pair without free orbits is one block), and
-    only the blocks of each compressed projection are stored.  Its
-    idempotent residual and spectral rounding are those of the whole
-    matrix.  The arithmetic is in the pair's ``dtype``: real when a and b
-    have no imaginary part, complex otherwise.  Before each level the bytes
-    it needs (the system so far, the new hat frame, its projection blocks
-    and the largest block's eigensolver workspace) are estimated, and a
-    level above FOCK_MAX_BYTES raises LimitError.
+    frame column has a definite charge, and G^ is formed and diagonalised
+    one charge block at a time (a pair without free orbits is one block),
+    in a single pass that keeps only the block in hand.  Its idempotent
+    residual, spectral rounding and spectral gap (smallest eigenvalue
+    above 1/2 over largest below) are those of the whole matrix.  The
+    arithmetic is in the pair's ``dtype``: real when a and b have no
+    imaginary part, complex otherwise.  Before each level the bytes it
+    needs (the hat frames so far, the new one, and the largest block with
+    its eigensolver workspace) are estimated, and a level above
+    FOCK_MAX_BYTES raises LimitError.
 
-    Each frame is fixed only up to a unitary on C^{d_k}.  Hat frames,
-    compressed projections and creation blocks depend on that choice;
-    projections, ranks, spectra and residuals do not.
+    Each frame is fixed only up to a unitary on C^{d_k}.  Hat frames and
+    creation blocks depend on that choice; projections, ranks, spectra and
+    residuals do not.
     """
 
     def __init__(self, pair: MotzkinPair, levels: int, *, tol: float = TOL_CONSTRUCT):
@@ -91,9 +92,9 @@ class SubproductSystem:
         self.hat_bases: list[np.ndarray | None] = [None]
         self.idempotent_residuals: list[float] = [0.0]
         self.rounding_magnitudes: list[float] = [0.0]
-        # Per level: (rows, block) for each charge block of the compressed
-        # projection, and the charge vector of every frame column.
-        self._projection_blocks: list[list[tuple[np.ndarray, np.ndarray]]] = [[]]
+        self.spectral_gaps: list[float] = [np.inf]
+        self.charge_block_sizes: list[list[int]] = [[]]
+        # Per level: the charge vector of every frame column.
         self._charges = [np.zeros((1, 1), dtype=np.int64)]
         self._bases: dict[int, np.ndarray] = {0: np.ones((1, 1), dtype=self.dtype)}
         self._creation: dict[bytes, list[np.ndarray]] = {}
@@ -105,13 +106,16 @@ class SubproductSystem:
             self._add_level(k, Q, a, weights, tol)
 
     def _add_level(self, k: int, Q, a, weights, tol: float) -> None:
-        """Build level k + 1 from level k, one charge block at a time."""
+        """Build level k + 1 from level k in one pass over the charge blocks:
+        form each block, total its idempotent residual, diagonalise it and
+        fill the hat frame from its eigenvectors above 1/2."""
         n, d_k = self.pair.n, self.dims[k]
         d_next = dim_subproduct(n, k + 1)
         row_charges = (weights[:, None, :] + self._charges[k][None, :, :]).reshape(n * d_k, -1)
         charges, group = np.unique(row_charges, axis=0, return_inverse=True)
         members = [np.flatnonzero(group.reshape(-1) == g) for g in range(len(charges))]
-        self._check_level_bytes(k + 1, d_next, [rows.size for rows in members])
+        sizes = [rows.size for rows in members]
+        self._check_level_bytes(k + 1, d_next, sizes)
 
         phik = float(self.phi(k))
         if phik:
@@ -119,7 +123,10 @@ class SubproductSystem:
             H = self.hat_bases[k].reshape(n, self.dims[k - 1], d_k)
             Z = (a.conj()[:, None, None] * H[::-1]).transpose(1, 0, 2)
             Z = Z.reshape(self.dims[k - 1], n * d_k)
-        blocks, res2 = [], 0.0
+        hat = np.zeros((n * d_k, d_next), dtype=self.dtype)
+        frame_charges = []
+        res2, found, drift, off_spectrum = 0.0, 0, 0.0, False
+        kept_min, dropped_max = np.inf, 0.0
         for charge, rows in zip(charges, members):
             slot, col = np.divmod(rows, d_k)
             G = Q[np.ix_(slot, slot)] * (col[:, None] == col[None, :])
@@ -129,27 +136,19 @@ class SubproductSystem:
                 G -= phik * (Zb.conj().T @ Zb)
             G = (G + G.conj().T) / 2.0
             res2 += float(np.linalg.norm(G @ G - G)) ** 2
-            blocks.append((rows, G))
-        res = float(np.sqrt(res2))
-        self.idempotent_residuals.append(res)
-
-        # One eigh per block; the kept eigenvectors fill the hat frame.
-        hat = np.zeros((n * d_k, d_next), dtype=self.dtype)
-        frame_charges = []
-        found, drift, off_spectrum = 0, 0.0, False
-        for (rows, G), charge in zip(blocks, charges):
             evals, vecs = np.linalg.eigh(G)
-            if res > tol:
-                snapped = np.round(evals)
-                drift = max(drift, float(np.abs(evals - snapped).max(initial=0.0)))
-                off_spectrum |= not np.isin(snapped, (0.0, 1.0)).all()
-                G[...] = (vecs * snapped) @ vecs.conj().T
+            snapped = np.round(evals)
+            drift = max(drift, float(np.abs(evals - snapped).max(initial=0.0)))
+            off_spectrum |= not np.isin(snapped, (0.0, 1.0)).all()
             keep = evals > 0.5
+            kept_min = min(kept_min, float(evals[keep].min(initial=np.inf)))
+            dropped_max = max(dropped_max, float(evals[~keep].max(initial=0.0)))
             count = int(keep.sum())
             if found + count <= d_next:
                 hat[rows, found : found + count] = vecs[:, keep]
             found += count
             frame_charges += [charge] * count
+        res = float(np.sqrt(res2))
         if res > tol and (drift > _SNAP_TOL or off_spectrum):
             raise _level_failure(
                 self.pair,
@@ -162,31 +161,29 @@ class SubproductSystem:
                 f"level {k + 1} basis: extracted {found} independent "
                 f"directions, expected {d_next}",
             )
+        self.idempotent_residuals.append(res)
         self.rounding_magnitudes.append(drift if res > tol else 0.0)
+        self.spectral_gaps.append(kept_min / dropped_max if dropped_max > 0 else np.inf)
+        self.charge_block_sizes.append(sizes)
         self.dims.append(d_next)
         self.hat_bases.append(hat)
-        self._projection_blocks.append(blocks)
         self._charges.append(
             np.array(frame_charges, dtype=np.int64).reshape(d_next, weights.shape[1])
         )
 
     def _check_level_bytes(self, k: int, d_k: int, sizes: list[int]) -> None:
         """Refuse level k when the system with it would exceed FOCK_MAX_BYTES:
-        what is stored so far, the level's hat frame and projection blocks,
-        the level-(k-1) frame reordered for the Y Y^* term, and five arrays
-        the size of the largest block (the eigensolver's copy, eigenvectors
-        and workspace, and the temporaries of forming the block and its
-        idempotent residual)."""
+        the hat frames stored so far, the level's own hat frame, the
+        level-(k-1) frame reordered for the Y Y^* term, and five arrays the
+        size of the largest block (the block itself, the eigensolver's copy,
+        eigenvectors and workspace, and the temporaries of its idempotent
+        residual).  Only one block is alive at a time."""
         hats = [0] + [h.size for h in self.hat_bases[1:]]
-        stored = sum(hats) + sum(
-            G.size for blocks in self._projection_blocks for _, G in blocks
-        )
         rows = sum(sizes)
         entries = (
-            stored
+            sum(hats)
             + hats[-1]  # the frame below, reordered as Z
             + rows * d_k
-            + sum(s * s for s in sizes)
             + 5 * max(sizes) ** 2
         )
         need = entries * self.dtype.itemsize
@@ -220,22 +217,6 @@ class SubproductSystem:
         B = self.basis(k)
         return B @ B.conj().T
 
-    def compressed_projection(self, k: int) -> np.ndarray:
-        """The projection at level k >= 1, conjugated into C^n (x) H_{k-1},
-        assembled from its charge blocks; every entry off them is zero.
-
-        Its entries depend on the frame chosen for level k - 1; its
-        spectrum does not.
-        """
-        self._check_level(k)
-        if k == 0:
-            raise ParameterError("level 0 has no compressed form")
-        size = self.pair.n * self.dims[k - 1]
-        out = np.zeros((size, size), dtype=self.dtype)
-        for rows, G in self._projection_blocks[k]:
-            out[np.ix_(rows, rows)] = G
-        return out
-
     def _check_level(self, k: int) -> None:
         if not 0 <= k <= self.levels:
             raise ParameterError(
@@ -243,11 +224,6 @@ class SubproductSystem:
             )
 
     # -- Fock-space bookkeeping ------------------------------------------
-
-    @property
-    def charge_block_sizes(self) -> list[list[int]]:
-        """Row counts of the charge blocks of every compressed projection."""
-        return [[rows.size for rows, _ in blocks] for blocks in self._projection_blocks]
 
     @property
     def total_dimension(self) -> int:
@@ -368,29 +344,18 @@ def orthonormal_basis(
 def projection_rank(system: SubproductSystem, k: int, *, gap: float = RANK_GAP):
     """(rank, spectral gap) of the level-k projection.
 
-    The spectrum is the union of the spectra of the stored charge blocks.
-    The rank counts eigenvalues in decreasing order up to the first drop by
-    a factor ``gap``; a projection of rank r shows eigenvalue 1 exactly r
-    times, so the measured rank must agree with d_k.
+    Both were recorded by the build: the rank is d_k, the number of
+    eigenvalues above 1/2 of the compressed projection, and the gap is the
+    smallest of them over the largest one below 1/2 (infinite when none is
+    positive).  A gap below ``gap`` raises StructureError.
     """
-    if k == 0:
-        return 1, float("inf")
     system._check_level(k)
-    evals = np.concatenate(
-        [np.linalg.eigvalsh(G) for _, G in system._projection_blocks[k]]
-    )
-    evals = np.sort(evals)[::-1]
-    evals = np.clip(evals, 0.0, None)
-    r = int(np.sum(evals > 0.5))
-    if r < evals.size and evals[r] > 0:
-        measured_gap = float(evals[r - 1] / evals[r])
-    else:
-        measured_gap = float("inf")
+    measured_gap = float(system.spectral_gaps[k])
     if measured_gap < gap:
         raise StructureError(
             f"level {k}: no clear spectral gap (ratio {measured_gap:.3e})"
         )
-    return r, measured_gap
+    return system.dims[k], measured_gap
 
 
 def coassociativity_residuals(
@@ -840,8 +805,7 @@ def ideal_generator(
     of its line inside H_1 (x) H_1.  A bare pair is accepted, in which case
     the two levels needed for the checks are built here.
     """
-    if isinstance(system, MotzkinPair):
-        system = SubproductSystem(system, 2)
+    system = _as_system(system, 2)
     pair = system.pair
     if system.levels < 2:
         raise ParameterError("need at least two levels")

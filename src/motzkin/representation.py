@@ -546,9 +546,12 @@ def rep_conditional_expectation(
     """Push an operator on the (k+1)-fold power down to the k-fold power.
 
     Sandwiching X (x) 1 between t on the last two slots and p on the last
-    slot factorises as what (x) P (x) P; the structural factorisation is
-    verified and `what / lam` is returned, matching the diagram-side
-    conditional expectation under evaluation.
+    slot gives M (x) w w^*, with M = sum_i |a_i|^2 X[(., i), (., i)] the
+    partial trace of X weighted by t and w = (1 (x) P) v_A.  It must factor
+    as what (x) P (x) P, that is w w^* = |<b (x) b, w>|^2 (b (x) b)(b (x) b)^*;
+    the factorisation is verified and what / lam = |<v_A, b (x) b>|^2 M / lam
+    is returned, matching the diagram-side conditional expectation under
+    evaluation.  Nothing of size n^(k+2) is formed.
     """
     n = pair.n
     lam = float(pair.lam)
@@ -558,33 +561,20 @@ def rep_conditional_expectation(
         raise ParameterError(f"operator shape {X.shape} is not a power of n={n}")
     _check_dim(n, k + 2)
 
-    P = p_matrix(pair)
-    T = t_matrix(pair)
-    D = n ** (k + 2)
-    X1 = (X[:, None, :, None] * np.eye(n)[None, :, None, :]).reshape(D, D)
-    # Z = (1 (x) P)(1 (x) T) X1 (1 (x) T)(1 (x) P).  T and P are self-adjoint,
-    # so the right-hand factors act on the rows of the adjoint.
-    Y = _apply_local(_apply_local(X1, n, T, k + 1), n, P, k + 2)
-    Z = _apply_local(_apply_local(Y.conj().T, n, T, k + 1), n, P, k + 2).conj().T
-
+    a, b = pair.vectors()
     dk = n**k
-    Zr = Z.reshape(dk, n, n, dk, n, n)
-    _, b = pair.vectors()
-    what = np.einsum(
-        "s,t,IstJuv,u,v->IJ",
-        b.conj(), b.conj(), Zr, b, b, optimize=True,
+    M = np.einsum("i,IiJi->IJ", a.conj() * a, X.reshape(dk, n, dk, n))
+    bb = np.kron(b, b)
+    w = np.kron(np.eye(n), p_matrix(pair)) @ pair.vA()
+    weight = abs(np.vdot(bb, w)) ** 2
+    norm_M = float(np.linalg.norm(M))
+    residual = norm_M * float(
+        np.linalg.norm(np.outer(w, w.conj()) - weight * np.outer(bb, bb.conj()))
     )
-    # what (x) P (x) P, entry by entry in the tensor product's index order.
-    rebuilt = (
-        what[:, None, None, :, None, None]
-        * P[None, :, None, None, :, None]
-        * P[None, None, :, None, None, :]
-    ).reshape(D, D)
-    residual = float(np.linalg.norm(Z - rebuilt))
-    scale = max(1.0, float(np.linalg.norm(Z)))
+    scale = max(1.0, norm_M * float(np.linalg.norm(w)) ** 2)
     if residual > tol * scale:
         raise StructureError(
             f"sandwich did not factor through the last two slots "
             f"(residual {residual:.3e})"
         )
-    return what / lam
+    return weight * M / lam

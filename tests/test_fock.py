@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from motzkin import fock
-from motzkin.errors import LimitError, ParameterError
+from motzkin.config import RANK_GAP
+from motzkin.errors import LimitError, ParameterError, StructureError
 from motzkin.fock import (
     build_subproduct,
     coassociativity_residuals,
@@ -277,6 +278,28 @@ class TestBuild:
                 assert rank == want == dim_subproduct(n, k)
                 assert gap >= 1e3
 
+    def test_ranks_read_the_build(self, monkeypatch):
+        # Rank and gap were recorded by the build; reading them runs no
+        # eigensolver.
+        systems = [_system(3, 5), _system(4, 5), build_subproduct(_rotated_pair4(), 4)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolver called after the build")
+
+        monkeypatch.setattr(fock.np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(fock.np.linalg, "eigh", refuse)
+        for sys in systems:
+            for k in range(sys.levels + 1):
+                rank, gap = projection_rank(sys, k)
+                assert rank == sys.dims[k] and gap == sys.spectral_gaps[k] >= RANK_GAP
+
+    def test_small_gap_raises(self):
+        sys = build_subproduct(_pair(4), 3)
+        sys.spectral_gaps[2] = RANK_GAP / 2
+        with pytest.raises(StructureError, match="level 2: no clear spectral gap"):
+            projection_rank(sys, 2)
+        assert projection_rank(sys, 2, gap=RANK_GAP / 4)[0] == 8
+
     def test_matches_ambient_recursion(self):
         cases = [
             (_pair(3), 5),
@@ -310,7 +333,8 @@ class TestBuild:
 
     def test_charge_blocks(self):
         # Every frame column has a definite charge, and the compressed
-        # projection is exactly zero between rows of different charge.
+        # projection B^_k B^_k^* is exactly zero between rows of different
+        # charge.
         w4 = np.array([[0], [1], [-1], [0]])
         w6 = np.array([[0, 0], [1, 0], [0, 1], [0, -1], [-1, 0], [0, 0]])
         cases = [
@@ -331,7 +355,7 @@ class TestBuild:
             for k in range(1, levels + 1):
                 rows = (weights[:, None, :] + charges[k - 1][None]).reshape(n * sys.dims[k - 1], -1)
                 off = (rows[:, None, :] != rows[None, :, :]).any(axis=2)
-                P = sys.compressed_projection(k)
+                P = sys.hat_bases[k] @ sys.hat_bases[k].conj().T
                 assert off.any() and not P[off].any(), (n, k)
                 sizes = np.unique(rows, axis=0, return_counts=True)[1]
                 assert sorted(sys.charge_block_sizes[k]) == sorted(sizes), (n, k)
@@ -359,19 +383,18 @@ class TestBuild:
 
     def test_size_guard(self, monkeypatch):
         # The estimate before level 4 of the real n = 4 pair, in entries of
-        # 8 bytes: 1018 stored (hat frames 4 x 3, 12 x 8 and 32 x 21, and
-        # projection blocks of squared sizes 6, 36 and 196), the hat frame
-        # 84 x 55, the level-2 frame reordered to 8 x 84, the charge blocks
-        # [1, 5, 11, 16, 18, 16, 11, 5, 1] (1130), and five 18 x 18
-        # workspaces: 9060 entries.
-        monkeypatch.setattr(fock, "FOCK_MAX_BYTES", 8 * 9060 - 1)
+        # 8 bytes: 780 stored (hat frames 4 x 3, 12 x 8 and 32 x 21), the
+        # level-3 frame reordered as Z (672), the hat frame 84 x 55 (4620),
+        # and five 18 x 18 arrays for the largest of the charge blocks
+        # [1, 5, 11, 16, 18, 16, 11, 5, 1]: 7692 entries.
+        monkeypatch.setattr(fock, "FOCK_MAX_BYTES", 8 * 7692 - 1)
         with pytest.raises(
             LimitError,
             match=r"level 4 would hold about 0 MiB \(hat frame 84 x 55, 9 charge "
             r"blocks of up to 18 rows\), above the bound 0 MiB",
         ):
             build_subproduct(_pair(4), 5)
-        monkeypatch.setattr(fock, "FOCK_MAX_BYTES", 8 * 9060)
+        monkeypatch.setattr(fock, "FOCK_MAX_BYTES", 8 * 7692)
         with pytest.raises(LimitError, match="level 5 would hold"):
             build_subproduct(_pair(4), 5)
         assert build_subproduct(_pair(4), 4).dims[-1] == 55
@@ -411,8 +434,6 @@ class TestBuild:
         sys = _system(4, 5)
         with pytest.raises(ParameterError):
             sys.basis(6)
-        with pytest.raises(ParameterError):
-            sys.compressed_projection(0)
         with pytest.raises(LimitError):
             _system(4, 6).projection(6)  # 4**6 above the full-matrix cap
         with pytest.raises(ParameterError):

@@ -27,6 +27,7 @@ from motzkin.expression import Gen, _word_tree, evaluate_operator, relation_resi
 from motzkin.jones_wenzl import jones_wenzl
 from motzkin.representation import (
     MotzkinPair,
+    _apply_local,
     build_example_pair,
     evaluate_diagram,
     evaluate_element,
@@ -286,6 +287,11 @@ class TestRelations:
                 assert res, "no relations checked"
                 worst = max(res.values())
                 assert worst < 1e-10, (pair.n, k, worst)
+
+    @pytest.mark.parametrize("k", [1, 0])
+    def test_no_relation_below_width_two(self, k):
+        with pytest.raises(ParameterError, match=f"need k >= 2 for a relation to check, got {k}"):
+            relation_residuals(_pair4(), k)
 
     def test_window_matches_dense_reference(self):
         cases = [
@@ -703,7 +709,54 @@ class TestSpanDimension:
                 assert rank == span_dimension(pair, k)[0] == motzkin_number(2 * k), (pair.n, k)
 
 
+def _sandwich_conditional_expectation(pair, X, tol=TOL_CHECK):
+    # Reference: the sandwich (1 (x) P)(1 (x) T)(X (x) 1)(1 (x) T)(1 (x) P)
+    # on the whole (k+2)-fold power, factored as what (x) P (x) P.
+    n = pair.n
+    dim = X.shape[0]
+    k = round(np.log(dim) / np.log(n)) - 1
+    P, T = p_matrix(pair), t_matrix(pair)
+    D = n ** (k + 2)
+    X1 = (X[:, None, :, None] * np.eye(n)[None, :, None, :]).reshape(D, D)
+    Y = _apply_local(_apply_local(X1, n, T, k + 1), n, P, k + 2)
+    Z = _apply_local(_apply_local(Y.conj().T, n, T, k + 1), n, P, k + 2).conj().T
+    dk = n**k
+    _, b = pair.vectors()
+    what = np.einsum(
+        "s,t,IstJuv,u,v->IJ",
+        b.conj(), b.conj(), Z.reshape(dk, n, n, dk, n, n), b, b, optimize=True,
+    )
+    rebuilt = (
+        what[:, None, None, :, None, None]
+        * P[None, :, None, None, :, None]
+        * P[None, None, :, None, None, :]
+    ).reshape(D, D)
+    residual = float(np.linalg.norm(Z - rebuilt))
+    if residual > tol * max(1.0, float(np.linalg.norm(Z))):
+        raise StructureError(f"sandwich residual {residual:.3e}")
+    return what / float(pair.lam)
+
+
 class TestRepConditionalExpectation:
+    def test_matches_sandwich(self):
+        # The weighted partial trace against the sandwich on the (k+2)-fold
+        # power, for random complex operators.
+        rng = np.random.default_rng(7)
+        pairs = [
+            _pair3(),
+            _pair4(),
+            _pair5(),
+            build_example_pair("iii", 5, 2, Fraction(1, 5)),
+            _rotated(_pair4())[0],
+        ]
+        for pair in pairs:
+            for k in (0, 1, 2):
+                dim = pair.n ** (k + 1)
+                X = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                got = rep_conditional_expectation(pair, X)
+                want = _sandwich_conditional_expectation(pair, X)
+                assert np.abs(got - want).max() < 1e-13, (pair.n, k)
+
     def test_unit_and_p(self):
         for pair in PAIRS:
             for k in (0, 1, 2):

@@ -9,7 +9,7 @@ the n^k-sized ambient frames and projections are built only on request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -297,9 +297,7 @@ def _level_failure(pair: MotzkinPair, message: str) -> StructureError:
     `validate_pair` that the pair violates, if any."""
     report = validate_pair(pair)
     broken = [
-        f"{f.name} {getattr(report, f.name):.3e}"
-        for f in fields(report)
-        if f.name != "tol" and getattr(report, f.name) > report.tol
+        f"{name} {value:.3e}" for name, value in report.residuals.items() if value > report.tol
     ]
     if broken:
         message += f"; the pair violates {', '.join(broken)} (tol {report.tol:.0e})"
@@ -509,59 +507,57 @@ def _family_blocks(system: SubproductSystem, fam: OperatorFamily):
     }
 
 
-def _bar(n: int, j: int) -> int:
-    return n + 1 - j
+def _relation_table(pair: MotzkinPair, fam: OperatorFamily) -> dict:
+    """Each direction's weight alpha_x and partner pi(x), in family order:
+    v_j has weight a_j and partner v_jbar; w_s has weight
+    a_{j_1} e^{-i pi s / r} and is its own partner (a is constant on the
+    orbit of b)."""
+    a = pair.a
+    table = {}
+    for kind, index in fam.kinds:
+        if kind == "v":
+            table[kind, index] = (a[index - 1], ("v", pair.n + 1 - index))
+        else:
+            alpha = a[fam.j_list[0] - 1] * _orbit_phase(fam.r, -index)
+            table[kind, index] = (alpha, (kind, index))
+    return table
 
 
 def _commutation_residuals(
     system: SubproductSystem,
-    fam: OperatorFamily,
+    table: dict,
     blocks: dict,
     m: int,
     coefficient: float,
 ):
     """Yield (relation, indices, residual) for eq4, eq5 and eq6 at level m.
 
-    Each relation reads S_x^* S_y = [x = y] - c w S_x' S_y'^* on level m,
-    with S_x' the partner of S_x and w a fixed weight from the pair.  The
-    Toeplitz relations take c = phi(m); the limiting relations take
+    Each relation reads
+
+        S_x^* S_y = [x = y] - c alpha_x conj(alpha_y) S_{pi x} S_{pi y}^*
+
+    on level m, with the weights and partners of `_relation_table`: eq4
+    takes x = v_j, y = v_i, eq5 x = v_j, y = w_s and eq6 x = w_s', y = w_s.
+    The Toeplitz relations take c = phi(m); the limiting relations take
     c = phi_inf.
     """
-    pair = system.pair
-    n, a, lam = pair.n, pair.a, float(pair.lam)
     eye_m = np.eye(system.dims[m])
-
-    def down_up(kind_left, kind_right):
-        if m == 0:
-            return 0.0
-        return blocks[kind_left][m - 1] @ blocks[kind_right][m - 1].conj().T
-
-    for j in fam.interior:
-        for i in fam.interior:
-            lhs = blocks[("v", j)][m].conj().T @ blocks[("v", i)][m]
-            rhs = (i == j) * eye_m - coefficient * np.conj(a[i - 1]) * a[
-                j - 1
-            ] * down_up(("v", _bar(n, j)), ("v", _bar(n, i)))
-            yield "eq4", f"i={i},j={j}", float(np.linalg.norm(lhs - rhs))
-    for j in fam.interior:
-        for s in range(1, 2 * fam.r):
-            js = fam.j_list[s - 1]
-            lhs = blocks[("v", j)][m].conj().T @ blocks[("w", s)][m]
-            rhs = (
-                -coefficient
-                * np.conj(a[js - 1])
-                * a[j - 1]
-                * _orbit_phase(fam.r, s)
-                * down_up(("v", _bar(n, j)), ("w", s))
+    v = [x for x in table if x[0] == "v"]
+    w = [x for x in table if x[0] == "w"]
+    relations = (
+        [("eq4", f"i={y[1]},j={x[1]}", x, y) for x in v for y in v]
+        + [("eq5", f"j={x[1]},s={y[1]}", x, y) for x in v for y in w]
+        + [("eq6", f"s={y[1]},s'={x[1]}", x, y) for y in w for x in w]
+    )
+    for eq, index, x, y in relations:
+        (alpha_x, px), (alpha_y, py) = table[x], table[y]
+        lhs = blocks[x][m].conj().T @ blocks[y][m]
+        rhs = (x == y) * eye_m
+        if m:
+            rhs = rhs - coefficient * np.conj(alpha_y) * alpha_x * (
+                blocks[px][m - 1] @ blocks[py][m - 1].conj().T
             )
-            yield "eq5", f"j={j},s={s}", float(np.linalg.norm(lhs - rhs))
-    for s in range(1, 2 * fam.r):
-        for sp in range(1, 2 * fam.r):
-            lhs = blocks[("w", sp)][m].conj().T @ blocks[("w", s)][m]
-            rhs = (s == sp) * eye_m - coefficient * lam * _orbit_phase(
-                fam.r, s - sp
-            ) * down_up(("w", sp), ("w", s))
-            yield "eq6", f"s={s},s'={sp}", float(np.linalg.norm(lhs - rhs))
+        yield eq, index, float(np.linalg.norm(lhs - rhs))
 
 
 def toeplitz_residuals(
@@ -577,7 +573,8 @@ def toeplitz_residuals(
     the level range, and the range-sum relation at the top level is
     reported as skipped rather than silently tested against a cut-off sum.
     A system without level 1 has no creation block to check and raises
-    ParameterError.
+    ParameterError.  eq3 to eq6 read the weights and partners of
+    `_relation_table`.
     """
     pair = system.pair
     n, N = pair.n, system.levels
@@ -586,7 +583,6 @@ def toeplitz_residuals(
     if fam is None:
         fam = operator_family(pair)
     phi = system.phi
-    a = pair.a
     blocks = _family_blocks(system, fam)
     res: dict[str, float] = {}
     skipped: list[str] = []
@@ -619,21 +615,18 @@ def toeplitz_residuals(
         res[f"eq2[m={m}]"] = float(np.linalg.norm(lhs - rhs))
     skipped.append(f"eq2[m={N}]")
 
-    # The quadratic syzygy: the weighted two-step composition vanishes.
-    a1 = a[fam.j_list[0] - 1] if fam.r else 0.0
+    # The quadratic syzygy: sum_x alpha_x S_x S_{pi x} vanishes.
+    table = _relation_table(pair, fam)
     for m in range(N - 1):
         acc = np.zeros((system.dims[m + 2], system.dims[m]), dtype=complex)
-        for s in range(1, 2 * fam.r):
-            wb = blocks[("w", s)]
-            acc += a1 * _orbit_phase(fam.r, -s) * (wb[m + 1] @ wb[m])
-        for j in fam.interior:
-            acc += a[j - 1] * (blocks[("v", j)][m + 1] @ blocks[("v", _bar(n, j))][m])
+        for x, (alpha, px) in table.items():
+            acc += alpha * (blocks[x][m + 1] @ blocks[px][m])
         res[f"eq3[m={m}]"] = float(np.linalg.norm(acc))
 
     # Commutation relations between annihilation and creation parts.
     for m in range(N):
         for eq, index, value in _commutation_residuals(
-            system, fam, blocks, m, float(phi(m))
+            system, table, blocks, m, float(phi(m))
         ):
             res[f"{eq}[{index},m={m}]"] = value
 
@@ -734,25 +727,24 @@ def reverse_identity(
     *,
     tol: float = TOL_CHECK,
 ) -> ReverseIdentityReport:
-    """sum_i |a_ibar|^2 S_i^* S_i = (1 - lam - lam^2 phi(k-1)) at level k - 1.
+    """sum_x |alpha_{pi x}|^2 S_x^* S_x = 1 - lam - lam^2 phi(k-1) at level
+    k - 1, with the weights and partners of `_relation_table`.
 
-    Each operator direction carries the squared a-modulus of the bar of its
-    home coordinate (the Fourier directions sit on the orbit, where that
-    modulus is lam).  The exact rational constant is also compared against
-    its closed form lam (q^{k+1} - q^{-k-1}) / (q^k - q^{-k}), which reads
-    lam (k+1)/k in the q -> 1 limit.
+    The exact rational constant is also compared against its closed form
+    lam (q^{k+1} - q^{-k-1}) / (q^k - q^{-k}), which reads lam (k+1)/k in
+    the q -> 1 limit.
     """
     if not 1 <= k <= system.levels:
         raise ParameterError(f"need 1 <= k <= {system.levels}, got {k}")
     pair = system.pair
     if fam is None:
         fam = operator_family(pair)
-    n = pair.n
+    table = _relation_table(pair, fam)
+    blocks = _family_blocks(system, fam)
     acc = np.zeros((system.dims[k - 1],) * 2, dtype=complex)
-    for (kind, label), bl in _family_blocks(system, fam).items():
-        home = label if kind == "v" else fam.j_list[label - 1]
-        weight = abs(pair.a[_bar(n, home) - 1]) ** 2
-        acc += weight * (bl[k - 1].conj().T @ bl[k - 1])
+    for x, (_, px) in table.items():
+        S = blocks[x][k - 1]
+        acc += abs(table[px][0]) ** 2 * (S.conj().T @ S)
     lam = pair.lam
     constant = 1 - lam - lam * lam * system.phi(k - 1)
     q = system.phi.q
@@ -799,11 +791,12 @@ def ideal_generator(
 ) -> IdealReport:
     """The degree-two vector cutting H_2 out of H_1 (x) H_1.
 
-    Assembled from the operator family; the report checks that it equals
-    the pair vector compressed off b on both slots, that the level-2
-    projection kills it, and that H_2 is exactly the orthogonal complement
-    of its line inside H_1 (x) H_1.  A bare pair is accepted, in which case
-    the two levels needed for the checks are built here.
+    Assembled as xi = sum_x alpha_x x (x) pi x from `_relation_table`; the
+    report checks that it equals the pair vector compressed off b on both
+    slots, that the level-2 projection kills it, and that H_2 is exactly
+    the orthogonal complement of its line inside H_1 (x) H_1.  A bare pair
+    is accepted, in which case the two levels needed for the checks are
+    built here.
     """
     system = _as_system(system, 2)
     pair = system.pair
@@ -812,15 +805,9 @@ def ideal_generator(
     if fam is None:
         fam = operator_family(pair)
     n = pair.n
-    a = pair.a
     xi = np.zeros(n * n, dtype=complex)
-    if fam.r:
-        a1 = a[fam.j_list[0] - 1]
-        for s in range(1, 2 * fam.r):
-            w = fam.vector("w", s)
-            xi += a1 * _orbit_phase(fam.r, -s) * np.kron(w, w)
-    for j in fam.interior:
-        xi += a[j - 1] * np.kron(fam.vector("v", j), fam.vector("v", _bar(n, j)))
+    for x, (alpha, px) in _relation_table(pair, fam).items():
+        xi += alpha * np.kron(fam.vector(*x), fam.vector(*px))
 
     Q = np.eye(n) - p_matrix(pair)
     compressed = np.kron(Q, Q) @ pair.vA()
@@ -882,10 +869,11 @@ def cuntz_pimsner_residual(
             f"need 1 <= m <= {system.levels - 1}, got {m}"
         )
     phi_inf = system.phi.infinity
+    table = _relation_table(system.pair, fam)
     res = {
         f"{eq}o[{index}]": value
         for eq, index, value in _commutation_residuals(
-            system, fam, _family_blocks(system, fam), m, phi_inf
+            system, table, _family_blocks(system, fam), m, phi_inf
         )
     }
 

@@ -16,7 +16,7 @@ products are linear in the first variable throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -134,20 +134,13 @@ class PairReport:
     tol: float
 
     @property
+    def residuals(self) -> dict[str, float]:
+        """Every residual field, name -> value, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "tol"}
+
+    @property
     def ok(self) -> bool:
-        return (
-            max(
-                self.norm_a,
-                self.norm_b,
-                self.pairing,
-                self.compatibility,
-                self.modulus_symmetry,
-                self.a_symmetry_on_support,
-                self.weighted_sum,
-                self.extended,
-            )
-            <= self.tol
-        )
+        return max(self.residuals.values()) <= self.tol
 
 
 def validate_pair(pair: MotzkinPair, tol: float = TOL_CONSTRUCT) -> PairReport:

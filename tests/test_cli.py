@@ -24,9 +24,9 @@ from motzkin.expression import (
     parse_expression,
     pretty,
 )
-from motzkin import fock, representation
+from motzkin import cli, fock, representation
 from motzkin.diagram_core import adjoint, embed, generator, identity
-from motzkin.errors import ParameterError, ParseError
+from motzkin.errors import ParameterError, ParseError, StructureError
 from motzkin.jones_wenzl import jones_wenzl
 from motzkin.representation import build_example_pair, evaluate_element
 
@@ -549,6 +549,24 @@ class TestRunCommand:
         code = run_command(["jw", "--k", "2", "--format", "csv"])
         assert code == 2
         assert "csv" in capsys.readouterr().err
+
+    def test_check_all_goes_on_past_a_raising_check(self, monkeypatch, capsys):
+        # A check that raises fails with its error text; the other checks
+        # still run and report.
+        def refuse(*args, **kwargs):
+            raise StructureError("toeplitz battery refused")
+
+        monkeypatch.setattr(cli, "toeplitz_residuals", refuse)
+        assert run_command(["check-all"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert captured.err == ""
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            "FAIL toeplitz n=4: toeplitz battery refused",
+            "FAIL toeplitz n=3: toeplitz battery refused",
+        ]
+        assert sum(line.startswith("PASS ") for line in lines) == 36
+        assert lines[-1] == "36/38 checks passed"
 
 
 # ---------------------------------------------------------------------------

@@ -483,6 +483,97 @@ class TestOperatorFamily:
             operator_family(twisted)
 
 
+def _reference_syzygy(system, fam):
+    """Reference: eq3 at every level, the Fourier and the interior
+    two-step compositions written out apart, each with its own weight."""
+    n, a = system.pair.n, system.pair.a
+    blocks = {
+        kind: system.creation_blocks(fam.vectors[idx])
+        for idx, kind in enumerate(fam.kinds)
+    }
+    a1 = a[fam.j_list[0] - 1] if fam.r else 0.0
+    res = {}
+    for m in range(system.levels - 1):
+        acc = np.zeros((system.dims[m + 2], system.dims[m]), dtype=complex)
+        for s in range(1, 2 * fam.r):
+            wb = blocks[("w", s)]
+            phase = complex(np.exp(2j * np.pi * -s / (2 * fam.r)))
+            acc += a1 * phase * (wb[m + 1] @ wb[m])
+        for j in fam.interior:
+            acc += a[j - 1] * (blocks[("v", j)][m + 1] @ blocks[("v", n + 1 - j)][m])
+        res[f"eq3[m={m}]"] = float(np.linalg.norm(acc))
+    return res
+
+
+def _reference_reverse_residual(system, fam, k):
+    """Reference: the reverse identity at level k - 1, each direction
+    weighted by the squared a-modulus of the bar of its home coordinate."""
+    pair = system.pair
+    acc = np.zeros((system.dims[k - 1],) * 2, dtype=complex)
+    for idx, (kind, label) in enumerate(fam.kinds):
+        home = label if kind == "v" else fam.j_list[label - 1]
+        bl = system.creation_blocks(fam.vectors[idx])[k - 1]
+        acc += abs(pair.a[pair.n - home]) ** 2 * (bl.conj().T @ bl)
+    lam = pair.lam
+    constant = float(1 - lam - lam * lam * system.phi(k - 1))
+    return float(np.linalg.norm(acc - constant * np.eye(system.dims[k - 1])))
+
+
+def _reference_ideal_vector(pair, fam):
+    """Reference: xi with the Fourier and the interior terms written out."""
+    n, a = pair.n, pair.a
+    xi = np.zeros(n * n, dtype=complex)
+    if fam.r:
+        a1 = a[fam.j_list[0] - 1]
+        for s in range(1, 2 * fam.r):
+            w = fam.vector("w", s)
+            xi += a1 * complex(np.exp(2j * np.pi * -s / (2 * fam.r))) * np.kron(w, w)
+    for j in fam.interior:
+        xi += a[j - 1] * np.kron(fam.vector("v", j), fam.vector("v", n + 1 - j))
+    return xi
+
+
+def _relation_systems():
+    """i n=3 and iii n=4 (lam 1/4 and 1/5) to level 5, ii n=5 and
+    iii n=5 r=2 to level 4."""
+    return [
+        _system(3, 5),
+        _system(4, 5),
+        build_subproduct(build_example_pair("iii", 4, 1, Fraction(1, 5)), 5),
+        build_subproduct(build_example_pair("ii", 5, 1, Fraction(1, 5)), 4),
+        build_subproduct(build_example_pair("iii", 5, 2, Fraction(1, 5)), 4),
+    ]
+
+
+class TestRelationTable:
+    def test_weights_and_partners(self):
+        # pi is an involution, and conj(alpha_x) alpha_{pi x} = lam is the
+        # pairing condition of the pair for every direction.
+        for system in _relation_systems():
+            pair = system.pair
+            fam = operator_family(pair)
+            table = fock._relation_table(pair, fam)
+            assert list(table) == fam.kinds
+            for x, (alpha, px) in table.items():
+                assert table[px][1] == x
+                assert px == (x if x[0] == "w" else ("v", pair.n + 1 - x[1]))
+                assert abs(np.conj(alpha) * table[px][0] - float(pair.lam)) <= 1e-15
+
+    def test_matches_written_out_relations(self):
+        # eq3, the reverse identity and xi against the weights written out
+        # per kind of direction.
+        for system in _relation_systems():
+            fam = operator_family(system.pair)
+            got = toeplitz_residuals(system).residuals
+            for label, value in _reference_syzygy(system, fam).items():
+                assert abs(got[label] - value) <= 1e-15, (system.pair.n, label)
+            for k in range(1, system.levels + 1):
+                ref = _reference_reverse_residual(system, fam, k)
+                assert abs(reverse_identity(system, k).residual - ref) <= 1e-15
+            ref = _reference_ideal_vector(system.pair, fam)
+            assert np.abs(ideal_generator(system).vector - ref).max() <= 1e-15
+
+
 class TestToeplitzRelations:
     def test_residuals(self):
         for n in (3, 4):
@@ -696,6 +787,7 @@ class TestAsymptotics:
         # relations with coefficient phi_inf and phi(m) respectively.
         cases = [
             build_subproduct(_pair(4), 4),
+            build_subproduct(build_example_pair("ii", 5, 1, Fraction(1, 5)), 4),
             build_subproduct(build_example_pair("iii", 5, 2, Fraction(1, 5)), 4),
         ]
         for sys in cases:

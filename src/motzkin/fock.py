@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -74,6 +75,12 @@ class SubproductSystem:
     needs (the hat frames so far, the new one, and the largest block with
     its eigensolver workspace) are estimated, and a level above
     FOCK_MAX_BYTES raises LimitError.
+
+    Creation blocks (``creation_blocks``) are float64 when the frames are
+    real and the vector has no imaginary part, complex128 otherwise; every
+    relation residual, word vector and Fock-space operator built from them
+    keeps their dtype.  The operator family of the pair (``family``) is
+    read off b on first use and kept.
 
     Each frame is fixed only up to a unitary on C^{d_k}.  Hat frames and
     creation blocks depend on that choice; projections, ranks, spectra and
@@ -223,6 +230,11 @@ class SubproductSystem:
                 f"level {k} outside the built range 0..{self.levels}"
             )
 
+    @cached_property
+    def family(self) -> OperatorFamily:
+        """The operator family of the pair, computed on first use."""
+        return operator_family(self.pair)
+
     # -- Fock-space bookkeeping ------------------------------------------
 
     @property
@@ -244,8 +256,10 @@ class SubproductSystem:
         xi to the compression of u (x) xi, that is B^_{k+1}^* (u (x) xi).
         The frames never change after the build, so the blocks of each
         vector are computed once and cached; they are read-only.  A real
-        frame is contracted with the real and imaginary parts of u apart,
-        so that it is never copied to complex.
+        frame is never copied to complex: against a real u (imaginary part
+        exactly zero) its blocks are float64, and against a complex u the
+        real and imaginary parts of u are contracted with it apart.  A
+        complex frame gives complex128 blocks.
         """
         n = self.pair.n
         u = np.asarray(u, dtype=complex).reshape(n)
@@ -256,6 +270,8 @@ class SubproductSystem:
                 H = self.hat_bases[k + 1].reshape(n, self.dims[k], self.dims[k + 1])
                 if np.iscomplexobj(H):
                     blk = np.tensordot(u.conj(), H, axes=(0, 0)).conj()
+                elif not u.imag.any():
+                    blk = np.tensordot(u.real, H, axes=(0, 0))
                 else:
                     blk = np.empty(H.shape[1:], dtype=complex)
                     blk.real = np.tensordot(u.real, H, axes=(0, 0))
@@ -270,8 +286,9 @@ class SubproductSystem:
         """The creation operator of u on the truncated Fock space."""
         offs = self.level_offsets()
         D = self.total_dimension
-        S = np.zeros((D, D), dtype=complex)
-        for k, blk in enumerate(self.creation_blocks(u)):
+        blocks = self.creation_blocks(u)
+        S = np.zeros((D, D), dtype=np.result_type(float, *blocks))
+        for k, blk in enumerate(blocks):
             S[offs[k + 1] : offs[k + 2], offs[k] : offs[k + 1]] = blk
         return S
 
@@ -428,6 +445,9 @@ class OperatorFamily:
 
 
 def _orbit_phase(r: int, aexp) -> complex:
+    """e^{i pi aexp / r}, exactly +-1 when r divides aexp."""
+    if aexp % r == 0:
+        return complex((-1) ** (aexp // r))
     return complex(np.exp(2j * np.pi * aexp / (2 * r)))
 
 
@@ -511,15 +531,18 @@ def _relation_table(pair: MotzkinPair, fam: OperatorFamily) -> dict:
     """Each direction's weight alpha_x and partner pi(x), in family order:
     v_j has weight a_j and partner v_jbar; w_s has weight
     a_{j_1} e^{-i pi s / r} and is its own partner (a is constant on the
-    orbit of b)."""
+    orbit of b).  A weight whose imaginary part is exactly zero is a real
+    float, so that it keeps real creation blocks real."""
     a = pair.a
     table = {}
     for kind, index in fam.kinds:
         if kind == "v":
-            table[kind, index] = (a[index - 1], ("v", pair.n + 1 - index))
+            alpha, partner = a[index - 1], ("v", pair.n + 1 - index)
         else:
             alpha = a[fam.j_list[0] - 1] * _orbit_phase(fam.r, -index)
-            table[kind, index] = (alpha, (kind, index))
+            partner = (kind, index)
+        alpha = complex(alpha)
+        table[kind, index] = (alpha.real if alpha.imag == 0 else alpha, partner)
     return table
 
 
@@ -581,7 +604,7 @@ def toeplitz_residuals(
     if N < 1:
         raise ParameterError(f"need levels >= 1 for a relation to check, got {N}")
     if fam is None:
-        fam = operator_family(pair)
+        fam = system.family
     phi = system.phi
     blocks = _family_blocks(system, fam)
     res: dict[str, float] = {}
@@ -607,8 +630,7 @@ def toeplitz_residuals(
     # Range sum: sum_i S_i S_i^* is the identity off the vacuum.
     for m in range(N):
         if m == 0:
-            lhs = np.zeros((1, 1), dtype=complex)
-            rhs = np.zeros((1, 1), dtype=complex)
+            lhs = rhs = np.zeros((1, 1))
         else:
             lhs = sum(bl[m - 1] @ bl[m - 1].conj().T for bl in blocks.values())
             rhs = np.eye(system.dims[m])
@@ -618,9 +640,7 @@ def toeplitz_residuals(
     # The quadratic syzygy: sum_x alpha_x S_x S_{pi x} vanishes.
     table = _relation_table(pair, fam)
     for m in range(N - 1):
-        acc = np.zeros((system.dims[m + 2], system.dims[m]), dtype=complex)
-        for x, (alpha, px) in table.items():
-            acc += alpha * (blocks[x][m + 1] @ blocks[px][m])
+        acc = sum(alpha * (blocks[x][m + 1] @ blocks[px][m]) for x, (alpha, px) in table.items())
         res[f"eq3[m={m}]"] = float(np.linalg.norm(acc))
 
     # Commutation relations between annihilation and creation parts.
@@ -665,7 +685,7 @@ def word_vectors(
             f"{count ** k} words at length {k}, above the cap 2048"
         )
     blocks = _family_blocks(system, fam).values()
-    psi = np.ones((1, 1), dtype=complex)
+    psi = np.ones((1, 1))
     for level in range(k):
         psi = np.hstack([bl[level] @ psi for bl in blocks])
     return psi
@@ -685,7 +705,7 @@ def matrix_unit_dimension(
     value is rank(Psi)^2 against the expected d_k^2.
     """
     if fam is None:
-        fam = operator_family(system.pair)
+        fam = system.family
     psi = word_vectors(system, fam, k)
     if k == 0:
         rank = 1
@@ -738,13 +758,13 @@ def reverse_identity(
         raise ParameterError(f"need 1 <= k <= {system.levels}, got {k}")
     pair = system.pair
     if fam is None:
-        fam = operator_family(pair)
+        fam = system.family
     table = _relation_table(pair, fam)
     blocks = _family_blocks(system, fam)
-    acc = np.zeros((system.dims[k - 1],) * 2, dtype=complex)
-    for x, (_, px) in table.items():
-        S = blocks[x][k - 1]
-        acc += abs(table[px][0]) ** 2 * (S.conj().T @ S)
+    acc = sum(
+        abs(table[px][0]) ** 2 * (blocks[x][k - 1].conj().T @ blocks[x][k - 1])
+        for x, (_, px) in table.items()
+    )
     lam = pair.lam
     constant = 1 - lam - lam * lam * system.phi(k - 1)
     q = system.phi.q
@@ -803,7 +823,7 @@ def ideal_generator(
     if system.levels < 2:
         raise ParameterError("need at least two levels")
     if fam is None:
-        fam = operator_family(pair)
+        fam = system.family
     n = pair.n
     xi = np.zeros(n * n, dtype=complex)
     for x, (alpha, px) in _relation_table(pair, fam).items():
@@ -863,7 +883,7 @@ def cuntz_pimsner_residual(
     asymptotically.
     """
     if fam is None:
-        fam = operator_family(system.pair)
+        fam = system.family
     if not 1 <= m <= system.levels - 1:
         raise ParameterError(
             f"need 1 <= m <= {system.levels - 1}, got {m}"

@@ -416,6 +416,7 @@ class TestBuild:
         assert sys.dims[-1] == 2584
         assert max(sys.idempotent_residuals) < 1e-12
         assert projection_rank(sys, 8)[0] == 2584
+        assert toeplitz_residuals(sys).ok
 
     @pytest.mark.slow
     def test_level_seven(self):
@@ -453,6 +454,29 @@ class TestBuild:
 
 
 class TestOperatorFamily:
+    def test_one_family_per_system(self, monkeypatch):
+        system = build_subproduct(_pair(4), 4)
+        fam = system.family
+        assert system.family is fam and fam.kinds == operator_family(_pair(4)).kinds
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the family was computed again")
+
+        monkeypatch.setattr(fock, "operator_family", refuse)
+        toeplitz_residuals(system)
+        cuntz_pimsner_residual(system, 2)
+        reverse_identity(system, 3)
+        matrix_unit_dimension(system, 2)
+        ideal_generator(system)
+
+    def test_exact_orbit_phases(self):
+        for r, aexp, sign in [(1, 1, -1), (1, -1, -1), (1, 2, 1), (2, 2, -1), (2, -4, 1)]:
+            phase = fock._orbit_phase(r, aexp)
+            assert phase.real == sign and phase.imag == 0.0
+        assert abs(fock._orbit_phase(2, 1) - 1j) < 1e-15
+        # So the r = 1 Fourier direction of the n = 4 pair is real.
+        assert not operator_family(_pair(4)).vector("w", 1).imag.any()
+
     def test_structure(self):
         fam4 = operator_family(_pair(4))
         assert fam4.labels == ["w1", "v2", "v3"]
@@ -574,6 +598,35 @@ class TestRelationTable:
             assert np.abs(ideal_generator(system).vector - ref).max() <= 1e-15
 
 
+def _complex_creation_blocks(system, u):
+    """Reference: the creation blocks of u from the hat frames copied to
+    complex, whatever the dtypes of frame and vector."""
+    n = system.pair.n
+    u = np.asarray(u, dtype=complex).reshape(n)
+    out = []
+    for k in range(system.levels):
+        H = system.hat_bases[k + 1].reshape(n, system.dims[k], system.dims[k + 1])
+        out.append(np.tensordot(u.conj(), H.astype(complex), axes=(0, 0)).conj().T)
+    return out
+
+
+def _battery(system, fam):
+    """Every value of the Toeplitz and limiting relations, the reverse
+    identity and the matrix units on a system, keyed by report and label."""
+    rep = toeplitz_residuals(system, fam)
+    out = {("toeplitz", label): v for label, v in rep.residuals.items()}
+    for m in range(1, system.levels):
+        rep = cuntz_pimsner_residual(system, m, fam)
+        out.update({("limit", m, label): v for label, v in rep.residuals.items()})
+    for k in range(1, system.levels + 1):
+        rep = dataclasses.asdict(reverse_identity(system, k, fam))
+        out.update({("reverse", k, name): v for name, v in rep.items()})
+    for k in range(min(system.levels, 4) + 1):
+        rep = dataclasses.asdict(matrix_unit_dimension(system, k, fam))
+        out.update({("units", k, name): v for name, v in rep.items()})
+    return out
+
+
 class TestToeplitzRelations:
     def test_residuals(self):
         for n in (3, 4):
@@ -626,6 +679,19 @@ class TestToeplitzRelations:
         assert rep.residuals == expected
         assert peak < 16 * system.total_dimension**2
 
+    def test_battery_memory_on_real_blocks(self):
+        # The real n = 4 pair has real directions, so the battery runs on
+        # float64 blocks: with them cached it holds less than 6 D^2 bytes.
+        system = _system(4, 6)
+        toeplitz_residuals(system)
+        tracemalloc.start()
+        try:
+            toeplitz_residuals(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * system.total_dimension**2
+
     def test_creation_blocks_of_a_real_frame(self):
         # A complex u against a real hat frame: the blocks are those of the
         # complex contraction, and the frame is never copied to complex.
@@ -646,6 +712,58 @@ class TestToeplitzRelations:
             reference = np.tensordot(u.conj(), H, axes=(0, 0)).conj().T
             assert blk.dtype == complex and blk.shape == reference.shape
             assert np.abs(blk - reference).max() <= 1e-15
+
+    def test_creation_blocks_of_a_real_frame_and_real_u(self):
+        # A real u against a real hat frame: float64 blocks equal to the
+        # complex contraction, with far less than a copy of the frame made.
+        system = build_subproduct(_pair(4), 6)
+        u = np.array([0.3, 0.5, -0.2, 0.7], dtype=complex)
+        frames = system.hat_bases[1:]
+        tracemalloc.start()
+        try:
+            blocks = system.creation_blocks(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stored = sum(blk.nbytes for blk in blocks)
+        assert peak - stored < frames[-1].nbytes // 4
+        for blk, reference in zip(blocks, _complex_creation_blocks(system, u)):
+            assert blk.dtype == np.float64 and blk.shape == reference.shape
+            assert np.abs(blk - reference).max() <= 1e-15
+
+    def test_block_dtypes(self):
+        # float64 exactly where both the frame and the direction are real.
+        real = [
+            _system(3, 5),
+            _system(4, 5),
+            build_subproduct(build_example_pair("ii", 5, 1, Fraction(1, 5)), 4),
+        ]
+        for system in real:
+            fam = system.family
+            for u in fam.vectors:
+                assert {blk.dtype for blk in system.creation_blocks(u)} == {np.dtype(float)}
+        system = build_subproduct(build_example_pair("iii", 5, 2, Fraction(1, 5)), 4)
+        dtypes = {
+            label: {blk.dtype for blk in system.creation_blocks(u)}
+            for label, u in zip(system.family.labels, system.family.vectors)
+        }
+        c, f = {np.dtype(complex)}, {np.dtype(float)}
+        assert dtypes == {"w1": c, "w2": f, "w3": c, "v3": f}
+        system, fam = _grading_cases()[-1]
+        for u in fam.vectors:
+            assert {blk.dtype for blk in system.creation_blocks(u)} == c
+
+    def test_real_blocks_match_complex_reference(self, monkeypatch):
+        # Every report built on the blocks, against the same report built
+        # on all-complex blocks.
+        cases = _grading_cases() + [(system, system.family) for system in _relation_systems()]
+        got = [_battery(system, fam) for system, fam in cases]
+        monkeypatch.setattr(fock.SubproductSystem, "creation_blocks", _complex_creation_blocks)
+        for (system, fam), values in zip(cases, got):
+            reference = _battery(system, fam)
+            assert list(values) == list(reference)
+            for key, value in reference.items():
+                assert abs(values[key] - value) <= 1e-13, (system.pair.n, key)
 
     def test_toeplitz_matrix_blocks(self):
         sys = _system(4, 4)

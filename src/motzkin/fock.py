@@ -9,6 +9,7 @@ the n^k-sized ambient frames and projections are built only on request.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -40,7 +41,10 @@ class SubproductSystem:
       onto H_k inside C^n (x) H_{k-1};
     - ``dims``, ``idempotent_residuals``, ``rounding_magnitudes``,
       ``spectral_gaps`` and ``charge_block_sizes``, recorded while the level
-      is built (see below); ``projection_rank`` reads the gap from here.
+      is built (see below); ``projection_rank`` reads the gap from here;
+    - ``sectors[k]``, the charge sectors of level k: the frame columns are
+      written in charge order, so each charge is one column range, and
+      the dict maps each charge (a tuple) to its slice, in charge order.
 
     The compressed projection itself is not kept.  No stored array has
     more than n d_{levels-1} rows.  The n^k x d_k ambient frame
@@ -101,26 +105,38 @@ class SubproductSystem:
         self.rounding_magnitudes: list[float] = [0.0]
         self.spectral_gaps: list[float] = [np.inf]
         self.charge_block_sizes: list[list[int]] = [[]]
-        # Per level: the charge vector of every frame column.
-        self._charges = [np.zeros((1, 1), dtype=np.int64)]
         self._bases: dict[int, np.ndarray] = {0: np.ones((1, 1), dtype=self.dtype)}
         self._creation: dict[bytes, list[np.ndarray]] = {}
 
         a, b = pair.vectors()
         Q = np.eye(n) - np.outer(b, b.conj())
         weights = _charge_weights(pair)
+        self.sectors: list[dict[tuple[int, ...], slice]] = [
+            {(0,) * weights.shape[1]: slice(0, 1)}
+        ]
         for k in range(levels):
             self._add_level(k, Q, a, weights, tol)
 
     def _add_level(self, k: int, Q, a, weights, tol: float) -> None:
         """Build level k + 1 from level k in one pass over the charge blocks:
         form each block, total its idempotent residual, diagonalise it and
-        fill the hat frame from its eigenvectors above 1/2."""
+        fill the hat frame from its eigenvectors above 1/2, in charge order.
+
+        The rows of C^n (x) H_k are grouped by one stable sort of their
+        charges, so each block lists its rows in increasing order."""
         n, d_k = self.pair.n, self.dims[k]
         d_next = dim_subproduct(n, k + 1)
-        row_charges = (weights[:, None, :] + self._charges[k][None, :, :]).reshape(n * d_k, -1)
-        charges, group = np.unique(row_charges, axis=0, return_inverse=True)
-        members = [np.flatnonzero(group.reshape(-1) == g) for g in range(len(charges))]
+        lower = self.sectors[k]
+        col_charges = np.repeat(
+            np.array(list(lower), dtype=np.int64),
+            [cols.stop - cols.start for cols in lower.values()],
+            axis=0,
+        )
+        row_charges = (weights[:, None, :] + col_charges[None, :, :]).reshape(n * d_k, -1)
+        order = np.lexsort(row_charges.T[::-1])
+        ranked = row_charges[order]
+        starts = np.flatnonzero(np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)])
+        members = np.split(order, starts[1:])
         sizes = [rows.size for rows in members]
         self._check_level_bytes(k + 1, d_next, sizes)
 
@@ -131,30 +147,31 @@ class SubproductSystem:
             Z = (a.conj()[:, None, None] * H[::-1]).transpose(1, 0, 2)
             Z = Z.reshape(self.dims[k - 1], n * d_k)
         hat = np.zeros((n * d_k, d_next), dtype=self.dtype)
-        frame_charges = []
+        sectors = {}
         res2, found, drift, off_spectrum = 0.0, 0, 0.0, False
         kept_min, dropped_max = np.inf, 0.0
-        for charge, rows in zip(charges, members):
+        for charge, rows in zip(map(tuple, ranked[starts].tolist()), members):
             slot, col = np.divmod(rows, d_k)
-            G = Q[np.ix_(slot, slot)] * (col[:, None] == col[None, :])
+            G = Q[slot[:, None], slot] * (col[:, None] == col[None, :])
             if phik:
-                below = np.flatnonzero((self._charges[k - 1] == charge).all(axis=1))
-                Zb = Z[np.ix_(below, rows)]
+                below = self.sectors[k - 1].get(charge, slice(0, 0))
+                Zb = Z[below, rows]
                 G -= phik * (Zb.conj().T @ Zb)
             G = (G + G.conj().T) / 2.0
             res2 += float(np.linalg.norm(G @ G - G)) ** 2
             evals, vecs = np.linalg.eigh(G)
             snapped = np.round(evals)
             drift = max(drift, float(np.abs(evals - snapped).max(initial=0.0)))
-            off_spectrum |= not np.isin(snapped, (0.0, 1.0)).all()
+            off_spectrum |= not ((snapped == 0.0) | (snapped == 1.0)).all()
             keep = evals > 0.5
             kept_min = min(kept_min, float(evals[keep].min(initial=np.inf)))
             dropped_max = max(dropped_max, float(evals[~keep].max(initial=0.0)))
             count = int(keep.sum())
             if found + count <= d_next:
                 hat[rows, found : found + count] = vecs[:, keep]
+            if count:
+                sectors[charge] = slice(found, found + count)
             found += count
-            frame_charges += [charge] * count
         res = float(np.sqrt(res2))
         if res > tol and (drift > _SNAP_TOL or off_spectrum):
             raise _level_failure(
@@ -174,9 +191,7 @@ class SubproductSystem:
         self.charge_block_sizes.append(sizes)
         self.dims.append(d_next)
         self.hat_bases.append(hat)
-        self._charges.append(
-            np.array(frame_charges, dtype=np.int64).reshape(d_next, weights.shape[1])
-        )
+        self.sectors.append(sectors)
 
     def _check_level_bytes(self, k: int, d_k: int, sizes: list[int]) -> None:
         """Refuse level k when the system with it would exceed FOCK_MAX_BYTES:
@@ -528,28 +543,107 @@ def _family_blocks(system: SubproductSystem, fam: OperatorFamily):
 
 
 def _relation_table(pair: MotzkinPair, fam: OperatorFamily) -> dict:
-    """Each direction's weight alpha_x and partner pi(x), in family order:
-    v_j has weight a_j and partner v_jbar; w_s has weight
+    """Each direction's weight alpha_x, partner pi(x) and charge shift w_x,
+    in family order: v_j has weight a_j and partner v_jbar; w_s has weight
     a_{j_1} e^{-i pi s / r} and is its own partner (a is constant on the
     orbit of b).  A weight whose imaginary part is exactly zero is a real
-    float, so that it keeps real creation blocks real."""
+    float, so that it keeps real creation blocks real.
+
+    The shift is the charge (see `SubproductSystem`) of the coordinates on
+    which the direction's vector in ``fam`` is nonzero: S_x maps charge c
+    to charge c + w_x.  A direction whose support spans two charges, or a
+    partner pair whose shifts do not cancel, raises ParameterError, since
+    the relations are then not products of charge sectors."""
     a = pair.a
+    weights = _charge_weights(pair).tolist()
     table = {}
-    for kind, index in fam.kinds:
+    for (kind, index), support in zip(fam.kinds, (fam.vectors != 0).tolist()):
         if kind == "v":
             alpha, partner = a[index - 1], ("v", pair.n + 1 - index)
         else:
             alpha = a[fam.j_list[0] - 1] * _orbit_phase(fam.r, -index)
             partner = (kind, index)
+        shifts = {tuple(w) for w, on in zip(weights, support) if on}
+        if len(shifts) > 1:
+            raise ParameterError(
+                f"direction {kind}{index} spans the charges {sorted(shifts)}; "
+                "each direction must carry one charge"
+            )
         alpha = complex(alpha)
-        table[kind, index] = (alpha.real if alpha.imag == 0 else alpha, partner)
+        table[kind, index] = (
+            alpha.real if alpha.imag == 0 else alpha,
+            partner,
+            shifts.pop() if shifts else (0,) * len(weights[0]),
+        )
+    for (kind, index), (_, px, shift) in table.items():
+        if any(map(operator.add, shift, table[px][2])):
+            raise ParameterError(
+                f"direction {kind}{index} and its partner {px[0]}{px[1]} "
+                "carry charges that do not cancel"
+            )
     return table
+
+
+def _sector_blocks(system: SubproductSystem, blocks: dict, table: dict, k: int) -> dict:
+    """The level-k creation blocks of the family cut into charge sectors.
+
+    Maps each direction x to {t: (c, block)} over the sectors c of level k
+    whose image t = c + w_x is a sector of level k + 1; block is the part
+    of the creation block from c to t, a view of the cached block.  Every
+    other entry of the creation block is exactly zero, so every product
+    of creation operators is a sum over these views."""
+    lower, upper = system.sectors[k], system.sectors[k + 1]
+    out = {}
+    for x, (_, _, shift) in table.items():
+        blk = blocks[x][k]
+        out[x] = {}
+        for c, cols in lower.items():
+            t = tuple(map(operator.add, c, shift))
+            if t in upper:
+                out[x][t] = c, blk[upper[t], cols]
+    return out
+
+
+def _accumulate(acc: dict, key, term: np.ndarray) -> None:
+    """acc[key] += term, in place when the dtypes agree; term is a fresh
+    array, so it may be stored as it is."""
+    held = acc.get(key)
+    if held is None:
+        acc[key] = term
+    elif held.dtype == term.dtype:
+        held += term
+    else:
+        acc[key] = held + term
+
+
+def _sector_norm(acc: dict, sectors: dict, value: float, rhs: dict | None = None) -> float:
+    """The Frobenius norm of the operator whose block on the columns of
+    sector c is acc[c] - (value 1 - rhs[c]), over the sectors of one
+    level; a missing acc[c] or rhs[c] counts as zero.  The blocks are
+    formed in place, rhs[c] - value 1 first and acc[c] added to it, so
+    that they round as the dense acc - (value 1 - rhs) does."""
+    rhs = rhs or {}
+    total = 0.0
+    for c, cols in sectors.items():
+        S = rhs.get(c)
+        if S is not None:
+            if value:
+                S.flat[:: S.shape[1] + 1] -= value
+            _accumulate(acc, c, S)
+        R = acc.get(c)
+        if R is None:
+            total += value * value * (cols.stop - cols.start)
+            continue
+        if value and S is None:
+            R.flat[:: R.shape[1] + 1] -= value
+        total += float(np.vdot(R, R).real)
+    return float(np.sqrt(total))
 
 
 def _commutation_residuals(
     system: SubproductSystem,
     table: dict,
-    blocks: dict,
+    cuts: dict,
     m: int,
     coefficient: float,
 ):
@@ -559,12 +653,18 @@ def _commutation_residuals(
 
         S_x^* S_y = [x = y] - c alpha_x conj(alpha_y) S_{pi x} S_{pi y}^*
 
-    on level m, with the weights and partners of `_relation_table`: eq4
-    takes x = v_j, y = v_i, eq5 x = v_j, y = w_s and eq6 x = w_s', y = w_s.
-    The Toeplitz relations take c = phi(m); the limiting relations take
-    c = phi_inf.
+    on level m, with the weights, partners and shifts of
+    `_relation_table`: eq4 takes x = v_j, y = v_i, eq5 x = v_j, y = w_s
+    and eq6 x = w_s', y = w_s.  The Toeplitz relations take c = phi(m);
+    the limiting relations take c = phi_inf.
+
+    Both sides map sector c of level m to sector c + w_y - w_x through
+    the sector c + w_y of levels m + 1 and m - 1, so each residual is the
+    root of the summed squared norms of one block per level-m sector,
+    formed from the views in ``cuts`` (level -> `_sector_blocks`).  The
+    residual of (y, x) is the adjoint of that of (x, y), so each unordered
+    eq4 and eq6 pair is formed once and its norm reported under both keys.
     """
-    eye_m = np.eye(system.dims[m])
     v = [x for x in table if x[0] == "v"]
     w = [x for x in table if x[0] == "w"]
     relations = (
@@ -572,15 +672,25 @@ def _commutation_residuals(
         + [("eq5", f"j={x[1]},s={y[1]}", x, y) for x in v for y in w]
         + [("eq6", f"s={y[1]},s'={x[1]}", x, y) for y in w for x in w]
     )
+    up = cuts[m]
+    done: dict = {}
     for eq, index, x, y in relations:
-        (alpha_x, px), (alpha_y, py) = table[x], table[y]
-        lhs = blocks[x][m].conj().T @ blocks[y][m]
-        rhs = (x == y) * eye_m
-        if m:
-            rhs = rhs - coefficient * np.conj(alpha_y) * alpha_x * (
-                blocks[px][m - 1] @ blocks[py][m - 1].conj().T
-            )
-        yield eq, index, float(np.linalg.norm(lhs - rhs))
+        value = done.get((y, x))
+        if value is None:
+            (alpha_x, px, _), (alpha_y, py, _) = table[x], table[y]
+            lhs: dict = {}
+            for mid, (c, Y) in up[y].items():
+                if mid in up[x]:
+                    lhs[c] = up[x][mid][1].conj().T @ Y
+            rhs: dict = {}
+            if m:
+                coef = coefficient * np.conj(alpha_y) * alpha_x
+                from_px = {mid: P for mid, P in cuts[m - 1][px].values()}
+                for c, (mid, Q) in cuts[m - 1][py].items():
+                    if mid in from_px:
+                        rhs[c] = coef * (from_px[mid] @ Q.conj().T)
+            value = done[x, y] = _sector_norm(lhs, system.sectors[m], float(x == y), rhs)
+        yield eq, index, value
 
 
 def toeplitz_residuals(
@@ -598,6 +708,11 @@ def toeplitz_residuals(
     A system without level 1 has no creation block to check and raises
     ParameterError.  eq3 to eq6 read the weights and partners of
     `_relation_table`.
+
+    eq2 to eq6 are formed one charge sector at a time from the views of
+    `_sector_blocks`: S_x S_x^*, the eq3 sum and the eq4 to eq6 relations
+    each have one block per sector of the level they act on, and each
+    residual is the root of the summed squared block norms.
     """
     pair = system.pair
     n, N = pair.n, system.levels
@@ -606,7 +721,9 @@ def toeplitz_residuals(
     if fam is None:
         fam = system.family
     phi = system.phi
+    table = _relation_table(pair, fam)
     blocks = _family_blocks(system, fam)
+    cuts = {k: _sector_blocks(system, blocks, table, k) for k in range(N)}
     res: dict[str, float] = {}
     skipped: list[str] = []
 
@@ -628,25 +745,30 @@ def toeplitz_residuals(
     res["eq1[weight]"] = max(float(np.linalg.norm((weight - shifted) * s)) for s in norms)
 
     # Range sum: sum_i S_i S_i^* is the identity off the vacuum.
-    for m in range(N):
-        if m == 0:
-            lhs = rhs = np.zeros((1, 1))
-        else:
-            lhs = sum(bl[m - 1] @ bl[m - 1].conj().T for bl in blocks.values())
-            rhs = np.eye(system.dims[m])
-        res[f"eq2[m={m}]"] = float(np.linalg.norm(lhs - rhs))
+    res["eq2[m=0]"] = 0.0
+    for m in range(1, N):
+        acc: dict = {}
+        for views in cuts[m - 1].values():
+            for t, (_, V) in views.items():
+                _accumulate(acc, t, V @ V.conj().T)
+        res[f"eq2[m={m}]"] = _sector_norm(acc, system.sectors[m], 1.0)
     skipped.append(f"eq2[m={N}]")
 
     # The quadratic syzygy: sum_x alpha_x S_x S_{pi x} vanishes.
-    table = _relation_table(pair, fam)
     for m in range(N - 1):
-        acc = sum(alpha * (blocks[x][m + 1] @ blocks[px][m]) for x, (alpha, px) in table.items())
-        res[f"eq3[m={m}]"] = float(np.linalg.norm(acc))
+        acc = {}
+        for x, (alpha, px, _) in table.items():
+            into = cuts[m][px]
+            for mid, W in cuts[m + 1][x].values():
+                if mid in into:
+                    c, V = into[mid]
+                    _accumulate(acc, c, alpha * (W @ V))
+        res[f"eq3[m={m}]"] = _sector_norm(acc, system.sectors[m], 0.0)
 
     # Commutation relations between annihilation and creation parts.
     for m in range(N):
         for eq, index, value in _commutation_residuals(
-            system, table, blocks, m, float(phi(m))
+            system, table, cuts, m, float(phi(m))
         ):
             res[f"{eq}[{index},m={m}]"] = value
 
@@ -760,11 +882,7 @@ def reverse_identity(
     if fam is None:
         fam = system.family
     table = _relation_table(pair, fam)
-    blocks = _family_blocks(system, fam)
-    acc = sum(
-        abs(table[px][0]) ** 2 * (blocks[x][k - 1].conj().T @ blocks[x][k - 1])
-        for x, (_, px) in table.items()
-    )
+    cuts = _sector_blocks(system, _family_blocks(system, fam), table, k - 1)
     lam = pair.lam
     constant = 1 - lam - lam * lam * system.phi(k - 1)
     q = system.phi.q
@@ -772,9 +890,12 @@ def reverse_identity(
         closed = float(lam) * (k + 1) / k
     else:
         closed = float(lam) * (q ** (k + 1) - q ** (-k - 1)) / (q**k - q**-k)
-    residual = float(
-        np.linalg.norm(acc - float(constant) * np.eye(system.dims[k - 1]))
-    )
+    acc: dict = {}
+    for x, (_, px, _) in table.items():
+        weight = abs(table[px][0]) ** 2
+        for c, V in cuts[x].values():
+            _accumulate(acc, c, weight * (V.conj().T @ V))
+    residual = _sector_norm(acc, system.sectors[k - 1], float(constant))
     return ReverseIdentityReport(
         k=k,
         constant=constant,
@@ -826,7 +947,7 @@ def ideal_generator(
         fam = system.family
     n = pair.n
     xi = np.zeros(n * n, dtype=complex)
-    for x, (alpha, px) in _relation_table(pair, fam).items():
+    for x, (alpha, px, _) in _relation_table(pair, fam).items():
         xi += alpha * np.kron(fam.vector(*x), fam.vector(*px))
 
     Q = np.eye(n) - p_matrix(pair)
@@ -890,10 +1011,12 @@ def cuntz_pimsner_residual(
         )
     phi_inf = system.phi.infinity
     table = _relation_table(system.pair, fam)
+    blocks = _family_blocks(system, fam)
+    cuts = {k: _sector_blocks(system, blocks, table, k) for k in (m - 1, m)}
     res = {
         f"{eq}o[{index}]": value
         for eq, index, value in _commutation_residuals(
-            system, table, _family_blocks(system, fam), m, phi_inf
+            system, table, cuts, m, phi_inf
         )
     }
 

@@ -417,6 +417,9 @@ class TestBuild:
         assert max(sys.idempotent_residuals) < 1e-12
         assert projection_rank(sys, 8)[0] == 2584
         assert toeplitz_residuals(sys).ok
+        limits = [cuntz_pimsner_residual(sys, m).residual for m in range(1, 8)]
+        assert all(x > y > 0 for x, y in zip(limits, limits[1:]))
+        assert all(reverse_identity(sys, k).ok for k in range(1, 9))
 
     @pytest.mark.slow
     def test_level_seven(self):
@@ -572,16 +575,21 @@ def _relation_systems():
 class TestRelationTable:
     def test_weights_and_partners(self):
         # pi is an involution, and conj(alpha_x) alpha_{pi x} = lam is the
-        # pairing condition of the pair for every direction.
+        # pairing condition of the pair for every direction.  The shifts of
+        # x and pi x cancel, and w_s shifts by nothing.
         for system in _relation_systems():
             pair = system.pair
             fam = operator_family(pair)
             table = fock._relation_table(pair, fam)
             assert list(table) == fam.kinds
-            for x, (alpha, px) in table.items():
+            weights = fock._charge_weights(pair)
+            for x, (alpha, px, shift) in table.items():
                 assert table[px][1] == x
                 assert px == (x if x[0] == "w" else ("v", pair.n + 1 - x[1]))
                 assert abs(np.conj(alpha) * table[px][0] - float(pair.lam)) <= 1e-15
+                assert shift == tuple(-w for w in table[px][2])
+                home = x[1] if x[0] == "v" else fam.j_list[0]
+                assert shift == tuple(weights[home - 1])
 
     def test_matches_written_out_relations(self):
         # eq3, the reverse identity and xi against the weights written out
@@ -625,6 +633,184 @@ def _battery(system, fam):
         rep = dataclasses.asdict(matrix_unit_dimension(system, k, fam))
         out.update({("units", k, name): v for name, v in rep.items()})
     return out
+
+
+def _dense_commutation_residuals(system, table, blocks, m, coefficient):
+    """Reference: eq4 to eq6 at level m on the whole creation blocks, every
+    ordered pair (x, y) formed on its own against a dense identity."""
+    eye_m = np.eye(system.dims[m])
+    v = [x for x in table if x[0] == "v"]
+    w = [x for x in table if x[0] == "w"]
+    relations = (
+        [("eq4", f"i={y[1]},j={x[1]}", x, y) for x in v for y in v]
+        + [("eq5", f"j={x[1]},s={y[1]}", x, y) for x in v for y in w]
+        + [("eq6", f"s={y[1]},s'={x[1]}", x, y) for y in w for x in w]
+    )
+    for eq, index, x, y in relations:
+        (alpha_x, px, _), (alpha_y, py, _) = table[x], table[y]
+        lhs = blocks[x][m].conj().T @ blocks[y][m]
+        rhs = (x == y) * eye_m
+        if m:
+            rhs = rhs - coefficient * np.conj(alpha_y) * alpha_x * (
+                blocks[px][m - 1] @ blocks[py][m - 1].conj().T
+            )
+        yield eq, index, float(np.linalg.norm(lhs - rhs))
+
+
+def _dense_relations(system, fam):
+    """Reference: the Toeplitz battery, the limiting relations and the
+    reverse identity on the whole creation blocks, keyed by report, level
+    and label."""
+    N = system.levels
+    table = fock._relation_table(system.pair, fam)
+    blocks = {
+        kind: system.creation_blocks(fam.vectors[idx])
+        for idx, kind in enumerate(fam.kinds)
+    }
+    res = dict(_dense_grading_residuals(system, fam))
+    for m in range(N):
+        if m == 0:
+            lhs = rhs = np.zeros((1, 1))
+        else:
+            lhs = sum(bl[m - 1] @ bl[m - 1].conj().T for bl in blocks.values())
+            rhs = np.eye(system.dims[m])
+        res[f"eq2[m={m}]"] = float(np.linalg.norm(lhs - rhs))
+    for m in range(N - 1):
+        acc = sum(
+            alpha * (blocks[x][m + 1] @ blocks[px][m]) for x, (alpha, px, _) in table.items()
+        )
+        res[f"eq3[m={m}]"] = float(np.linalg.norm(acc))
+    for m in range(N):
+        for eq, index, value in _dense_commutation_residuals(
+            system, table, blocks, m, float(system.phi(m))
+        ):
+            res[f"{eq}[{index},m={m}]"] = value
+    out = {("toeplitz", label): value for label, value in res.items()}
+    for m in range(1, N):
+        for eq, index, value in _dense_commutation_residuals(
+            system, table, blocks, m, system.phi.infinity
+        ):
+            out["limit", m, f"{eq}o[{index}]"] = value
+    lam = system.pair.lam
+    for k in range(1, N + 1):
+        acc = sum(
+            abs(table[px][0]) ** 2 * (blocks[x][k - 1].conj().T @ blocks[x][k - 1])
+            for x, (_, px, _) in table.items()
+        )
+        constant = float(1 - lam - lam * lam * system.phi(k - 1))
+        out["reverse", k] = float(
+            np.linalg.norm(acc - constant * np.eye(system.dims[k - 1]))
+        )
+    return out
+
+
+class TestChargeSectors:
+    def test_sectors_match_dense_reference(self):
+        # The per-sector products against the same relations on the whole
+        # creation blocks: keys and order equal, values at round-off.  The
+        # partner-closed parts {w1} and {v2, v3} of the n = 4 family leave
+        # sectors that no direction reaches, where only the identity of a
+        # relation is left.
+        fam4 = operator_family(_pair(4))
+        parts = [
+            dataclasses.replace(fam4, kinds=fam4.kinds[:1], vectors=fam4.vectors[:1]),
+            dataclasses.replace(fam4, kinds=fam4.kinds[1:], vectors=fam4.vectors[1:]),
+        ]
+        cases = (
+            _grading_cases()
+            + [(system, system.family) for system in _relation_systems()]
+            + [(_system(4, 5), part) for part in parts]
+        )
+        for system, fam in cases:
+            got = {
+                ("toeplitz", label): value
+                for label, value in toeplitz_residuals(system, fam).residuals.items()
+            }
+            for m in range(1, system.levels):
+                residuals = cuntz_pimsner_residual(system, m, fam).residuals
+                got.update({("limit", m, label): value for label, value in residuals.items()})
+            for k in range(1, system.levels + 1):
+                got["reverse", k] = reverse_identity(system, k, fam).residual
+            reference = _dense_relations(system, fam)
+            assert list(got) == list(reference)
+            for key, value in reference.items():
+                assert abs(got[key] - value) <= 1e-13, (system.pair.n, key)
+
+    def test_sectors_tile_levels(self):
+        # Each level's sectors are nonempty column ranges, in charge order,
+        # that tile 0 .. d_k, and each is labelled with the charge of its
+        # frame columns.  Every creation block of every family direction
+        # is exactly zero outside the blocks from sector c to sector
+        # c + w_x: the per-sector sums rest on this.
+        cases = _grading_cases() + [(system, system.family) for system in _relation_systems()]
+        for system, fam in cases:
+            pair = system.pair
+            weights = fock._charge_weights(pair)
+            for k, sectors in enumerate(system.sectors):
+                assert list(sectors) == sorted(sectors)
+                bounds = [(cols.start, cols.stop) for cols in sectors.values()]
+                assert bounds[0][0] == 0 and bounds[-1][1] == system.dims[k]
+                assert all(start < stop for start, stop in bounds)
+                assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+                B, D = system.basis(k), _charge_operator(weights, k)
+                charges = np.einsum("ij,ic,ij->jc", B.conj(), D, B).real
+                labels = np.repeat(
+                    np.array(list(sectors)), [stop - start for start, stop in bounds], axis=0
+                )
+                assert np.abs(charges - labels).max() < 1e-12, (pair.n, k)
+            table = fock._relation_table(pair, fam)
+            for (x, (_, _, shift)), u in zip(table.items(), fam.vectors):
+                for k, blk in enumerate(system.creation_blocks(u)):
+                    allowed = np.zeros(blk.shape, dtype=bool)
+                    for c, cols in system.sectors[k].items():
+                        rows = system.sectors[k + 1].get(tuple(np.add(c, shift).tolist()))
+                        if rows is not None:
+                            allowed[rows, cols] = True
+                    assert not blk[~allowed].any(), (pair.n, x, k)
+
+    def test_rejects_a_direction_across_charges(self):
+        # v_2 + v_3 on the n = 4 pair has support of charge +1 and -1; w_1
+        # under the label v_2 has charge 0 against the -1 of its partner v_3.
+        system = _system(4, 5)
+        fam = operator_family(_pair(4))
+        mixed, unpaired = fam.vectors.copy(), fam.vectors.copy()
+        mixed[1] = (fam.vector("v", 2) + fam.vector("v", 3)) / np.sqrt(2)
+        unpaired[1] = fam.vector("w", 1)
+        cases = [
+            (mixed, r"direction v2 spans the charges \[\(-1,\), \(1,\)\]"),
+            (unpaired, "direction v2 and its partner v3 carry charges that do not cancel"),
+        ]
+        for vectors, message in cases:
+            bad = dataclasses.replace(fam, vectors=vectors)
+            for call in (
+                lambda: toeplitz_residuals(system, bad),
+                lambda: cuntz_pimsner_residual(system, 2, bad),
+                lambda: reverse_identity(system, 3, bad),
+            ):
+                with pytest.raises(ParameterError, match=message):
+                    call()
+
+    def test_battery_memory_per_sector(self):
+        # With the creation blocks cached, the battery holds no product
+        # larger than one sector block: at n = 4 levels 6 its tracemalloc
+        # peak is about 0.3 D^2 bytes (D = 609).
+        system = _system(4, 6)
+
+        def battery():
+            toeplitz_residuals(system)
+            for m in range(1, system.levels):
+                cuntz_pimsner_residual(system, m)
+            for k in range(1, system.levels + 1):
+                reverse_identity(system, k)
+
+        battery()
+        tracemalloc.start()
+        try:
+            battery()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < system.total_dimension**2 // 2
 
 
 class TestToeplitzRelations:

@@ -4,7 +4,9 @@ The levelwise spaces H_k sit inside (C^n)^{(x) k}, and H_{k+1} sits inside
 C^n (x) H_k.  Each level is therefore carried as a hat frame: an isometry
 onto H_{k+1} inside C^n (x) H_k, written in the coordinates of the level
 below.  All operator algebra happens in the compressed dimensions n d_k;
-the n^k-sized ambient frames and projections are built only on request.
+the n^k-sized ambient frames and projections are built only on request,
+by `SubproductSystem.basis` and `SubproductSystem.projection` or, from a
+bare pair, by `orthonormal_basis` and `subproduct_projection`.
 """
 
 from __future__ import annotations
@@ -73,25 +75,28 @@ class SubproductSystem:
     one charge block at a time (a pair without free orbits is one block),
     in a single pass that keeps only the block in hand.  Its idempotent
     residual, spectral rounding and spectral gap (smallest eigenvalue
-    above 1/2 over largest below) are those of the whole matrix.  The
-    arithmetic is in the pair's ``dtype``: real when a and b have no
-    imaginary part, complex otherwise.  Before each level the bytes it
-    needs (the hat frames so far, the new one, and the largest block with
-    its eigensolver workspace) are estimated, and a level above
-    FOCK_MAX_BYTES raises LimitError.
+    above 1/2 over largest below) are those of the whole matrix; spectral
+    rounding is recorded, and checked, only where the idempotent residual
+    exceeds TOL_CONSTRUCT.  The arithmetic is in the pair's ``dtype``: real
+    when a and b have no imaginary part, complex otherwise.  Before each
+    level the bytes it needs (the hat frames so far, the new one, and the
+    largest block with its eigensolver workspace) are estimated, and a
+    level above FOCK_MAX_BYTES raises LimitError.
 
-    Creation blocks (``creation_blocks``) are float64 when the frames are
-    real and the vector has no imaginary part, complex128 otherwise; every
-    relation residual, word vector and Fock-space operator built from them
-    keeps their dtype.  The operator family of the pair (``family``) is
-    read off b on first use and kept.
+    A direction's creation operator is kept only as its blocks between
+    consecutive levels (``creation_blocks``); no operator on the whole
+    truncated Fock space is formed.  The blocks are float64 when the frames
+    are real and the vector has no imaginary part, complex128 otherwise;
+    every relation residual and word vector built from them keeps their
+    dtype.  The operator family of the pair (``family``) is read off b on
+    first use and kept.
 
     Each frame is fixed only up to a unitary on C^{d_k}.  Hat frames and
     creation blocks depend on that choice; projections, ranks, spectra and
     residuals do not.
     """
 
-    def __init__(self, pair: MotzkinPair, levels: int, *, tol: float = TOL_CONSTRUCT):
+    def __init__(self, pair: MotzkinPair, levels: int):
         if levels < 0:
             raise ParameterError(f"need levels >= 0, got {levels}")
         n = pair.n
@@ -115,9 +120,9 @@ class SubproductSystem:
             {(0,) * weights.shape[1]: slice(0, 1)}
         ]
         for k in range(levels):
-            self._add_level(k, Q, a, weights, tol)
+            self._add_level(k, Q, a, weights)
 
-    def _add_level(self, k: int, Q, a, weights, tol: float) -> None:
+    def _add_level(self, k: int, Q, a, weights) -> None:
         """Build level k + 1 from level k in one pass over the charge blocks:
         form each block, total its idempotent residual, diagonalise it and
         fill the hat frame from its eigenvectors above 1/2, in charge order.
@@ -173,7 +178,7 @@ class SubproductSystem:
                 sectors[charge] = slice(found, found + count)
             found += count
         res = float(np.sqrt(res2))
-        if res > tol and (drift > _SNAP_TOL or off_spectrum):
+        if res > TOL_CONSTRUCT and (drift > _SNAP_TOL or off_spectrum):
             raise _level_failure(
                 self.pair,
                 f"level {k + 1}: compressed projection has spectrum "
@@ -186,7 +191,7 @@ class SubproductSystem:
                 f"directions, expected {d_next}",
             )
         self.idempotent_residuals.append(res)
-        self.rounding_magnitudes.append(drift if res > tol else 0.0)
+        self.rounding_magnitudes.append(drift if res > TOL_CONSTRUCT else 0.0)
         self.spectral_gaps.append(kept_min / dropped_max if dropped_max > 0 else np.inf)
         self.charge_block_sizes.append(sizes)
         self.dims.append(d_next)
@@ -256,12 +261,6 @@ class SubproductSystem:
     def total_dimension(self) -> int:
         return sum(self.dims)
 
-    def level_offsets(self) -> list[int]:
-        offs = [0]
-        for d in self.dims:
-            offs.append(offs[-1] + d)
-        return offs
-
     # -- creation operators ----------------------------------------------
 
     def creation_blocks(self, u: np.ndarray) -> list[np.ndarray]:
@@ -297,16 +296,6 @@ class SubproductSystem:
             self._creation[key] = out
         return list(self._creation[key])
 
-    def toeplitz_matrix(self, u: np.ndarray) -> np.ndarray:
-        """The creation operator of u on the truncated Fock space."""
-        offs = self.level_offsets()
-        D = self.total_dimension
-        blocks = self.creation_blocks(u)
-        S = np.zeros((D, D), dtype=np.result_type(float, *blocks))
-        for k, blk in enumerate(blocks):
-            S[offs[k + 1] : offs[k + 2], offs[k] : offs[k + 1]] = blk
-        return S
-
 
 def _charge_weights(pair: MotzkinPair) -> np.ndarray:
     """The charge vector of each coordinate, one row per index.
@@ -336,77 +325,52 @@ def _level_failure(pair: MotzkinPair, message: str) -> StructureError:
     return StructureError(message)
 
 
-def build_subproduct(
-    pair: MotzkinPair, levels: int, *, tol: float = TOL_CONSTRUCT
-) -> SubproductSystem:
-    return SubproductSystem(pair, levels, tol=tol)
+def build_subproduct(pair: MotzkinPair, levels: int) -> SubproductSystem:
+    return SubproductSystem(pair, levels)
 
 
-def _as_system(
-    source, levels: int | None = None, *, tol: float = TOL_CONSTRUCT
-) -> SubproductSystem:
-    """Pass a system through, or build one up to ``levels`` from a pair."""
-    if isinstance(source, SubproductSystem):
-        return source
-    if levels is None:
-        raise ParameterError("levels is required when starting from a pair")
-    return SubproductSystem(source, levels, tol=tol)
+def subproduct_projection(pair: MotzkinPair, k: int) -> np.ndarray:
+    """The full n^k x n^k projection onto level k, building levels 0 .. k
+    of the pair on the spot."""
+    return SubproductSystem(pair, k).projection(k)
 
 
-def subproduct_projection(
-    source: MotzkinPair | SubproductSystem, k: int, *, tol: float = TOL_CONSTRUCT
-) -> np.ndarray:
-    """The full n^k x n^k projection onto level k.
-
-    Accepts either a built system or a bare pair (the levels up to k are
-    then constructed on the spot).
-    """
-    return _as_system(source, k, tol=tol).projection(k)
+def orthonormal_basis(pair: MotzkinPair, k: int) -> np.ndarray:
+    """The n^k x d_k isometry whose columns span level k, building levels
+    0 .. k of the pair on the spot."""
+    return SubproductSystem(pair, k).basis(k)
 
 
-def orthonormal_basis(
-    source: MotzkinPair | SubproductSystem, k: int, *, tol: float = TOL_CONSTRUCT
-) -> np.ndarray:
-    """The n^k x d_k isometry whose columns span level k."""
-    return _as_system(source, k, tol=tol).basis(k)
-
-
-def projection_rank(system: SubproductSystem, k: int, *, gap: float = RANK_GAP):
+def projection_rank(system: SubproductSystem, k: int):
     """(rank, spectral gap) of the level-k projection.
 
     Both were recorded by the build: the rank is d_k, the number of
     eigenvalues above 1/2 of the compressed projection, and the gap is the
     smallest of them over the largest one below 1/2 (infinite when none is
-    positive).  A gap below ``gap`` raises StructureError.
+    positive).  A gap below RANK_GAP raises StructureError.
     """
     system._check_level(k)
     measured_gap = float(system.spectral_gaps[k])
-    if measured_gap < gap:
+    if measured_gap < RANK_GAP:
         raise StructureError(
             f"level {k}: no clear spectral gap (ratio {measured_gap:.3e})"
         )
     return system.dims[k], measured_gap
 
 
-def coassociativity_residuals(
-    system: SubproductSystem, kmax: int | None = None
-) -> dict[str, float]:
+def coassociativity_residuals(system: SubproductSystem) -> dict[str, float]:
     """Residuals of (G_p (x) 1) G_k = G_k and (1 (x) G_q) G_k = G_k.
 
-    With G_k = B_k B_k^* and B_k an isometry, ||X G_k - G_k|| equals
-    ||X B_k - B_k||, so each residual is taken on the frame and X acts
-    through B_p or B_q without forming a Kronecker product.
+    Taken for k = 2 .. min(4, K), with K the largest built level whose
+    ambient dimension n^K is at most FULL_MATRIX_DIM, and every split
+    p + q = k.  With G_k = B_k B_k^* and B_k an isometry, ||X G_k - G_k||
+    equals ||X B_k - B_k||, so each residual is taken on the frame and X
+    acts through B_p or B_q without forming a Kronecker product.
     """
     n = system.pair.n
-    limit = system.levels
-    while n**limit > FULL_MATRIX_DIM:
-        limit -= 1
-    if kmax is None:
-        kmax = min(limit, 4)
-    if kmax > limit:
-        raise LimitError(
-            f"full projections available up to level {limit}, asked for {kmax}"
-        )
+    kmax = min(system.levels, 4)
+    while n**kmax > FULL_MATRIX_DIM:
+        kmax -= 1
     out: dict[str, float] = {}
     for k in range(2, kmax + 1):
         B_k = system.basis(k)
@@ -450,11 +414,6 @@ class OperatorFamily:
     def labels(self) -> list[str]:
         return [f"{kind}{index}" for kind, index in self.kinds]
 
-    @property
-    def interior(self) -> list[int]:
-        """The 1-based coordinates off the orbit, one per "v" direction."""
-        return [index for kind, index in self.kinds if kind == "v"]
-
     def vector(self, kind: str, index: int) -> np.ndarray:
         return self.vectors[self.kinds.index((kind, index))]
 
@@ -466,10 +425,11 @@ def _orbit_phase(r: int, aexp) -> complex:
     return complex(np.exp(2j * np.pi * aexp / (2 * r)))
 
 
-def operator_family(pair: MotzkinPair, *, tol: float = TOL_CHECK) -> OperatorFamily:
-    """Read the operator family off the support pattern of b."""
+def operator_family(pair: MotzkinPair) -> OperatorFamily:
+    """Read the operator family off the support pattern of b: the
+    coordinates where |b_i| exceeds TOL_CHECK."""
     n = pair.n
-    support = [i for i in range(n) if abs(pair.b[i]) > tol]
+    support = [i for i in range(n) if abs(pair.b[i]) > TOL_CHECK]
     eye = np.eye(n, dtype=complex)
     if len(support) == 1:
         mid = support[0]
@@ -529,17 +489,24 @@ class ToeplitzReport:
     def ok(self) -> bool:
         return self.max_residual < self.tol
 
-    def lines(self) -> list[str]:
-        out = [f"{label}: {value:.3e}" for label, value in self.residuals.items()]
-        out.extend(f"{label}: skipped (truncation)" for label in self.skipped)
-        return out
-
 
 def _family_blocks(system: SubproductSystem, fam: OperatorFamily):
     return {
         kind: system.creation_blocks(fam.vectors[idx])
         for idx, kind in enumerate(fam.kinds)
     }
+
+
+def _relation_setup(system: SubproductSystem, fam: OperatorFamily | None, levels):
+    """What every relation check reads: the `_relation_table` of ``fam``
+    (``system.family`` when None), the creation blocks of its directions,
+    and their `_sector_blocks` at each level in ``levels``."""
+    if fam is None:
+        fam = system.family
+    table = _relation_table(system.pair, fam)
+    blocks = _family_blocks(system, fam)
+    cuts = {k: _sector_blocks(system, blocks, table, k) for k in levels}
+    return table, blocks, cuts
 
 
 def _relation_table(pair: MotzkinPair, fam: OperatorFamily) -> dict:
@@ -714,16 +681,11 @@ def toeplitz_residuals(
     each have one block per sector of the level they act on, and each
     residual is the root of the summed squared block norms.
     """
-    pair = system.pair
-    n, N = pair.n, system.levels
+    n, N = system.pair.n, system.levels
     if N < 1:
         raise ParameterError(f"need levels >= 1 for a relation to check, got {N}")
-    if fam is None:
-        fam = system.family
     phi = system.phi
-    table = _relation_table(pair, fam)
-    blocks = _family_blocks(system, fam)
-    cuts = {k: _sector_blocks(system, blocks, table, k) for k in range(N)}
+    table, blocks, cuts = _relation_setup(system, fam, range(N))
     res: dict[str, float] = {}
     skipped: list[str] = []
 
@@ -817,14 +779,13 @@ def matrix_unit_dimension(
     system: SubproductSystem,
     k: int,
     fam: OperatorFamily | None = None,
-    *,
-    tol: float = TOL_RANK,
 ) -> MatrixUnitReport:
     """Dimension of the span of outer products of vacuum words at level k.
 
     The words psi_alpha span all of H_k, so the outer products
     psi_alpha psi_beta^* span the full matrix algebra on it: the measured
-    value is rank(Psi)^2 against the expected d_k^2.
+    value is rank(Psi)^2 against the expected d_k^2, with the singular
+    values of Psi counted above TOL_RANK relative to the largest.
     """
     if fam is None:
         fam = system.family
@@ -833,7 +794,7 @@ def matrix_unit_dimension(
         rank = 1
     else:
         svals = np.linalg.svd(psi, compute_uv=False)
-        rank = int(np.sum(svals > tol * svals[0]))
+        rank = int(np.sum(svals > TOL_RANK * svals[0]))
     d_k = system.dims[k]
     return MatrixUnitReport(
         k=k,
@@ -878,12 +839,8 @@ def reverse_identity(
     """
     if not 1 <= k <= system.levels:
         raise ParameterError(f"need 1 <= k <= {system.levels}, got {k}")
-    pair = system.pair
-    if fam is None:
-        fam = system.family
-    table = _relation_table(pair, fam)
-    cuts = _sector_blocks(system, _family_blocks(system, fam), table, k - 1)
-    lam = pair.lam
+    table, _, cuts = _relation_setup(system, fam, [k - 1])
+    lam = system.pair.lam
     constant = 1 - lam - lam * lam * system.phi(k - 1)
     q = system.phi.q
     if abs(q - 1.0) < 1e-12:
@@ -893,7 +850,7 @@ def reverse_identity(
     acc: dict = {}
     for x, (_, px, _) in table.items():
         weight = abs(table[px][0]) ** 2
-        for c, V in cuts[x].values():
+        for c, V in cuts[k - 1][x].values():
             _accumulate(acc, c, weight * (V.conj().T @ V))
     residual = _sector_norm(acc, system.sectors[k - 1], float(constant))
     return ReverseIdentityReport(
@@ -925,7 +882,7 @@ class IdealReport:
 
 
 def ideal_generator(
-    system: MotzkinPair | SubproductSystem,
+    system: SubproductSystem,
     fam: OperatorFamily | None = None,
     *,
     tol: float = TOL_CHECK,
@@ -935,11 +892,9 @@ def ideal_generator(
     Assembled as xi = sum_x alpha_x x (x) pi x from `_relation_table`; the
     report checks that it equals the pair vector compressed off b on both
     slots, that the level-2 projection kills it, and that H_2 is exactly
-    the orthogonal complement of its line inside H_1 (x) H_1.  A bare pair
-    is accepted, in which case the two levels needed for the checks are
-    built here.
+    the orthogonal complement of its line inside H_1 (x) H_1.  The system
+    needs at least two levels.
     """
-    system = _as_system(system, 2)
     pair = system.pair
     if system.levels < 2:
         raise ParameterError("need at least two levels")
@@ -1003,16 +958,12 @@ def cuntz_pimsner_residual(
     in m, so the creation operators satisfy the limiting relations
     asymptotically.
     """
-    if fam is None:
-        fam = system.family
     if not 1 <= m <= system.levels - 1:
         raise ParameterError(
             f"need 1 <= m <= {system.levels - 1}, got {m}"
         )
     phi_inf = system.phi.infinity
-    table = _relation_table(system.pair, fam)
-    blocks = _family_blocks(system, fam)
-    cuts = {k: _sector_blocks(system, blocks, table, k) for k in (m - 1, m)}
+    table, _, cuts = _relation_setup(system, fam, (m - 1, m))
     res = {
         f"{eq}o[{index}]": value
         for eq, index, value in _commutation_residuals(

@@ -16,7 +16,7 @@ products are linear in the first variable throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -27,37 +27,39 @@ from .errors import LimitError, ParameterError, StructureError
 from .qpoly import validate_lam
 
 
-@dataclass
+@dataclass(frozen=True)
 class MotzkinPair:
     """The data (n, lam, a, b) of a Motzkin pair.
 
-    `a` and `b` are stored as complex arrays.  The operators the pair
-    defines are built in `dtype`: real when a and b have no imaginary part,
-    complex otherwise.
+    `a` and `b` are stored as read-only complex arrays, copied from the
+    arguments, and the pair is frozen: a changed pair is a new one, made
+    with `dataclasses.replace`.  The operators the pair defines are built
+    in `dtype`, fixed at construction: float64 when a and b have no
+    imaginary part, complex128 otherwise.
     """
 
     n: int
     lam: Fraction
     a: np.ndarray
     b: np.ndarray
+    dtype: np.dtype = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.lam = validate_lam(self.lam)
-        self.a = np.asarray(self.a, dtype=complex).reshape(-1)
-        self.b = np.asarray(self.b, dtype=complex).reshape(-1)
+        lam = validate_lam(self.lam)
+        a = np.array(self.a, dtype=complex).reshape(-1)
+        b = np.array(self.b, dtype=complex).reshape(-1)
         if self.n < 2:
             raise ParameterError(f"need n >= 2, got {self.n}")
-        if self.a.shape != (self.n,) or self.b.shape != (self.n,):
+        if a.shape != (self.n,) or b.shape != (self.n,):
             raise ParameterError("a and b must both have length n")
+        a.flags.writeable = b.flags.writeable = False
+        dtype = np.dtype(complex if a.imag.any() or b.imag.any() else float)
+        for name, value in (("lam", lam), ("a", a), ("b", b), ("dtype", dtype)):
+            object.__setattr__(self, name, value)
 
     def bar(self, i: int) -> int:
         """The index reversal i -> n-1-i (0-based)."""
         return self.n - 1 - i
-
-    @property
-    def dtype(self) -> np.dtype:
-        """float64 when a and b have no imaginary part, complex128 otherwise."""
-        return np.dtype(complex if self.a.imag.any() or self.b.imag.any() else float)
 
     def vectors(self) -> tuple[np.ndarray, np.ndarray]:
         """(a, b) in `dtype`: their real parts for a real pair."""
@@ -531,18 +533,15 @@ def span_dimension(pair: MotzkinPair, k: int) -> tuple[int, int]:
 # Conditional expectation on the operator side
 
 
-def rep_conditional_expectation(
-    pair: MotzkinPair,
-    X: np.ndarray,
-    tol: float = TOL_CHECK,
-) -> np.ndarray:
+def rep_conditional_expectation(pair: MotzkinPair, X: np.ndarray) -> np.ndarray:
     """Push an operator on the (k+1)-fold power down to the k-fold power.
 
     Sandwiching X (x) 1 between t on the last two slots and p on the last
     slot gives M (x) w w^*, with M = sum_i |a_i|^2 X[(., i), (., i)] the
     partial trace of X weighted by t and w = (1 (x) P) v_A.  It must factor
     as what (x) P (x) P, that is w w^* = |<b (x) b, w>|^2 (b (x) b)(b (x) b)^*;
-    the factorisation is verified and what / lam = |<v_A, b (x) b>|^2 M / lam
+    the factorisation is verified to TOL_CHECK, relative to the sizes of M
+    and w, and what / lam = |<v_A, b (x) b>|^2 M / lam
     is returned, matching the diagram-side conditional expectation under
     evaluation.  Nothing of size n^(k+2) is formed.
     """
@@ -565,7 +564,7 @@ def rep_conditional_expectation(
         np.linalg.norm(np.outer(w, w.conj()) - weight * np.outer(bb, bb.conj()))
     )
     scale = max(1.0, norm_M * float(np.linalg.norm(w)) ** 2)
-    if residual > tol * scale:
+    if residual > TOL_CHECK * scale:
         raise StructureError(
             f"sandwich did not factor through the last two slots "
             f"(residual {residual:.3e})"

@@ -1,5 +1,6 @@
 """Tests for the Motzkin-pair operator layer."""
 
+import dataclasses
 import functools
 import struct
 from fractions import Fraction
@@ -328,8 +329,8 @@ class TestRelations:
     def test_window_sees_violations(self):
         # A perturbed a-vector breaks the pair; the window evaluation must
         # report the same O(1) residuals as the whole-space evaluation.
-        pair = _pair4()
-        pair.a = pair.a + np.array([0.1, 0.0, 0.05j, 0.0])
+        base = _pair4()
+        pair = dataclasses.replace(base, a=base.a + np.array([0.1, 0.0, 0.05j, 0.0]))
         for k in (2, 3, 4):
             res = _assert_matches_dense(pair, k)
             assert max(res.values()) > 0.1
@@ -688,8 +689,8 @@ class TestSpanDimension:
     def test_matches_reference_off_the_motzkin_conditions(self):
         rng = np.random.default_rng(2024)
         cases = [(2, 2), (2, 3), (3, 2), (3, 2), (4, 2)]
-        perturbed = _pair4()
-        perturbed.a = perturbed.a + np.array([0.1, 0.0, 0.05j, 0.0])
+        base = _pair4()
+        perturbed = dataclasses.replace(base, a=base.a + np.array([0.1, 0.0, 0.05j, 0.0]))
         pairs = [(_random_pair(rng, n), k) for n, k in cases] + [(perturbed, 2)]
         for pair, k in pairs:
             span = span_dimension(pair, k)

@@ -44,7 +44,6 @@ from .fock import (
     ideal_generator,
     matrix_unit_dimension,
     operator_family,
-    orthonormal_basis,
     projection_rank,
     reverse_identity,
     subproduct_projection,
@@ -128,7 +127,6 @@ __all__ = [
     "ideal_generator",
     "matrix_unit_dimension",
     "operator_family",
-    "orthonormal_basis",
     "projection_rank",
     "reverse_identity",
     "subproduct_projection",

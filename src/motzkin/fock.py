@@ -6,7 +6,11 @@ onto H_{k+1} inside C^n (x) H_k, written in the coordinates of the level
 below.  All operator algebra happens in the compressed dimensions n d_k;
 the n^k-sized ambient frames and projections are built only on request,
 by `SubproductSystem.basis` and `SubproductSystem.projection` or, from a
-bare pair, by `orthonormal_basis` and `subproduct_projection`.
+bare pair, by `subproduct_projection`.
+
+Each system has one operator family, ``SubproductSystem.family``, and every
+relation check reads the set-up the system builds from it once: the
+relation table, the family's creation blocks and their charge-sector views.
 """
 
 from __future__ import annotations
@@ -51,8 +55,7 @@ class SubproductSystem:
     The compressed projection itself is not kept.  No stored array has
     more than n d_{levels-1} rows.  The n^k x d_k ambient frame
     B_k = (1 (x) B_{k-1}) B^_k (``basis``) and the full projection
-    B_k B_k^* (``projection``) are built on request; the frames are cached,
-    and so are the creation blocks of every vector asked for.
+    B_k B_k^* (``projection``) are built on request; the frames are cached.
 
     The recursion: conjugated into C^n (x) H_k, the level-(k+1) projection
     is
@@ -88,8 +91,9 @@ class SubproductSystem:
     truncated Fock space is formed.  The blocks are float64 when the frames
     are real and the vector has no imaginary part, complex128 otherwise;
     every relation residual and word vector built from them keeps their
-    dtype.  The operator family of the pair (``family``) is read off b on
-    first use and kept.
+    dtype.  The operator family (``family``) is read off b on first use
+    and kept; the first relation check builds, from it, the set-up that
+    every later one reads (``_relations``).
 
     Each frame is fixed only up to a unitary on C^{d_k}.  Hat frames and
     creation blocks depend on that choice; projections, ranks, spectra and
@@ -111,7 +115,6 @@ class SubproductSystem:
         self.spectral_gaps: list[float] = [np.inf]
         self.charge_block_sizes: list[list[int]] = [[]]
         self._bases: dict[int, np.ndarray] = {0: np.ones((1, 1), dtype=self.dtype)}
-        self._creation: dict[bytes, list[np.ndarray]] = {}
 
         a, b = pair.vectors()
         Q = np.eye(n) - np.outer(b, b.conj())
@@ -252,8 +255,29 @@ class SubproductSystem:
 
     @cached_property
     def family(self) -> OperatorFamily:
-        """The operator family of the pair, computed on first use."""
+        """The operator family of the pair, `operator_family` on first use.
+
+        Every relation check and word vector reads this family.  Another
+        one (a rotated family, a partner-closed part of this one) is set by
+        assigning ``system.family`` before the first relation check: the
+        set-up built from it then is kept for the life of the system."""
         return operator_family(self.pair)
+
+    @cached_property
+    def _relations(self):
+        """(table, blocks, cuts), built from ``family`` on first use: the
+        `_relation_table`, the family's creation blocks (direction -> one
+        read-only block per level below the top) and their `_sector_blocks`
+        at every level below the top (cuts[k] for level k)."""
+        fam = self.family
+        table = _relation_table(self.pair, fam)
+        blocks = {}
+        for x, u in zip(fam.kinds, fam.vectors):
+            blocks[x] = self.creation_blocks(u)
+            for blk in blocks[x]:
+                blk.flags.writeable = False
+        cuts = [_sector_blocks(self, blocks, table, k) for k in range(self.levels)]
+        return table, blocks, cuts
 
     # -- Fock-space bookkeeping ------------------------------------------
 
@@ -268,8 +292,8 @@ class SubproductSystem:
 
         Block k is d_{k+1} x d_k; in level coordinates the operator sends
         xi to the compression of u (x) xi, that is B^_{k+1}^* (u (x) xi).
-        The frames never change after the build, so the blocks of each
-        vector are computed once and cached; they are read-only.  A real
+        Each call computes fresh blocks; the relation checks read the
+        family's blocks from ``_relations``, computed once.  A real
         frame is never copied to complex: against a real u (imaginary part
         exactly zero) its blocks are float64, and against a complex u the
         real and imaginary parts of u are contracted with it apart.  A
@@ -277,24 +301,19 @@ class SubproductSystem:
         """
         n = self.pair.n
         u = np.asarray(u, dtype=complex).reshape(n)
-        key = u.tobytes()
-        if key not in self._creation:
-            out = []
-            for k in range(self.levels):
-                H = self.hat_bases[k + 1].reshape(n, self.dims[k], self.dims[k + 1])
-                if np.iscomplexobj(H):
-                    blk = np.tensordot(u.conj(), H, axes=(0, 0)).conj()
-                elif not u.imag.any():
-                    blk = np.tensordot(u.real, H, axes=(0, 0))
-                else:
-                    blk = np.empty(H.shape[1:], dtype=complex)
-                    blk.real = np.tensordot(u.real, H, axes=(0, 0))
-                    blk.imag = np.tensordot(u.imag, H, axes=(0, 0))
-                blk = blk.T
-                blk.flags.writeable = False
-                out.append(blk)
-            self._creation[key] = out
-        return list(self._creation[key])
+        out = []
+        for k in range(self.levels):
+            H = self.hat_bases[k + 1].reshape(n, self.dims[k], self.dims[k + 1])
+            if np.iscomplexobj(H):
+                blk = np.tensordot(u.conj(), H, axes=(0, 0)).conj()
+            elif not u.imag.any():
+                blk = np.tensordot(u.real, H, axes=(0, 0))
+            else:
+                blk = np.empty(H.shape[1:], dtype=complex)
+                blk.real = np.tensordot(u.real, H, axes=(0, 0))
+                blk.imag = np.tensordot(u.imag, H, axes=(0, 0))
+            out.append(blk.T)
+        return out
 
 
 def _charge_weights(pair: MotzkinPair) -> np.ndarray:
@@ -333,12 +352,6 @@ def subproduct_projection(pair: MotzkinPair, k: int) -> np.ndarray:
     """The full n^k x n^k projection onto level k, building levels 0 .. k
     of the pair on the spot."""
     return SubproductSystem(pair, k).projection(k)
-
-
-def orthonormal_basis(pair: MotzkinPair, k: int) -> np.ndarray:
-    """The n^k x d_k isometry whose columns span level k, building levels
-    0 .. k of the pair on the spot."""
-    return SubproductSystem(pair, k).basis(k)
 
 
 def projection_rank(system: SubproductSystem, k: int):
@@ -490,25 +503,6 @@ class ToeplitzReport:
         return self.max_residual < self.tol
 
 
-def _family_blocks(system: SubproductSystem, fam: OperatorFamily):
-    return {
-        kind: system.creation_blocks(fam.vectors[idx])
-        for idx, kind in enumerate(fam.kinds)
-    }
-
-
-def _relation_setup(system: SubproductSystem, fam: OperatorFamily | None, levels):
-    """What every relation check reads: the `_relation_table` of ``fam``
-    (``system.family`` when None), the creation blocks of its directions,
-    and their `_sector_blocks` at each level in ``levels``."""
-    if fam is None:
-        fam = system.family
-    table = _relation_table(system.pair, fam)
-    blocks = _family_blocks(system, fam)
-    cuts = {k: _sector_blocks(system, blocks, table, k) for k in levels}
-    return table, blocks, cuts
-
-
 def _relation_table(pair: MotzkinPair, fam: OperatorFamily) -> dict:
     """Each direction's weight alpha_x, partner pi(x) and charge shift w_x,
     in family order: v_j has weight a_j and partner v_jbar; w_s has weight
@@ -556,7 +550,7 @@ def _sector_blocks(system: SubproductSystem, blocks: dict, table: dict, k: int) 
 
     Maps each direction x to {t: (c, block)} over the sectors c of level k
     whose image t = c + w_x is a sector of level k + 1; block is the part
-    of the creation block from c to t, a view of the cached block.  Every
+    of the creation block from c to t, a view of the block.  Every
     other entry of the creation block is exactly zero, so every product
     of creation operators is a sum over these views."""
     lower, upper = system.sectors[k], system.sectors[k + 1]
@@ -628,9 +622,10 @@ def _commutation_residuals(
     Both sides map sector c of level m to sector c + w_y - w_x through
     the sector c + w_y of levels m + 1 and m - 1, so each residual is the
     root of the summed squared norms of one block per level-m sector,
-    formed from the views in ``cuts`` (level -> `_sector_blocks`).  The
-    residual of (y, x) is the adjoint of that of (x, y), so each unordered
-    eq4 and eq6 pair is formed once and its norm reported under both keys.
+    formed from the views in ``cuts`` (cuts[k] the `_sector_blocks` of
+    level k).  The residual of (y, x) is the adjoint of that of (x, y), so
+    each unordered eq4 and eq6 pair is formed once and its norm reported
+    under both keys.
     """
     v = [x for x in table if x[0] == "v"]
     w = [x for x in table if x[0] == "w"]
@@ -661,10 +656,7 @@ def _commutation_residuals(
 
 
 def toeplitz_residuals(
-    system: SubproductSystem,
-    fam: OperatorFamily | None = None,
-    *,
-    tol: float = TOL_TOEPLITZ,
+    system: SubproductSystem, *, tol: float = TOL_TOEPLITZ
 ) -> ToeplitzReport:
     """Frobenius residuals of the defining Toeplitz-operator relations.
 
@@ -685,7 +677,7 @@ def toeplitz_residuals(
     if N < 1:
         raise ParameterError(f"need levels >= 1 for a relation to check, got {N}")
     phi = system.phi
-    table, blocks, cuts = _relation_setup(system, fam, range(N))
+    table, blocks, cuts = system._relations
     res: dict[str, float] = {}
     skipped: list[str] = []
 
@@ -754,32 +746,26 @@ class MatrixUnitReport:
         return self.measured == self.expected
 
 
-def word_vectors(
-    system: SubproductSystem, fam: OperatorFamily, k: int
-) -> np.ndarray:
+def word_vectors(system: SubproductSystem, k: int) -> np.ndarray:
     """Level-k coordinates of all words of length k applied to the vacuum.
 
     Column order is lexicographic in the word, leftmost letter most
-    significant; letters are positions in ``fam.labels``.
+    significant; letters are positions in ``system.family.labels``.
     """
     system._check_level(k)
-    count = len(fam.labels)
+    count = len(system.family.labels)
     if count**k > 2048:
         raise LimitError(
             f"{count ** k} words at length {k}, above the cap 2048"
         )
-    blocks = _family_blocks(system, fam).values()
+    blocks = system._relations[1].values()
     psi = np.ones((1, 1))
     for level in range(k):
         psi = np.hstack([bl[level] @ psi for bl in blocks])
     return psi
 
 
-def matrix_unit_dimension(
-    system: SubproductSystem,
-    k: int,
-    fam: OperatorFamily | None = None,
-) -> MatrixUnitReport:
+def matrix_unit_dimension(system: SubproductSystem, k: int) -> MatrixUnitReport:
     """Dimension of the span of outer products of vacuum words at level k.
 
     The words psi_alpha span all of H_k, so the outer products
@@ -787,9 +773,7 @@ def matrix_unit_dimension(
     value is rank(Psi)^2 against the expected d_k^2, with the singular
     values of Psi counted above TOL_RANK relative to the largest.
     """
-    if fam is None:
-        fam = system.family
-    psi = word_vectors(system, fam, k)
+    psi = word_vectors(system, k)
     if k == 0:
         rank = 1
     else:
@@ -824,11 +808,7 @@ class ReverseIdentityReport:
 
 
 def reverse_identity(
-    system: SubproductSystem,
-    k: int,
-    fam: OperatorFamily | None = None,
-    *,
-    tol: float = TOL_CHECK,
+    system: SubproductSystem, k: int, *, tol: float = TOL_CHECK
 ) -> ReverseIdentityReport:
     """sum_x |alpha_{pi x}|^2 S_x^* S_x = 1 - lam - lam^2 phi(k-1) at level
     k - 1, with the weights and partners of `_relation_table`.
@@ -839,7 +819,7 @@ def reverse_identity(
     """
     if not 1 <= k <= system.levels:
         raise ParameterError(f"need 1 <= k <= {system.levels}, got {k}")
-    table, _, cuts = _relation_setup(system, fam, [k - 1])
+    table, _, cuts = system._relations
     lam = system.pair.lam
     constant = 1 - lam - lam * lam * system.phi(k - 1)
     q = system.phi.q
@@ -881,12 +861,7 @@ class IdealReport:
         return max(self.alignment, self.annihilation, self.complement) < self.tol
 
 
-def ideal_generator(
-    system: SubproductSystem,
-    fam: OperatorFamily | None = None,
-    *,
-    tol: float = TOL_CHECK,
-) -> IdealReport:
+def ideal_generator(system: SubproductSystem, *, tol: float = TOL_CHECK) -> IdealReport:
     """The degree-two vector cutting H_2 out of H_1 (x) H_1.
 
     Assembled as xi = sum_x alpha_x x (x) pi x from `_relation_table`; the
@@ -898,8 +873,7 @@ def ideal_generator(
     pair = system.pair
     if system.levels < 2:
         raise ParameterError("need at least two levels")
-    if fam is None:
-        fam = system.family
+    fam = system.family
     n = pair.n
     xi = np.zeros(n * n, dtype=complex)
     for x, (alpha, px, _) in _relation_table(pair, fam).items():
@@ -945,11 +919,7 @@ class AsymptoticReport:
         return self.residual / self.defect if self.defect else float("inf")
 
 
-def cuntz_pimsner_residual(
-    system: SubproductSystem,
-    m: int,
-    fam: OperatorFamily | None = None,
-) -> AsymptoticReport:
+def cuntz_pimsner_residual(system: SubproductSystem, m: int) -> AsymptoticReport:
     """Residuals at level m of the commutation relations with phi replaced
     by its limit phi_inf.
 
@@ -963,7 +933,7 @@ def cuntz_pimsner_residual(
             f"need 1 <= m <= {system.levels - 1}, got {m}"
         )
     phi_inf = system.phi.infinity
-    table, _, cuts = _relation_setup(system, fam, (m - 1, m))
+    table, _, cuts = system._relations
     res = {
         f"{eq}o[{index}]": value
         for eq, index, value in _commutation_residuals(

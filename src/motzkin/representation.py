@@ -27,22 +27,23 @@ from .errors import LimitError, ParameterError, StructureError
 from .qpoly import validate_lam
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MotzkinPair:
     """The data (n, lam, a, b) of a Motzkin pair.
 
     `a` and `b` are stored as read-only complex arrays, copied from the
     arguments, and the pair is frozen: a changed pair is a new one, made
-    with `dataclasses.replace`.  The operators the pair defines are built
-    in `dtype`, fixed at construction: float64 when a and b have no
-    imaginary part, complex128 otherwise.
+    with `dataclasses.replace`.  Pairs compare and hash by identity.  The
+    operators the pair defines are built in `dtype`, fixed at
+    construction: float64 when a and b have no imaginary part, complex128
+    otherwise.
     """
 
     n: int
     lam: Fraction
     a: np.ndarray
     b: np.ndarray
-    dtype: np.dtype = field(init=False, repr=False, compare=False)
+    dtype: np.dtype = field(init=False, repr=False)
 
     def __post_init__(self):
         lam = validate_lam(self.lam)

@@ -18,7 +18,6 @@ from motzkin.fock import (
     ideal_generator,
     matrix_unit_dimension,
     operator_family,
-    orthonormal_basis,
     projection_rank,
     reverse_identity,
     subproduct_projection,
@@ -122,6 +121,27 @@ def _rotated_pair4():
     return MotzkinPair(n=4, lam=real.lam, a=real.a * u * u[::-1], b=real.b * u)
 
 
+def _rotated_system(levels):
+    """The rotated pair built to ``levels``, with the n = 4 family rotated
+    along: `operator_family` cannot read it off the rotated b."""
+    system = build_subproduct(_rotated_pair4(), levels)
+    fam4 = operator_family(_pair(4))
+    system.family = dataclasses.replace(fam4, vectors=fam4.vectors * _ROTATION)
+    return system
+
+
+def _with_family(system, fam):
+    """A fresh build of ``system``'s pair and levels whose family is ``fam``."""
+    fresh = build_subproduct(system.pair, system.levels)
+    fresh.family = fam
+    return fresh
+
+
+def _orthonormal_basis(pair, k):
+    """The n^k x d_k isometry onto level k, from levels 0 .. k of the pair."""
+    return build_subproduct(pair, k).basis(k)
+
+
 def _interior(fam):
     """The 1-based coordinates off the orbit, one per "v" direction."""
     return [index for kind, index in fam.kinds if kind == "v"]
@@ -144,11 +164,11 @@ def _toeplitz_matrix(system, u):
     return S
 
 
-def _dense_grading_residuals(system, fam):
+def _dense_grading_residuals(system):
     """Reference: eq1[levels] and eq1[weight] on the dense D x D creation
     operators of the truncated Fock space, D = system.total_dimension."""
     n, N = system.pair.n, system.levels
-    S_full = [_toeplitz_matrix(system, v) for v in fam.vectors]
+    S_full = [_toeplitz_matrix(system, v) for v in system.family.vectors]
     offs = _level_offsets(system)
     res = {}
     worst = 0.0
@@ -176,18 +196,26 @@ def _dense_grading_residuals(system, fam):
 
 
 def _grading_cases():
-    """(system, family) for the grading checks: i n=3 and iii n=4 to level 5,
+    """The systems of the grading checks: i n=3 and iii n=4 to level 5,
     iii n=5 r=2 to level 4, and the complex rotation of the n=4 pair with
     the family rotated along."""
-    fam4 = operator_family(_pair(4))
-    rotated = dataclasses.replace(fam4, vectors=fam4.vectors * _ROTATION)
     pair5 = build_example_pair("iii", 5, 2, Fraction(1, 5))
-    return [
-        (_system(3, 5), operator_family(_pair(3))),
-        (_system(4, 5), fam4),
-        (build_subproduct(pair5, 4), operator_family(pair5)),
-        (build_subproduct(_rotated_pair4(), 5), rotated),
+    return [_system(3, 5), _system(4, 5), build_subproduct(pair5, 4), _rotated_system(5)]
+
+
+@lru_cache(maxsize=None)
+def _recursion_systems():
+    """iii n=4 to level 7, ii n=5 to 5, iii n=5 r=2 to 4, i n=3 to 7,
+    iii n=6 to 5 and the rotated n=4 pair to 5."""
+    cases = [
+        (_pair(4), 7),
+        (build_example_pair("ii", 5, 1, Fraction(1, 5)), 5),
+        (build_example_pair("iii", 5, 2, Fraction(1, 5)), 4),
+        (_pair(3), 7),
+        (build_example_pair("iii", 6, 1, Fraction(1, 8)), 5),
+        (_rotated_pair4(), 5),
     ]
+    return [build_subproduct(pair, levels) for pair, levels in cases]
 
 
 def _charge_operator(weights, k):
@@ -391,16 +419,73 @@ class TestBuild:
         sys = build_subproduct(build_example_pair("iii", 5, 2, Fraction(1, 5)), 3)
         assert sys.charge_block_sizes == [[]] + [[5 * d] for d in sys.dims[:-1]]
 
+    def test_hat_frames_vanish_on_b(self):
+        # The b rows of every hat frame are zero: H_k lies in H_1 (x) H_{k-1}.
+        for sys in _recursion_systems():
+            n, b = sys.pair.n, sys.pair.b
+            for k in range(2, sys.levels + 1):
+                H = sys.hat_bases[k].reshape(n, sys.dims[k - 1], sys.dims[k])
+                assert np.linalg.norm(np.tensordot(b.conj(), H, axes=(0, 0))) <= 1e-12, (n, k)
+
+    def test_sector_sizes_follow_the_dimension_recursion(self):
+        # chi_k, charge -> column count of sectors[k], satisfies
+        # chi_{k+1} = chi_1 chi_k - chi_{k-1} exactly, the product being the
+        # convolution of charges.
+        for sys in _recursion_systems():
+            chi = [
+                {c: cols.stop - cols.start for c, cols in sectors.items()}
+                for sectors in sys.sectors
+            ]
+            for k in range(1, sys.levels):
+                want = {}
+                for c1, m1 in chi[1].items():
+                    for c2, m2 in chi[k].items():
+                        c = tuple(np.add(c1, c2).tolist())
+                        want[c] = want.get(c, 0) + m1 * m2
+                for c, m in chi[k - 1].items():
+                    want[c] = want.get(c, 0) - m
+                assert {c: m for c, m in want.items() if m} == chi[k + 1], (sys.pair.n, k)
+
+    def test_perturbed_pair_verdicts(self):
+        # iii n=4 off the pair conditions by d = eps (1, -0.5, 0.25, 0.75),
+        # added to a, or to b on its support.  The b rows of the build
+        # refuse the perturbed b at level 1.
+        base = _pair(4)
+        d = np.array([1.0, -0.5, 0.25, 0.75])
+
+        def perturbed(eps):
+            return {
+                "b": dataclasses.replace(base, b=base.b + eps * d * (base.b != 0)),
+                "a": dataclasses.replace(base, a=base.a + eps * d),
+            }
+
+        level = {"b": 1, "a": 2}
+        for name, pair in perturbed(1e-3).items():
+            with pytest.raises(
+                StructureError,
+                match=rf"^level {level[name]}: compressed projection has spectrum away from \{{0, 1\}}",
+            ):
+                build_subproduct(pair, 5)
+        for name, pair in perturbed(1e-9).items():
+            sys = build_subproduct(pair, 5)
+            assert sys.dims == [1, 3, 8, 21, 55, 144]
+            assert sys.rounding_magnitudes[level[name]] > 0, name
+
     def test_arithmetic_follows_the_pair(self):
         assert build_subproduct(_pair(4), 2).hat_bases[2].dtype == np.float64
         assert build_subproduct(_rotated_pair4(), 2).hat_bases[2].dtype == np.complex128
 
     def test_creation_blocks_are_cached(self):
+        # The family's blocks are computed once per system, read-only, for
+        # the relation checks; creation_blocks computes fresh ones per call.
         sys = build_subproduct(_pair(4), 4)
         u = operator_family(_pair(4)).vectors[1]
         first, again = sys.creation_blocks(u), sys.creation_blocks(u.copy())
-        assert all(x is y for x, y in zip(first, again))
-        assert not first[2].flags.writeable
+        assert all(x is not y and np.array_equal(x, y) for x, y in zip(first, again))
+        cached = sys._relations[1][("v", 2)]
+        assert cached is sys._relations[1][("v", 2)]
+        assert all(np.array_equal(x, y) for x, y in zip(first, cached))
+        assert not cached[2].flags.writeable and first[2].flags.writeable
         H = sys.hat_bases[3].reshape(4, sys.dims[2], sys.dims[3])
         assert np.allclose(first[2], np.tensordot(u.conj(), H, axes=(0, 0)).conj().T)
 
@@ -491,10 +576,10 @@ class TestBuild:
         sys = _system(4, 5)
         for k in (1, 2, 3):
             assert np.allclose(subproduct_projection(pair, k), sys.projection(k))
-        B1 = orthonormal_basis(pair, 1)
+        B1 = _orthonormal_basis(pair, 1)
         assert B1.shape == (4, 3)
         assert np.abs(B1.conj().T @ pair.b).max() < 1e-12
-        assert np.allclose(orthonormal_basis(pair, 2), sys.basis(2))
+        assert np.allclose(_orthonormal_basis(pair, 2), sys.basis(2))
 
 
 class TestOperatorFamily:
@@ -659,19 +744,19 @@ def _complex_creation_blocks(system, u):
     return out
 
 
-def _battery(system, fam):
+def _battery(system):
     """Every value of the Toeplitz and limiting relations, the reverse
     identity and the matrix units on a system, keyed by report and label."""
-    rep = toeplitz_residuals(system, fam)
+    rep = toeplitz_residuals(system)
     out = {("toeplitz", label): v for label, v in rep.residuals.items()}
     for m in range(1, system.levels):
-        rep = cuntz_pimsner_residual(system, m, fam)
+        rep = cuntz_pimsner_residual(system, m)
         out.update({("limit", m, label): v for label, v in rep.residuals.items()})
     for k in range(1, system.levels + 1):
-        rep = dataclasses.asdict(reverse_identity(system, k, fam))
+        rep = dataclasses.asdict(reverse_identity(system, k))
         out.update({("reverse", k, name): v for name, v in rep.items()})
     for k in range(min(system.levels, 4) + 1):
-        rep = dataclasses.asdict(matrix_unit_dimension(system, k, fam))
+        rep = dataclasses.asdict(matrix_unit_dimension(system, k))
         out.update({("units", k, name): v for name, v in rep.items()})
     return out
 
@@ -698,17 +783,17 @@ def _dense_commutation_residuals(system, table, blocks, m, coefficient):
         yield eq, index, float(np.linalg.norm(lhs - rhs))
 
 
-def _dense_relations(system, fam):
+def _dense_relations(system):
     """Reference: the Toeplitz battery, the limiting relations and the
     reverse identity on the whole creation blocks, keyed by report, level
     and label."""
-    N = system.levels
+    N, fam = system.levels, system.family
     table = fock._relation_table(system.pair, fam)
     blocks = {
         kind: system.creation_blocks(fam.vectors[idx])
         for idx, kind in enumerate(fam.kinds)
     }
-    res = dict(_dense_grading_residuals(system, fam))
+    res = dict(_dense_grading_residuals(system))
     for m in range(N):
         if m == 0:
             lhs = rhs = np.zeros((1, 1))
@@ -759,20 +844,20 @@ class TestChargeSectors:
         ]
         cases = (
             _grading_cases()
-            + [(system, system.family) for system in _relation_systems()]
-            + [(_system(4, 5), part) for part in parts]
+            + _relation_systems()
+            + [_with_family(_system(4, 5), part) for part in parts]
         )
-        for system, fam in cases:
+        for system in cases:
             got = {
                 ("toeplitz", label): value
-                for label, value in toeplitz_residuals(system, fam).residuals.items()
+                for label, value in toeplitz_residuals(system).residuals.items()
             }
             for m in range(1, system.levels):
-                residuals = cuntz_pimsner_residual(system, m, fam).residuals
+                residuals = cuntz_pimsner_residual(system, m).residuals
                 got.update({("limit", m, label): value for label, value in residuals.items()})
             for k in range(1, system.levels + 1):
-                got["reverse", k] = reverse_identity(system, k, fam).residual
-            reference = _dense_relations(system, fam)
+                got["reverse", k] = reverse_identity(system, k).residual
+            reference = _dense_relations(system)
             assert list(got) == list(reference)
             for key, value in reference.items():
                 assert abs(got[key] - value) <= 1e-13, (system.pair.n, key)
@@ -783,9 +868,8 @@ class TestChargeSectors:
         # frame columns.  Every creation block of every family direction
         # is exactly zero outside the blocks from sector c to sector
         # c + w_x: the per-sector sums rest on this.
-        cases = _grading_cases() + [(system, system.family) for system in _relation_systems()]
-        for system, fam in cases:
-            pair = system.pair
+        for system in _grading_cases() + _relation_systems():
+            pair, fam = system.pair, system.family
             weights = fock._charge_weights(pair)
             for k, sectors in enumerate(system.sectors):
                 assert list(sectors) == sorted(sectors)
@@ -812,7 +896,6 @@ class TestChargeSectors:
     def test_rejects_a_direction_across_charges(self):
         # v_2 + v_3 on the n = 4 pair has support of charge +1 and -1; w_1
         # under the label v_2 has charge 0 against the -1 of its partner v_3.
-        system = _system(4, 5)
         fam = operator_family(_pair(4))
         mixed, unpaired = fam.vectors.copy(), fam.vectors.copy()
         mixed[1] = (fam.vector("v", 2) + fam.vector("v", 3)) / np.sqrt(2)
@@ -822,11 +905,11 @@ class TestChargeSectors:
             (unpaired, "direction v2 and its partner v3 carry charges that do not cancel"),
         ]
         for vectors, message in cases:
-            bad = dataclasses.replace(fam, vectors=vectors)
+            system = _with_family(_system(4, 5), dataclasses.replace(fam, vectors=vectors))
             for call in (
-                lambda: toeplitz_residuals(system, bad),
-                lambda: cuntz_pimsner_residual(system, 2, bad),
-                lambda: reverse_identity(system, 3, bad),
+                lambda: toeplitz_residuals(system),
+                lambda: cuntz_pimsner_residual(system, 2),
+                lambda: reverse_identity(system, 3),
             ):
                 with pytest.raises(ParameterError, match=message):
                     call()
@@ -879,9 +962,9 @@ class TestToeplitzRelations:
     def test_grading_matches_dense_reference(self):
         # The block form reads eq1 off the creation blocks; the dense form
         # builds every D x D operator.  Both give exactly 0.
-        for system, fam in _grading_cases():
-            rep = toeplitz_residuals(system, fam)
-            dense = _dense_grading_residuals(system, fam)
+        for system in _grading_cases():
+            rep = toeplitz_residuals(system)
+            dense = _dense_grading_residuals(system)
             assert list(rep.residuals)[:2] == ["eq1[levels]", "eq1[weight]"]
             for label, value in dense.items():
                 assert repr(rep.residuals[label]) == repr(value) == "0.0", label
@@ -970,18 +1053,22 @@ class TestToeplitzRelations:
         }
         c, f = {np.dtype(complex)}, {np.dtype(float)}
         assert dtypes == {"w1": c, "w2": f, "w3": c, "v3": f}
-        system, fam = _grading_cases()[-1]
-        for u in fam.vectors:
+        system = _rotated_system(5)
+        for u in system.family.vectors:
             assert {blk.dtype for blk in system.creation_blocks(u)} == c
 
     def test_real_blocks_match_complex_reference(self, monkeypatch):
         # Every report built on the blocks, against the same report built
-        # on all-complex blocks.
-        cases = _grading_cases() + [(system, system.family) for system in _relation_systems()]
-        got = [_battery(system, fam) for system, fam in cases]
+        # on all-complex blocks.  The family's blocks are cached with the
+        # system, so the reference runs on fresh builds.
+        cases = _grading_cases() + _relation_systems()
+        got = [_battery(system) for system in cases]
         monkeypatch.setattr(fock.SubproductSystem, "creation_blocks", _complex_creation_blocks)
-        for (system, fam), values in zip(cases, got):
-            reference = _battery(system, fam)
+        for system, values in zip(cases, got):
+            system = _with_family(system, system.family)
+            reference = _battery(system)
+            blocks = [blk for bl in system._relations[1].values() for blk in bl]
+            assert blocks and all(blk.dtype == complex for blk in blocks)
             assert list(values) == list(reference)
             for key, value in reference.items():
                 assert abs(values[key] - value) <= 1e-13, (system.pair.n, key)
@@ -1003,10 +1090,10 @@ class TestWords:
         # A word applied to the vacuum is the compressed elementary tensor.
         for n in (3, 4):
             sys = _system(n, 4)
-            fam = operator_family(_pair(n))
+            fam = sys.family
             count = len(fam.labels)
             for k in (1, 2, 3):
-                psi = word_vectors(sys, fam, k)
+                psi = word_vectors(sys, k)
                 B = sys.basis(k)
                 for col in range(count**k):
                     word, rest = [], col

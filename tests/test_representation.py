@@ -94,6 +94,13 @@ class TestExamplePairs:
         assert np.allclose(p3.a, 3**-0.5)
         assert np.allclose(p3.b, [0.0, 1.0, 0.0])
 
+    def test_compares_by_identity(self):
+        # Two equal-valued pairs are distinct objects; a pair hashes.
+        p, q = _pair4(), build_example_pair("iii", 4, 1, QUARTER)
+        assert (p == q) is False and p != q
+        assert p == p
+        assert {p: "p", q: "q"}[q] == "q"
+
     def test_families_validate(self):
         cases = [
             ("i", 3, 0, THIRD),

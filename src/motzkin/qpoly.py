@@ -17,7 +17,9 @@ i.e. y >= 2, which keeps the Q values positive and q real.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+import operator
+from collections import Counter
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from .errors import ParameterError
@@ -150,6 +152,29 @@ def dim_sequence(n: int, kmax: int) -> Iterator[int]:
         if cur <= 0:
             raise ParameterError(f"dimension sequence for n={n} hits {cur} at k={k}")
         yield cur
+
+
+def charge_characters(charges: Iterable[tuple[int, ...]]) -> Iterator[dict]:
+    """Yield chi_0, chi_1, ...: charge -> multiplicity on each level of the
+    subproduct system over coordinates of the given charges, in one pass
+    of chi_{-1} = 0, chi_0 = {0: 1}, chi_{k+1} = chi_1 chi_k - chi_{k-1}.
+
+    Charges are tuples of ints.  chi_1 is the character of the coordinates
+    less one charge 0 (the line of b), and the product is the convolution
+    of charges, so that the totals of chi_k follow `dim_sequence`.  Only
+    charges of nonzero multiplicity are kept.
+    """
+    chi1 = Counter(charges)
+    zero = (0,) * len(next(iter(chi1)))
+    chi1[zero] -= 1
+    prev, cur = {}, {zero: 1}
+    while True:
+        yield cur
+        nxt = Counter({c: -m for c, m in prev.items()})
+        for c1, m1 in chi1.items():
+            for c2, m2 in cur.items():
+                nxt[tuple(map(operator.add, c1, c2))] += m1 * m2
+        prev, cur = cur, {c: m for c, m in nxt.items() if m}
 
 
 def dim_subproduct(n: int, k: int) -> int:

@@ -1,9 +1,12 @@
 """Tests for the subproduct system and its Toeplitz operators."""
 
 import dataclasses
+import re
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from motzkin.fock import (
     word_vectors,
 )
 from motzkin.jones_wenzl import jones_wenzl
-from motzkin.qpoly import PhiFunction, dim_subproduct
+from motzkin.qpoly import PhiFunction, charge_characters, dim_subproduct
 from motzkin.representation import (
     MotzkinPair,
     build_example_pair,
@@ -96,6 +99,98 @@ def _ungraded_frames(pair, levels):
         H = hats[-1].reshape(n, d_k, dims[-1])
         frames.append((frames[-1] @ H).reshape(-1, dims[-1]))
     return frames
+
+
+def _eigh_add_level(self, k, a, b, weights, chi):
+    """Reference level step, in place of `SubproductSystem._add_level`: form
+    each charge block of G^ = (1 - b b^*) (x) 1 - phi(k) Z^* Z, symmetrise
+    it, total its idempotent residual from G^2 - G, diagonalise it with
+    eigh and keep the eigenvectors above 1/2.  ``chi`` is not checked."""
+    n, d_k = self.pair.n, self.dims[k]
+    d_next = dim_subproduct(n, k + 1)
+    Q = np.eye(n) - np.outer(b, b.conj())
+    lower = self.sectors[k]
+    col_charges = np.repeat(
+        np.array(list(lower), dtype=np.int64),
+        [cols.stop - cols.start for cols in lower.values()],
+        axis=0,
+    )
+    row_charges = (weights[:, None, :] + col_charges[None, :, :]).reshape(n * d_k, -1)
+    order = np.lexsort(row_charges.T[::-1])
+    ranked = row_charges[order]
+    starts = np.flatnonzero(np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)])
+    members = np.split(order, starts[1:])
+    sizes = [rows.size for rows in members]
+    self._check_level_bytes(k + 1, d_next, sizes)
+
+    phik = float(self.phi(k))
+    if phik:
+        H = self.hat_bases[k].reshape(n, self.dims[k - 1], d_k)
+        Z = (a.conj()[:, None, None] * H[::-1]).transpose(1, 0, 2)
+        Z = Z.reshape(self.dims[k - 1], n * d_k)
+    hat = np.zeros((n * d_k, d_next), dtype=self.dtype)
+    sectors = {}
+    res2, found, drift, off_spectrum = 0.0, 0, 0.0, False
+    kept_min, dropped_max = np.inf, 0.0
+    for charge, rows in zip(map(tuple, ranked[starts].tolist()), members):
+        slot, col = np.divmod(rows, d_k)
+        G = Q[slot[:, None], slot] * (col[:, None] == col[None, :])
+        if phik:
+            below = self.sectors[k - 1].get(charge, slice(0, 0))
+            Zb = Z[below, rows]
+            G -= phik * (Zb.conj().T @ Zb)
+        G = (G + G.conj().T) / 2.0
+        res2 += float(np.linalg.norm(G @ G - G)) ** 2
+        evals, vecs = np.linalg.eigh(G)
+        snapped = np.round(evals)
+        drift = max(drift, float(np.abs(evals - snapped).max(initial=0.0)))
+        off_spectrum |= not ((snapped == 0.0) | (snapped == 1.0)).all()
+        keep = evals > 0.5
+        kept_min = min(kept_min, float(evals[keep].min(initial=np.inf)))
+        dropped_max = max(dropped_max, float(evals[~keep].max(initial=0.0)))
+        count = int(keep.sum())
+        if found + count <= d_next:
+            hat[rows, found : found + count] = vecs[:, keep]
+        if count:
+            sectors[charge] = slice(found, found + count)
+        found += count
+    res = float(np.sqrt(res2))
+    if res > fock.TOL_CONSTRUCT and (drift > fock._SNAP_TOL or off_spectrum):
+        raise fock._level_failure(
+            self.pair,
+            f"level {k + 1}: compressed projection has spectrum "
+            f"away from {{0, 1}} (drift {drift:.3e})",
+        )
+    if found != d_next:
+        raise fock._level_failure(
+            self.pair,
+            f"level {k + 1} basis: extracted {found} independent "
+            f"directions, expected {d_next}",
+        )
+    self.idempotent_residuals.append(res)
+    self.rounding_magnitudes.append(drift if res > fock.TOL_CONSTRUCT else 0.0)
+    self.spectral_gaps.append(kept_min / dropped_max if dropped_max > 0 else np.inf)
+    self.charge_block_sizes.append(sizes)
+    self.dims.append(d_next)
+    self.hat_bases.append(hat)
+    self.sectors.append(sectors)
+
+
+
+def _eigh_build(pair, levels):
+    """The system of ``pair`` to ``levels`` built by the eigh reference step."""
+    with mock.patch.object(fock.SubproductSystem, "_add_level", _eigh_add_level):
+        return build_subproduct(pair, levels)
+
+
+def _build_verdict(build, pair, levels):
+    """("built", the levels with recorded rounding) or ("refused", the
+    StructureError text without its drift figure)."""
+    try:
+        system = build(pair, levels)
+    except StructureError as err:
+        return "refused", re.sub(r"drift [^)]*", "drift", str(err))
+    return "built", [k for k, r in enumerate(system.rounding_magnitudes) if r > 0]
 
 
 def _projection_distance(B1, B2):
@@ -330,14 +425,14 @@ class TestBuild:
 
     def test_ranks_read_the_build(self, monkeypatch):
         # Rank and gap were recorded by the build; reading them runs no
-        # eigensolver.
+        # eigensolver and no SVD.
         systems = [_system(3, 5), _system(4, 5), build_subproduct(_rotated_pair4(), 4)]
 
         def refuse(*args, **kwargs):
-            raise AssertionError("eigensolver called after the build")
+            raise AssertionError("a solver was called after the build")
 
-        monkeypatch.setattr(fock.np.linalg, "eigvalsh", refuse)
-        monkeypatch.setattr(fock.np.linalg, "eigh", refuse)
+        for solver in ("eigvalsh", "eigh", "svd"):
+            monkeypatch.setattr(fock.np.linalg, solver, refuse)
         for sys in systems:
             for k in range(sys.levels + 1):
                 rank, gap = projection_rank(sys, k)
@@ -364,7 +459,7 @@ class TestBuild:
                 assert np.linalg.norm(sys.projection(k) - P) < 1e-12, (pair.n, k)
 
     def test_graded_matches_ungraded(self):
-        # One eigh per charge block gives the levels of one dense eigh on
+        # One SVD per charge block gives the levels of one dense eigh on
         # all of C^n (x) H_k: no free orbit (n = 5 with r = 2), one (n = 3,
         # n = 4 real and complex, n = 5 with r = 1) and two (n = 6).
         cases = [
@@ -436,6 +531,8 @@ class TestBuild:
                 {c: cols.stop - cols.start for c, cols in sectors.items()}
                 for sectors in sys.sectors
             ]
+            charges = map(tuple, fock._charge_weights(sys.pair).tolist())
+            assert chi == list(islice(charge_characters(charges), sys.levels + 1))
             for k in range(1, sys.levels):
                 want = {}
                 for c1, m1 in chi[1].items():
@@ -470,6 +567,74 @@ class TestBuild:
             sys = build_subproduct(pair, 5)
             assert sys.dims == [1, 3, 8, 21, 55, 144]
             assert sys.rounding_magnitudes[level[name]] > 0, name
+
+    def test_matches_eigh_reference(self):
+        # One SVD per block against the form-and-eigh reference step: the same
+        # levels, sectors and blocks, the same projections and battery values
+        # to 1e-13, and gaps above RANK_GAP at the same levels.
+        for system in _grading_cases() + _relation_systems():
+            pair, levels = system.pair, system.levels
+            ref = _eigh_build(pair, levels)
+            ref.family = system.family
+            label = (pair.n, levels)
+            assert system.dims == ref.dims, label
+            assert system.sectors == ref.sectors, label
+            assert system.charge_block_sizes == ref.charge_block_sizes, label
+            for k in range(levels + 1):
+                if pair.n**k <= 1024:
+                    diff = np.linalg.norm(system.projection(k) - ref.projection(k))
+                    assert diff <= 1e-13, (label, k)
+            got, want = _battery(system), _battery(ref)
+            got.update(coassociativity_residuals(system))
+            want.update(coassociativity_residuals(ref))
+            assert got.keys() == want.keys(), label
+            for key, value in got.items():
+                assert abs(value - want[key]) <= 1e-13, (label, key)
+            assert [g >= RANK_GAP for g in system.spectral_gaps] == [
+                g >= RANK_GAP for g in ref.spectral_gaps
+            ], label
+
+    def test_perturbed_pairs_match_eigh_reference(self):
+        # The four standard pairs off the pair conditions by eps d, d standard
+        # normal, added to a, to b on its support, or to both, three draws
+        # each: the build and the eigh reference accept and refuse the same
+        # pairs, at the same level with the same text, and record rounding at
+        # the same levels.  Every pair at eps = 1e-3 is refused and none at
+        # 1e-9.
+        pairs = [
+            _pair(4),
+            build_example_pair("ii", 5, 1, Fraction(1, 5)),
+            build_example_pair("iii", 5, 2, Fraction(1, 5)),
+            _pair(3),
+        ]
+        verdicts = {}
+        for base in pairs:
+            for eps in (1e-3, 1e-6, 1e-9):
+                for seed in range(3):
+                    da, db = np.random.default_rng(seed).standard_normal((2, base.n))
+                    changes = {"a": base.a + eps * da, "b": base.b + eps * db * (base.b != 0)}
+                    for part in ("a", "b", "ab"):
+                        pair = dataclasses.replace(base, **{x: changes[x] for x in part})
+                        got = _build_verdict(build_subproduct, pair, 4)
+                        want = _build_verdict(_eigh_build, pair, 4)
+                        assert got == want, (base.n, eps, seed, part)
+                        verdicts.setdefault(eps, []).append(got[0])
+        assert set(verdicts[1e-3]) == {"refused"}
+        assert set(verdicts[1e-9]) == {"built"}
+
+    def test_refuses_a_block_off_the_character(self, monkeypatch):
+        # Each block must keep chi_{k+1}(c) columns, not only the level d_k.
+        true = fock.charge_characters
+
+        def moved(charges):
+            for k, chi in enumerate(true(charges)):
+                yield {**chi, (0,): 1, (3,): 1} if k == 2 else chi
+
+        monkeypatch.setattr(fock, "charge_characters", moved)
+        with pytest.raises(
+            StructureError, match=r"^level 2: charge \(0,\) keeps 2 directions, expected 1$"
+        ):
+            build_subproduct(_pair(4), 3)
 
     def test_arithmetic_follows_the_pair(self):
         assert build_subproduct(_pair(4), 2).hat_bases[2].dtype == np.float64

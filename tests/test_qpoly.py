@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -10,6 +11,7 @@ from motzkin.qpoly import (
     PhiFunction,
     chebyshev_P,
     chebyshev_Q,
+    charge_characters,
     dim_sequence,
     dim_subproduct,
     is_generic,
@@ -145,3 +147,25 @@ def test_dim_sequence():
     for n, kmax in ((3, -1), (1, 3)):
         with pytest.raises(ParameterError):
             list(dim_sequence(n, kmax))
+
+
+def test_charge_characters():
+    # The coordinate charges of iii n=4 (one free orbit), iii n=5 r=2 (none)
+    # and iii n=6 (two); the line of b has charge 0.
+    cases = {
+        4: [(0,), (1,), (-1,), (0,)],
+        5: [(0,)] * 5,
+        6: [(0, 0), (1, 0), (0, 1), (0, -1), (-1, 0), (0, 0)],
+    }
+    for n, charges in cases.items():
+        chi = list(islice(charge_characters(charges), 9))
+        assert [sum(c.values()) for c in chi] == list(dim_sequence(n, 8))
+        for c in chi:
+            assert all(m > 0 and c[tuple(-x for x in q)] == m for q, m in c.items())
+    four = list(islice(charge_characters(cases[4]), 3))
+    assert four == [
+        {(0,): 1},
+        {(-1,): 1, (0,): 1, (1,): 1},
+        {(-2,): 1, (-1,): 2, (0,): 2, (1,): 2, (2,): 1},
+    ]
+    assert next(islice(charge_characters(cases[5]), 6, None)) == {(0,): dim_subproduct(5, 6)}

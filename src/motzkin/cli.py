@@ -140,7 +140,9 @@ def _cmd_dims(args) -> int:
         if digits and d >= top:
             raise LimitError(f"d_{k} has more than {digits} digits, too long to print")
         dims.append(d)
-    _emit(args, {"n": args.n, "dims": dims}, [",".join(map(str, dims))])
+    # Converting thousands of digits to text is slow: build only the form asked for.
+    csv_lines = [",".join(map(str, dims))] if args.format == "csv" else None
+    _emit(args, {"n": args.n, "dims": dims}, csv_lines)
     return 0
 
 
@@ -151,7 +153,7 @@ def _cmd_basis(args) -> int:
         "count": len(diagrams),
         "pairings": [list(d.pairing) for d in diagrams],
     }
-    csv_lines = [",".join(map(str, d.pairing)) for d in diagrams]
+    csv_lines = [",".join(map(str, d.pairing)) for d in diagrams] if args.format == "csv" else None
     _emit(args, payload, csv_lines)
     return 0
 

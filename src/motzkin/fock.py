@@ -1,16 +1,16 @@
 """Subproduct system and Toeplitz operators generated by a Motzkin pair.
 
 The levelwise spaces H_k sit inside (C^n)^{(x) k}, and H_{k+1} sits inside
-C^n (x) H_k.  Each level is therefore carried as a hat frame: an isometry
-onto H_{k+1} inside C^n (x) H_k, written in the coordinates of the level
-below.  All operator algebra happens in the compressed dimensions n d_k;
-the n^k-sized ambient frames and projections are built only on request,
-by `SubproductSystem.basis` and `SubproductSystem.projection` or, from a
-bare pair, by `subproduct_projection`.
+C^n (x) H_k.  Each level is therefore carried as a hat frame, an isometry
+onto H_{k+1} inside C^n (x) H_k in the coordinates of the level below,
+stored once as its (charge sector, slot) blocks.  All operator algebra
+happens in the compressed dimensions; the n^k-sized ambient frames and
+projections are built only on request, by `SubproductSystem.basis` and
+`SubproductSystem.projection` or, from a pair, by `subproduct_projection`.
 
 Each system has one operator family, ``SubproductSystem.family``, and every
 relation check reads the set-up the system builds from it once: the
-relation table, the family's creation blocks and their charge-sector views.
+relation table and the family's sector blocks, read off the frames.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -44,8 +44,12 @@ class SubproductSystem:
 
     Stored after construction, for every level k >= 1:
 
-    - ``hat_bases[k]``, the (n d_{k-1}) x d_k hat frame B^_k, an isometry
-      onto H_k inside C^n (x) H_{k-1};
+    - ``frames[k]``, the hat frame B^_k, an isometry onto H_k inside
+      C^n (x) H_{k-1}, as its only nonzero blocks: frames[k][t] maps each
+      slot i to (c, F), F the read-only d_{k-1}(c) x d_k(t) block on the
+      rows (i, sector c = t - w_i of level k - 1), w_i the charge of
+      coordinate i, and the columns of sector t.  F is also the block of
+      S_{e_i}^* from sector t to sector c;
     - ``dims``, ``idempotent_residuals``, ``rounding_magnitudes``,
       ``spectral_gaps`` and ``charge_block_sizes``, recorded while the level
       is built (see below); ``projection_rank`` reads the gap from here;
@@ -53,10 +57,10 @@ class SubproductSystem:
       written in charge order, so each charge is one column range, and
       the dict maps each charge (a tuple) to its slice, in charge order.
 
-    No compressed projection is formed or kept.  No stored array has
-    more than n d_{levels-1} rows.  The n^k x d_k ambient frame
-    B_k = (1 (x) B_{k-1}) B^_k (``basis``) and the full projection
-    B_k B_k^* (``projection``) are built on request; the frames are cached.
+    No compressed projection is formed or kept, and no stored array is
+    taller than the largest charge block.  The n^k x d_k ambient frame
+    B_k = (1 (x) B_{k-1}) B^_k (``basis``) and the full projection B_k B_k^*
+    (``projection``) are built on request; the frames are cached.
 
     The recursion: conjugated into C^n (x) H_k, the level-(k+1) projection
     is G^ = (1 - b b^*) (x) 1 - phi(k) Y Y^*, with b the distinguished unit
@@ -85,14 +89,12 @@ class SubproductSystem:
     estimated bytes exceed FOCK_MAX_BYTES raises LimitError before it is
     built (`_check_level_bytes`).
 
-    A direction's creation operator is kept only as its blocks between
-    consecutive levels (``creation_blocks``); no operator on the whole
-    truncated Fock space is formed.  The blocks are float64 when the frames
-    are real and the vector has no imaginary part, complex128 otherwise;
-    every relation residual and word vector built from them keeps their
-    dtype.  The operator family (``family``) is read off b on first use
-    and kept; the first relation check builds, from it, the set-up that
-    every later one reads (``_relations``).
+    A creation operator S_u is kept only as blocks between consecutive
+    levels: S_u^* is sum_i conj(u_i) times the slot-i blocks of the frame
+    above (`_adjoint_blocks`).  The relation checks read the family's blocks
+    (``_relations``) and ``creation_blocks`` assembles dense ones, float64
+    when the frames are real and u has no imaginary part, complex128
+    otherwise.  The operator family (``family``) is read off b on first use.
 
     Each frame is fixed only up to a unitary on C^{d_k}.  Hat frames and
     creation blocks depend on that choice; projections, ranks, spectra and
@@ -107,7 +109,7 @@ class SubproductSystem:
         self.phi = PhiFunction(pair.lam)
         self.dtype = pair.dtype
         self.dims: list[int] = [1]
-        self.hat_bases: list[np.ndarray | None] = [None]
+        self.frames: list[dict] = [{}]
         self.idempotent_residuals: list[float] = [0.0]
         self.rounding_magnitudes: list[float] = [0.0]
         self.spectral_gaps: list[float] = [np.inf]
@@ -122,48 +124,42 @@ class SubproductSystem:
             self._add_level(k, a, b, weights, chi_next)
 
     def _add_level(self, k: int, a, b, weights, chi: dict) -> None:
-        """Build level k + 1 from level k: one SVD per charge block of M fills
-        the hat frame in charge order, and the spectrum gathered over the
-        blocks is checked once.  Rows are grouped by one sort of charges."""
-        n, d_k = self.pair.n, self.dims[k]
+        """Build level k + 1 from level k: one SVD per charge block t of M,
+        on the rows (i, sector t - w_i of level k) slot by slot, fills the
+        frame in charge order; the gathered spectrum is checked once."""
+        n, lower = self.pair.n, self.sectors[k]
         d_next = dim_subproduct(n, k + 1)
-        lower = self.sectors[k]
-        col_charges = np.repeat(
-            np.array(list(lower), dtype=np.int64),
-            [cols.stop - cols.start for cols in lower.values()],
-            axis=0,
-        )
-        row_charges = (weights[:, None, :] + col_charges[None, :, :]).reshape(n * d_k, -1)
-        order = np.lexsort(row_charges.T[::-1])
-        ranked = row_charges[order]
-        starts = np.flatnonzero(np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)])
-        members = np.split(order, starts[1:])
-        sizes = [rows.size for rows in members]
+        span = {c: cols.stop - cols.start for c, cols in lower.items()}
+        rows: dict = {}
+        for i, w in enumerate(map(tuple, weights.tolist())):
+            for c in lower:
+                rows.setdefault(tuple(map(operator.add, w, c)), []).append((i, c))
+        blocks = sorted(rows.items())
+        sizes = [sum(span[c] for _, c in slots) for _, slots in blocks]
         self._check_level_bytes(k + 1, d_next, sizes)
 
         phik = float(self.phi(k))
-        if phik:
-            # Z[t, (j, s)] = conj(a_j) H[jbar, t, s]: V holds a_j at (j, jbar).
-            H = self.hat_bases[k].reshape(n, self.dims[k - 1], d_k)
-            coef = np.sqrt(phik) * a.conj()
-        hat = np.zeros((n * d_k, d_next), dtype=self.dtype)
-        sectors, squares, found = {}, [], 0
-        for charge, rows in zip(map(tuple, ranked[starts].tolist()), members):
-            slot, col = np.divmod(rows, d_k)
-            # The rows of b^* (x) 1 that meet the block, one per column of H_k
-            # met with the first slot of b (b lives on charge 0, so any slot).
-            M = b.conj()[slot] * (col == col[slot == np.argmax(b != 0)][:, None])
-            if phik:
-                below = self.sectors[k - 1].get(charge, slice(0, 0))
-                M = np.vstack([M, (coef[slot, None] * H[n - 1 - slot, below, col]).T])
+        bc, coef = b.conj(), np.sqrt(phik) * a.conj()
+        frame, sectors, squares, found = {}, {}, [], 0
+        for (t, slots), size in zip(blocks, sizes):
+            # The rows of b^* (x) 1; b_i = 0 on every slot whose sector is not t.
+            width = span.get(t, 0)
+            M = np.hstack([bc[i] * np.eye(width, span[c]) for i, c in slots])
+            if phik and t in self.sectors[k - 1]:
+                # Z[s, (i, j)] = conj(a_i) H[ibar, s, j]: V holds a_i at (i, ibar),
+                # and the slot-ibar block of sector c_i has the rows of sector t.
+                Z = [coef[i] * self.frames[k][c][n - 1 - i][1] for i, c in slots]
+                M = np.vstack([M, np.hstack(Z)])
             V, sigma = np.linalg.svd(M.conj().T)[:2]
-            sq = np.concatenate([sigma**2, np.zeros(rows.size - sigma.size)])
+            sq = np.concatenate([sigma**2, np.zeros(size - sigma.size)])
             squares.append(sq)
             keep = np.flatnonzero(sq < 0.5)
-            if found + keep.size <= d_next:
-                hat[rows, found : found + keep.size] = V[:, keep]
             if keep.size:
-                sectors[charge] = slice(found, found + keep.size)
+                columns = V[:, keep]
+                columns.flags.writeable = False
+                ends = accumulate(span[c] for _, c in slots)
+                frame[t] = {i: (c, columns[e - span[c] : e]) for (i, c), e in zip(slots, ends)}
+                sectors[t] = slice(found, found + keep.size)
             found += keep.size
         sq = np.concatenate(squares)
         evals = 1.0 - sq
@@ -197,7 +193,7 @@ class SubproductSystem:
         self.spectral_gaps.append(high / low if low else np.inf)
         self.charge_block_sizes.append(sizes)
         self.dims.append(d_next)
-        self.hat_bases.append(hat)
+        self.frames.append(frame)
         self.sectors.append(sectors)
 
     def _check_level_bytes(self, k: int, d_k: int, sizes: list[int]) -> None:
@@ -205,10 +201,14 @@ class SubproductSystem:
         the hat frames stored so far, the level's own hat frame, the frame
         below once more for the rows of Z, and five arrays the size of the
         largest block for its SVD (M, LAPACK's copy, U, V, workspace).
-        One block is alive at a time.  With one BLAS thread, the SVD of the
-        largest n = 4 level-8 block (M 216 x 592) and its kept columns raise
-        the process peak by 11.0 of the 13.4 MiB counted here."""
-        hats = [0] + [h.size for h in self.hat_bases[1:]]
+        One block is alive at a time.  Frames count at their dense size
+        n d_{j-1} d_j, although only their charge blocks are stored, on
+        purpose: every refusal point stays until ROADMAP item 4 derives the
+        sizes from chi.  With one BLAS thread, the SVD of the largest n = 4
+        level-8 block (M 216 x 592) and its kept columns raise the process
+        peak by 11.0 of the 13.4 MiB counted here."""
+        n = self.pair.n
+        hats = [0] + [n * d * e for d, e in zip(self.dims, self.dims[1:])]
         rows = sum(sizes)
         entries = (
             sum(hats)
@@ -231,7 +231,11 @@ class SubproductSystem:
         """The n^k x d_k isometry onto level k, built on first use."""
         self._check_level(k)
         if k not in self._bases:
-            H = self.hat_bases[k].reshape(self.pair.n, self.dims[k - 1], self.dims[k])
+            lower = self.sectors[k - 1]
+            H = np.zeros((self.pair.n, self.dims[k - 1], self.dims[k]), dtype=self.dtype)
+            for t, cols in self.sectors[k].items():
+                for i, (c, F) in self.frames[k][t].items():
+                    H[i, lower[c], cols] = F
             self._bases[k] = (self.basis(k - 1) @ H).reshape(-1, self.dims[k])
         return self._bases[k]
 
@@ -265,19 +269,21 @@ class SubproductSystem:
 
     @cached_property
     def _relations(self):
-        """(table, blocks, cuts), built from ``family`` on first use: the
-        `_relation_table`, the family's creation blocks (direction -> one
-        read-only block per level below the top) and their `_sector_blocks`
-        at every level below the top (cuts[k] for level k)."""
-        fam = self.family
-        table = _relation_table(self.pair, fam)
-        blocks = {}
-        for x, u in zip(fam.kinds, fam.vectors):
-            blocks[x] = self.creation_blocks(u)
-            for blk in blocks[x]:
-                blk.flags.writeable = False
-        cuts = [_sector_blocks(self, blocks, table, k) for k in range(self.levels)]
-        return table, blocks, cuts
+        """(table, cuts) from ``family``, on first use: the `_relation_table`,
+        and cuts[k] (k < levels) maps each direction x to {t: (c, A)}, A the
+        read-only block of S_x^* from sector t of level k + 1 to sector
+        c = t - w_x of level k (`_adjoint_blocks`), off which S_x is zero: a
+        view of the frame for a coordinate direction."""
+        table = _relation_table(self.pair, self.family)
+        cuts = [{} for _ in range(self.levels)]
+        for x, u in zip(table, self.family.vectors):
+            u = u if u.imag.any() else u.real
+            for k, cut in enumerate(cuts):
+                blocks = _adjoint_blocks(self.frames[k + 1], u)
+                cut[x] = {t: (c, A) for (t, c), A in blocks.items()}
+                for _, A in cut[x].values():
+                    A.flags.writeable = False
+        return table, cuts
 
     # -- Fock-space bookkeeping ------------------------------------------
 
@@ -292,28 +298,33 @@ class SubproductSystem:
 
         Block k is d_{k+1} x d_k; in level coordinates the operator sends
         xi to the compression of u (x) xi, that is B^_{k+1}^* (u (x) xi).
-        Each call computes fresh blocks; the relation checks read the
-        family's blocks from ``_relations``, computed once.  A real
-        frame is never copied to complex: against a real u (imaginary part
-        exactly zero) its blocks are float64, and against a complex u the
-        real and imaginary parts of u are contracted with it apart.  A
-        complex frame gives complex128 blocks.
+        Each call assembles fresh dense blocks from the frames' charge
+        blocks (`_adjoint_blocks`), float64 when the frames are real and u
+        has no imaginary part and complex128 otherwise.
         """
-        n = self.pair.n
-        u = np.asarray(u, dtype=complex).reshape(n)
+        u = np.asarray(u, dtype=complex).reshape(self.pair.n)
+        u = u if u.imag.any() else u.real
         out = []
         for k in range(self.levels):
-            H = self.hat_bases[k + 1].reshape(n, self.dims[k], self.dims[k + 1])
-            if np.iscomplexobj(H):
-                blk = np.tensordot(u.conj(), H, axes=(0, 0)).conj()
-            elif not u.imag.any():
-                blk = np.tensordot(u.real, H, axes=(0, 0))
-            else:
-                blk = np.empty(H.shape[1:], dtype=complex)
-                blk.real = np.tensordot(u.real, H, axes=(0, 0))
-                blk.imag = np.tensordot(u.imag, H, axes=(0, 0))
-            out.append(blk.T)
+            blk = np.zeros((self.dims[k + 1], self.dims[k]), dtype=np.result_type(self.dtype, u))
+            for (t, c), A in _adjoint_blocks(self.frames[k + 1], u).items():
+                blk[self.sectors[k + 1][t], self.sectors[k][c]] = A.conj().T
+            out.append(blk)
         return out
+
+
+def _adjoint_blocks(frame: dict, u: np.ndarray) -> dict:
+    """The blocks of S_u^* from level k + 1 to level k, ``frame`` being
+    frames[k + 1]: (t, c) -> sum_i conj(u_i) F_i over the slots i with
+    u_i != 0 and frame[t][i] = (c, F_i).  A term with u_i = 1 is
+    F_i itself, so a coordinate direction's blocks are views of the frame."""
+    out, u = {}, u.tolist()
+    for t, slots in frame.items():
+        for i, (c, F) in slots.items():
+            if u[i]:
+                term = F if u[i] == 1 else u[i].conjugate() * F
+                out[t, c] = out[t, c] + term if (t, c) in out else term
+    return out
 
 
 def _charge_weights(pair: MotzkinPair) -> np.ndarray:
@@ -545,26 +556,6 @@ def _relation_table(pair: MotzkinPair, fam: OperatorFamily) -> dict:
     return table
 
 
-def _sector_blocks(system: SubproductSystem, blocks: dict, table: dict, k: int) -> dict:
-    """The level-k creation blocks of the family cut into charge sectors.
-
-    Maps each direction x to {t: (c, block)} over the sectors c of level k
-    whose image t = c + w_x is a sector of level k + 1; block is the part
-    of the creation block from c to t, a view of the block.  Every
-    other entry of the creation block is exactly zero, so every product
-    of creation operators is a sum over these views."""
-    lower, upper = system.sectors[k], system.sectors[k + 1]
-    out = {}
-    for x, (_, _, shift) in table.items():
-        blk = blocks[x][k]
-        out[x] = {}
-        for c, cols in lower.items():
-            t = tuple(map(operator.add, c, shift))
-            if t in upper:
-                out[x][t] = c, blk[upper[t], cols]
-    return out
-
-
 def _accumulate(acc: dict, key, term: np.ndarray) -> None:
     """acc[key] += term, in place when the dtypes agree; term is a fresh
     array, so it may be stored as it is."""
@@ -622,10 +613,10 @@ def _commutation_residuals(
     Both sides map sector c of level m to sector c + w_y - w_x through
     the sector c + w_y of levels m + 1 and m - 1, so each residual is the
     root of the summed squared norms of one block per level-m sector,
-    formed from the views in ``cuts`` (cuts[k] the `_sector_blocks` of
-    level k).  The residual of (y, x) is the adjoint of that of (x, y), so
-    each unordered eq4 and eq6 pair is formed once and its norm reported
-    under both keys.
+    formed from the blocks of S^* in ``cuts`` (``SubproductSystem._relations``).
+    The residual of (y, x) is the adjoint of that of (x, y), so each
+    unordered eq4 and eq6 pair is formed once and its norm reported under
+    both keys.
     """
     v = [x for x in table if x[0] == "v"]
     w = [x for x in table if x[0] == "w"]
@@ -643,14 +634,14 @@ def _commutation_residuals(
             lhs: dict = {}
             for mid, (c, Y) in up[y].items():
                 if mid in up[x]:
-                    lhs[c] = up[x][mid][1].conj().T @ Y
+                    lhs[c] = up[x][mid][1] @ Y.conj().T
             rhs: dict = {}
             if m:
                 coef = coefficient * np.conj(alpha_y) * alpha_x
                 from_px = {mid: P for mid, P in cuts[m - 1][px].values()}
                 for c, (mid, Q) in cuts[m - 1][py].items():
                     if mid in from_px:
-                        rhs[c] = coef * (from_px[mid] @ Q.conj().T)
+                        rhs[c] = coef * (from_px[mid].conj().T @ Q)
             value = done[x, y] = _sector_norm(lhs, system.sectors[m], float(x == y), rhs)
         yield eq, index, value
 
@@ -668,16 +659,17 @@ def toeplitz_residuals(
     ParameterError.  eq3 to eq6 read the weights and partners of
     `_relation_table`.
 
-    eq2 to eq6 are formed one charge sector at a time from the views of
-    `_sector_blocks`: S_x S_x^*, the eq3 sum and the eq4 to eq6 relations
-    each have one block per sector of the level they act on, and each
-    residual is the root of the summed squared block norms.
+    eq2 to eq6 are formed one charge sector at a time from the family's
+    blocks of S_x^* (``SubproductSystem._relations``): S_x S_x^*, the eq3
+    sum and the eq4 to eq6 relations each have one block per sector of the
+    level they act on, and each residual is the root of the summed squared
+    block norms.
     """
     n, N = system.pair.n, system.levels
     if N < 1:
         raise ParameterError(f"need levels >= 1 for a relation to check, got {N}")
     phi = system.phi
-    table, blocks, cuts = system._relations
+    table, cuts = system._relations
     res: dict[str, float] = {}
     skipped: list[str] = []
 
@@ -686,11 +678,12 @@ def toeplitz_residuals(
     # S maps level k to level k + 1, so on it E_m S - S E_{m-1} is
     # [k + 1 = m] - [k = m - 1] times the block and f S - S (f o shift) is
     # f(k + 1) - (f o shift)(k) times it; each residual is read off the
-    # block norms.
+    # block norms, each the root of its summed squared sector norms.
     k = np.arange(N)
     weight = 1.0 + 1.0 / ((1 + n) * (1 + (k + 1)))
     shifted = 1.0 + 1.0 / ((1 + n) * (2 + k))
-    norms = [np.array([np.linalg.norm(blk) for blk in bl]) for bl in blocks.values()]
+    norms = [np.sqrt([sum(np.vdot(A, A).real for _, A in cut[x].values()) for cut in cuts])
+             for x in table]
     res["eq1[levels]"] = max(
         float(np.linalg.norm(((k + 1 == m).astype(float) - (k == m - 1)) * s))
         for m in range(N + 1)
@@ -703,8 +696,8 @@ def toeplitz_residuals(
     for m in range(1, N):
         acc: dict = {}
         for views in cuts[m - 1].values():
-            for t, (_, V) in views.items():
-                _accumulate(acc, t, V @ V.conj().T)
+            for t, (_, A) in views.items():
+                _accumulate(acc, t, A.conj().T @ A)
         res[f"eq2[m={m}]"] = _sector_norm(acc, system.sectors[m], 1.0)
     skipped.append(f"eq2[m={N}]")
 
@@ -716,7 +709,7 @@ def toeplitz_residuals(
             for mid, W in cuts[m + 1][x].values():
                 if mid in into:
                     c, V = into[mid]
-                    _accumulate(acc, c, alpha * (W @ V))
+                    _accumulate(acc, c, alpha * (W.conj().T @ V.conj().T))
         res[f"eq3[m={m}]"] = _sector_norm(acc, system.sectors[m], 0.0)
 
     # Commutation relations between annihilation and creation parts.
@@ -758,10 +751,17 @@ def word_vectors(system: SubproductSystem, k: int) -> np.ndarray:
         raise LimitError(
             f"{count ** k} words at length {k}, above the cap 2048"
         )
-    blocks = system._relations[1].values()
+    cuts = system._relations[1]
     psi = np.ones((1, 1))
     for level in range(k):
-        psi = np.hstack([bl[level] @ psi for bl in blocks])
+        lower, upper = system.sectors[level], system.sectors[level + 1]
+        views = list(cuts[level].values())
+        dtype = np.result_type(psi, *(A for view in views for _, A in view.values()))
+        out = np.zeros((len(views), system.dims[level + 1], psi.shape[1]), dtype)
+        for x, view in enumerate(views):
+            for t, (c, A) in view.items():
+                out[x, upper[t]] = A.conj().T @ psi[lower[c]]
+        psi = np.hstack(out)
     return psi
 
 
@@ -819,7 +819,7 @@ def reverse_identity(
     """
     if not 1 <= k <= system.levels:
         raise ParameterError(f"need 1 <= k <= {system.levels}, got {k}")
-    table, _, cuts = system._relations
+    table, cuts = system._relations
     lam = system.pair.lam
     constant = 1 - lam - lam * lam * system.phi(k - 1)
     q = system.phi.q
@@ -831,7 +831,7 @@ def reverse_identity(
     for x, (_, px, _) in table.items():
         weight = abs(table[px][0]) ** 2
         for c, V in cuts[k - 1][x].values():
-            _accumulate(acc, c, weight * (V.conj().T @ V))
+            _accumulate(acc, c, weight * (V @ V.conj().T))
     residual = _sector_norm(acc, system.sectors[k - 1], float(constant))
     return ReverseIdentityReport(
         k=k,
@@ -933,7 +933,7 @@ def cuntz_pimsner_residual(system: SubproductSystem, m: int) -> AsymptoticReport
             f"need 1 <= m <= {system.levels - 1}, got {m}"
         )
     phi_inf = system.phi.infinity
-    table, _, cuts = system._relations
+    table, cuts = system._relations
     res = {
         f"{eq}o[{index}]": value
         for eq, index, value in _commutation_residuals(

@@ -101,11 +101,25 @@ def _ungraded_frames(pair, levels):
     return frames
 
 
+def _dense_hat(system, k):
+    """The (n d_{k-1}) x d_k hat frame of level k, assembled dense in the
+    dtype of its charge blocks ``system.frames[k]``; every other entry is
+    zero."""
+    n, below = system.pair.n, system.dims[k - 1]
+    lower, upper = system.sectors[k - 1], system.sectors[k]
+    parts = [(t, i, c, F) for t, slots in system.frames[k].items() for i, (c, F) in slots.items()]
+    H = np.zeros((n, below, system.dims[k]), np.result_type(*(F for *_, F in parts)))
+    for t, i, c, F in parts:
+        H[i, lower[c], upper[t]] = F
+    return H.reshape(n * below, -1)
+
+
 def _eigh_add_level(self, k, a, b, weights, chi):
     """Reference level step, in place of `SubproductSystem._add_level`: form
     each charge block of G^ = (1 - b b^*) (x) 1 - phi(k) Z^* Z, symmetrise
     it, total its idempotent residual from G^2 - G, diagonalise it with
-    eigh and keep the eigenvectors above 1/2.  ``chi`` is not checked."""
+    eigh and keep the eigenvectors above 1/2, written as the blocks of
+    ``frames``.  ``chi`` is not checked."""
     n, d_k = self.pair.n, self.dims[k]
     d_next = dim_subproduct(n, k + 1)
     Q = np.eye(n) - np.outer(b, b.conj())
@@ -125,11 +139,10 @@ def _eigh_add_level(self, k, a, b, weights, chi):
 
     phik = float(self.phi(k))
     if phik:
-        H = self.hat_bases[k].reshape(n, self.dims[k - 1], d_k)
+        H = _dense_hat(self, k).reshape(n, self.dims[k - 1], d_k)
         Z = (a.conj()[:, None, None] * H[::-1]).transpose(1, 0, 2)
         Z = Z.reshape(self.dims[k - 1], n * d_k)
-    hat = np.zeros((n * d_k, d_next), dtype=self.dtype)
-    sectors = {}
+    frame, sectors = {}, {}
     res2, found, drift, off_spectrum = 0.0, 0, 0.0, False
     kept_min, dropped_max = np.inf, 0.0
     for charge, rows in zip(map(tuple, ranked[starts].tolist()), members):
@@ -149,9 +162,12 @@ def _eigh_add_level(self, k, a, b, weights, chi):
         kept_min = min(kept_min, float(evals[keep].min(initial=np.inf)))
         dropped_max = max(dropped_max, float(evals[~keep].max(initial=0.0)))
         count = int(keep.sum())
-        if found + count <= d_next:
-            hat[rows, found : found + count] = vecs[:, keep]
         if count:
+            kept = vecs[:, keep].astype(self.dtype)
+            frame[charge] = {
+                i: (tuple(np.subtract(charge, weights[i]).tolist()), kept[slot == i])
+                for i in np.unique(slot).tolist()
+            }
             sectors[charge] = slice(found, found + count)
         found += count
     res = float(np.sqrt(res2))
@@ -172,7 +188,7 @@ def _eigh_add_level(self, k, a, b, weights, chi):
     self.spectral_gaps.append(kept_min / dropped_max if dropped_max > 0 else np.inf)
     self.charge_block_sizes.append(sizes)
     self.dims.append(d_next)
-    self.hat_bases.append(hat)
+    self.frames.append(frame)
     self.sectors.append(sectors)
 
 
@@ -501,7 +517,8 @@ class TestBuild:
             for k in range(1, levels + 1):
                 rows = (weights[:, None, :] + charges[k - 1][None]).reshape(n * sys.dims[k - 1], -1)
                 off = (rows[:, None, :] != rows[None, :, :]).any(axis=2)
-                P = sys.hat_bases[k] @ sys.hat_bases[k].conj().T
+                H = _dense_hat(sys, k)
+                P = H @ H.conj().T
                 assert off.any() and not P[off].any(), (n, k)
                 sizes = np.unique(rows, axis=0, return_counts=True)[1]
                 assert sorted(sys.charge_block_sizes[k]) == sorted(sizes), (n, k)
@@ -519,7 +536,7 @@ class TestBuild:
         for sys in _recursion_systems():
             n, b = sys.pair.n, sys.pair.b
             for k in range(2, sys.levels + 1):
-                H = sys.hat_bases[k].reshape(n, sys.dims[k - 1], sys.dims[k])
+                H = _dense_hat(sys, k).reshape(n, sys.dims[k - 1], sys.dims[k])
                 assert np.linalg.norm(np.tensordot(b.conj(), H, axes=(0, 0))) <= 1e-12, (n, k)
 
     def test_sector_sizes_follow_the_dimension_recursion(self):
@@ -637,21 +654,24 @@ class TestBuild:
             build_subproduct(_pair(4), 3)
 
     def test_arithmetic_follows_the_pair(self):
-        assert build_subproduct(_pair(4), 2).hat_bases[2].dtype == np.float64
-        assert build_subproduct(_rotated_pair4(), 2).hat_bases[2].dtype == np.complex128
+        assert _dense_hat(build_subproduct(_pair(4), 2), 2).dtype == np.float64
+        assert _dense_hat(build_subproduct(_rotated_pair4(), 2), 2).dtype == np.complex128
 
     def test_creation_blocks_are_cached(self):
-        # The family's blocks are computed once per system, read-only, for
-        # the relation checks; creation_blocks computes fresh ones per call.
+        # The family's sector blocks are read once per system, read-only, for
+        # the relation checks; creation_blocks assembles fresh ones per call.
         sys = build_subproduct(_pair(4), 4)
         u = operator_family(_pair(4)).vectors[1]
         first, again = sys.creation_blocks(u), sys.creation_blocks(u.copy())
         assert all(x is not y and np.array_equal(x, y) for x, y in zip(first, again))
-        cached = sys._relations[1][("v", 2)]
-        assert cached is sys._relations[1][("v", 2)]
-        assert all(np.array_equal(x, y) for x, y in zip(first, cached))
-        assert not cached[2].flags.writeable and first[2].flags.writeable
-        H = sys.hat_bases[3].reshape(4, sys.dims[2], sys.dims[3])
+        cuts = sys._relations[1]
+        assert cuts is sys._relations[1]
+        for k, blk in enumerate(first):
+            assert blk.flags.writeable and cuts[k][("v", 2)]
+            for t, (c, A) in cuts[k][("v", 2)].items():
+                assert not A.flags.writeable
+                assert np.array_equal(A.conj().T, blk[sys.sectors[k + 1][t], sys.sectors[k][c]])
+        H = _dense_hat(sys, 3).reshape(4, sys.dims[2], sys.dims[3])
         assert np.allclose(first[2], np.tensordot(u.conj(), H, axes=(0, 0)).conj().T)
 
     def test_size_guard(self, monkeypatch):
@@ -673,15 +693,29 @@ class TestBuild:
         assert build_subproduct(_pair(4), 4).dims[-1] == 55
 
     def test_stores_compressed_frames_only(self):
-        # Until a frame is asked for, nothing stored is taller than n d_4.
-        sys = build_subproduct(_pair(4), 5)
-        rows = []
-        for value in vars(sys).values():
-            if isinstance(value, (list, dict)):
-                items = value.values() if isinstance(value, dict) else value
-                rows += [a.shape[0] for a in items if isinstance(a, np.ndarray)]
-        assert max(rows) == 4 * sys.dims[4]
-        assert sys.basis(5).shape == (4**5, 144)
+        # Each frame is stored once, as its charge blocks: every coordinate
+        # direction's block in the relation set-up is a read-only view of
+        # the frame, and until an ambient frame is asked for, nothing the
+        # system holds, the set-up included, is taller than its largest
+        # charge block.  The rotated pair is given the n = 4 family, whose
+        # v directions are coordinate vectors, on its complex frames.
+        fam4 = operator_family(_pair(4))
+        for system in _recursion_systems():
+            sys = build_subproduct(system.pair, system.levels)
+            if sys.pair.dtype.kind == "c":
+                sys.family = fam4
+            table, cuts = sys._relations
+            for x in table:
+                for k, cut in enumerate(cuts):
+                    assert cut[x], (sys.pair.n, x, k)
+                    for t, (_, A) in cut[x].items():
+                        assert not A.flags.writeable
+                        if x[0] == "v":
+                            F = sys.frames[k + 1][t][x[1] - 1][1]
+                            assert np.shares_memory(A, F), (sys.pair.n, x, k, t)
+            rows = [a.shape[0] for a in _held_arrays(vars(sys)) if a.ndim]
+            assert max(rows) <= max(map(max, sys.charge_block_sizes[1:])), sys.pair.n
+        assert build_subproduct(_pair(4), 5).basis(5).shape == (4**5, 144)
 
     @pytest.mark.slow
     def test_level_eight(self):
@@ -693,6 +727,22 @@ class TestBuild:
         limits = [cuntz_pimsner_residual(sys, m).residual for m in range(1, 8)]
         assert all(x > y > 0 for x, y in zip(limits, limits[1:]))
         assert all(reverse_identity(sys, k).ok for k in range(1, 9))
+
+    @pytest.mark.slow
+    def test_level_eight_memory(self):
+        # Each frame is stored once, as its charge blocks, and the family's
+        # blocks are read off it: after the build and a cold battery the
+        # system holds about 12.5 MiB (159.6 MiB with dense hat frames and
+        # dense creation blocks).
+        tracemalloc.start()
+        try:
+            sys = build_subproduct(_pair(4), 8)
+            toeplitz_residuals(sys)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert sys.dims[-1] == 2584
+        assert held <= 24 * 2**20
 
     @pytest.mark.slow
     def test_level_seven(self):
@@ -897,16 +947,44 @@ class TestRelationTable:
             assert np.abs(ideal_generator(system).vector - ref).max() <= 1e-15
 
 
+def _held_arrays(obj):
+    """Every array reachable from ``obj`` through dicts, lists and tuples,
+    and the base of every view among them."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+        yield from _held_arrays(obj.base)
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _held_arrays(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from _held_arrays(value)
+
+
 def _complex_creation_blocks(system, u):
-    """Reference: the creation blocks of u from the hat frames copied to
-    complex, whatever the dtypes of frame and vector."""
+    """Reference: the creation blocks of u by the dense contraction of the
+    hat frames copied to complex, whatever the dtypes of frame and vector."""
     n = system.pair.n
     u = np.asarray(u, dtype=complex).reshape(n)
     out = []
     for k in range(system.levels):
-        H = system.hat_bases[k + 1].reshape(n, system.dims[k], system.dims[k + 1])
+        H = _dense_hat(system, k + 1).reshape(n, system.dims[k], system.dims[k + 1])
         out.append(np.tensordot(u.conj(), H.astype(complex), axes=(0, 0)).conj().T)
     return out
+
+
+def _complex_frames(system):
+    """A fresh build of ``system`` with its family, every frame block copied
+    to complex."""
+    fresh = _with_family(system, system.family)
+    fresh.frames = [
+        {
+            t: {i: (c, F.astype(complex)) for i, (c, F) in slots.items()}
+            for t, slots in frame.items()
+        }
+        for frame in fresh.frames
+    ]
+    return fresh
 
 
 def _battery(system):
@@ -1166,8 +1244,9 @@ class TestToeplitzRelations:
         # complex contraction, and the frame is never copied to complex.
         system = build_subproduct(_pair(4), 6)
         u = np.array([0.3, 0.5j, -0.2 + 0.1j, 0.7])
-        frames = system.hat_bases[1:]
-        assert all(H.dtype == np.float64 for H in frames)
+        for frame in system.frames:
+            assert all(F.dtype == np.float64 for slots in frame.values() for _, F in slots.values())
+        frames = [_dense_hat(system, k) for k in range(1, system.levels + 1)]
         tracemalloc.start()
         try:
             blocks = system.creation_blocks(u)
@@ -1187,7 +1266,7 @@ class TestToeplitzRelations:
         # complex contraction, with far less than a copy of the frame made.
         system = build_subproduct(_pair(4), 6)
         u = np.array([0.3, 0.5, -0.2, 0.7], dtype=complex)
-        frames = system.hat_bases[1:]
+        frames = [_dense_hat(system, k) for k in range(1, system.levels + 1)]
         tracemalloc.start()
         try:
             blocks = system.creation_blocks(u)
@@ -1222,18 +1301,39 @@ class TestToeplitzRelations:
         for u in system.family.vectors:
             assert {blk.dtype for blk in system.creation_blocks(u)} == c
 
-    def test_real_blocks_match_complex_reference(self, monkeypatch):
+    def test_creation_blocks_match_dense_contraction(self):
+        # Assembled from the frames' charge blocks, against the contraction
+        # of u with the whole dense hat frame: every family vector, a random
+        # real and a random complex u, on every system of the recursion
+        # tests.  float64 exactly where both the frame and u are real.
+        rng = np.random.default_rng(7)
+        for system in _recursion_systems():
+            n = system.pair.n
+            if system.dtype.kind == "c":
+                family = operator_family(_pair(4)).vectors * _ROTATION
+            else:
+                family = operator_family(system.pair).vectors
+            real_u, complex_u = rng.standard_normal(n), [1, 1j] @ rng.standard_normal((2, n))
+            for u in [*family, real_u, complex_u]:
+                real = system.dtype.kind == "f" and not np.imag(u).any()
+                want = np.dtype(float if real else complex)
+                blocks = system.creation_blocks(u)
+                for blk, reference in zip(blocks, _complex_creation_blocks(system, u)):
+                    assert blk.dtype == want and blk.shape == reference.shape
+                    assert np.abs(blk - reference).max() <= 1e-15, n
+
+    def test_real_blocks_match_complex_reference(self):
         # Every report built on the blocks, against the same report built
-        # on all-complex blocks.  The family's blocks are cached with the
-        # system, so the reference runs on fresh builds.
-        cases = _grading_cases() + _relation_systems()
-        got = [_battery(system) for system in cases]
-        monkeypatch.setattr(fock.SubproductSystem, "creation_blocks", _complex_creation_blocks)
-        for system, values in zip(cases, got):
-            system = _with_family(system, system.family)
+        # on frames copied to complex, so that every block is complex.  The
+        # relation set-up is cached with the system, so the reference runs
+        # on fresh builds.
+        for system in _grading_cases() + _relation_systems():
+            values = _battery(system)
+            system = _complex_frames(system)
             reference = _battery(system)
-            blocks = [blk for bl in system._relations[1].values() for blk in bl]
-            assert blocks and all(blk.dtype == complex for blk in blocks)
+            cuts = system._relations[1]
+            blocks = [A for cut in cuts for views in cut.values() for _, A in views.values()]
+            assert blocks and all(A.dtype == complex for A in blocks)
             assert list(values) == list(reference)
             for key, value in reference.items():
                 assert abs(values[key] - value) <= 1e-13, (system.pair.n, key)
@@ -1252,9 +1352,11 @@ class TestToeplitzRelations:
 
 class TestWords:
     def test_absorption(self):
-        # A word applied to the vacuum is the compressed elementary tensor.
-        for n in (3, 4):
-            sys = _system(n, 4)
+        # A word applied to the vacuum is the compressed elementary tensor:
+        # on real families, on the complex w_s of iii n=5 r=2 against real
+        # frames, and on the rotated family against complex frames.
+        pair5 = build_example_pair("iii", 5, 2, Fraction(1, 5))
+        for sys in (_system(3, 4), _system(4, 4), build_subproduct(pair5, 4), _rotated_system(4)):
             fam = sys.family
             count = len(fam.labels)
             for k in (1, 2, 3):
@@ -1271,8 +1373,14 @@ class TestWords:
                     assert np.linalg.norm(psi[:, col] - B.conj().T @ tensor) < 1e-10
 
     def test_matrix_unit_dimensions(self):
-        for n, squares in ((4, [1, 9, 64, 441]), (3, [1, 4, 9, 16])):
-            sys = _system(n, 4)
+        pair5 = build_example_pair("iii", 5, 2, Fraction(1, 5))
+        cases = (
+            (_system(4, 4), [1, 9, 64, 441]),
+            (_system(3, 4), [1, 4, 9, 16]),
+            (build_subproduct(pair5, 4), [1, 16, 225, 3136]),
+            (_rotated_system(4), [1, 9, 64, 441]),
+        )
+        for sys, squares in cases:
             for k, want in enumerate(squares):
                 rep = matrix_unit_dimension(sys, k)
                 assert rep.ok

@@ -47,7 +47,6 @@ TOL_CHECK = 1e-10       # pass/fail residual threshold for identities
 TOL_CONSTRUCT = 1e-12   # internal construction consistency
 TOL_RANK = 1e-8         # relative threshold for numerical rank / spans
 TOL_TOEPLITZ = 1e-9     # Toeplitz relation suite
-RANK_GAP = 1e3          # required spectral gap ratio at a rank cut
 
 
 def max_rep_dimension() -> int:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -236,6 +237,15 @@ class TestRunCommand:
         assert run_command(["dims", "--n", "4", "--kmax", "3", "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data == {"dims": [1, 3, 8, 21], "n": 4}
+
+    def test_dims_without_digit_limit(self, monkeypatch, capsys):
+        # Python before 3.10.7 has no sys.get_int_max_str_digits and no
+        # limit on int-to-text conversion: the output is the same.
+        argv = ["dims", "--n", "4", "--kmax", "6"]
+        want = run_command(argv), capsys.readouterr()
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        assert (run_command(argv), capsys.readouterr()) == want
+        assert want[1].out == "1,3,8,21,55,144,377\n"
 
     def test_basis_csv(self, capsys):
         assert run_command(["basis", "--k", "1", "--format", "csv"]) == 0

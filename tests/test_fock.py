@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from motzkin import fock
-from motzkin.config import RANK_GAP
+from motzkin.config import TOL_TOEPLITZ
 from motzkin.errors import LimitError, ParameterError, StructureError
 from motzkin.fock import (
     build_subproduct,
@@ -209,6 +209,30 @@ def _build_verdict(build, pair, levels):
     return "built", [k for k, r in enumerate(system.rounding_magnitudes) if r > 0]
 
 
+def _perturbed_pairs():
+    """(label, pair): the four standard pairs off the pair conditions by
+    eps d, d standard normal, added to a, to b on its support, or to both,
+    three draws each, for eps = 1e-3, 1e-6 and 1e-9."""
+    pairs = [
+        _pair(4),
+        build_example_pair("ii", 5, 1, Fraction(1, 5)),
+        build_example_pair("iii", 5, 2, Fraction(1, 5)),
+        _pair(3),
+    ]
+    for base in pairs:
+        for eps in (1e-3, 1e-6, 1e-9):
+            for seed in range(3):
+                da, db = np.random.default_rng(seed).standard_normal((2, base.n))
+                changes = {"a": base.a + eps * da, "b": base.b + eps * db * (base.b != 0)}
+                for part in ("a", "b", "ab"):
+                    pair = dataclasses.replace(base, **{x: changes[x] for x in part})
+                    yield (base.n, eps, seed, part), pair
+
+
+# The least spectral gap a level can be built with (`projection_rank`).
+_GAP_FLOOR = (1 - fock._SNAP_TOL) / fock._SNAP_TOL
+
+
 def _projection_distance(B1, B2):
     """||B1 B1^* - B2 B2^*||_F for isometries, as the two one-sided
     residuals ||(1 - P_1) B_2|| and ||(1 - P_2) B_1||, free of the
@@ -275,41 +299,10 @@ def _toeplitz_matrix(system, u):
     return S
 
 
-def _dense_grading_residuals(system):
-    """Reference: eq1[levels] and eq1[weight] on the dense D x D creation
-    operators of the truncated Fock space, D = system.total_dimension."""
-    n, N = system.pair.n, system.levels
-    S_full = [_toeplitz_matrix(system, v) for v in system.family.vectors]
-    offs = _level_offsets(system)
-    res = {}
-    worst = 0.0
-    for m in range(N + 1):
-        rows = slice(offs[m], offs[m + 1])
-        cols = slice(offs[m - 1], offs[m]) if m else slice(0, 0)
-        for S in S_full:
-            # E_m S - S E_{m-1}: row block m minus column block m - 1; the
-            # block where the two strips cross cancels.
-            top, side = S[rows].copy(), S[:, cols].copy()
-            top[:, cols] = 0.0
-            side[rows] = 0.0
-            worst = max(worst, float(np.hypot(np.linalg.norm(top), np.linalg.norm(side))))
-    res["eq1[levels]"] = worst
-    weight = np.concatenate(
-        [np.full(system.dims[m], 1.0 + 1.0 / ((1 + n) * (1 + m))) for m in range(N + 1)]
-    )
-    shifted = np.concatenate(
-        [np.full(system.dims[m], 1.0 + 1.0 / ((1 + n) * (2 + m))) for m in range(N + 1)]
-    )
-    res["eq1[weight]"] = max(
-        float(np.linalg.norm(weight[:, None] * S - S * shifted[None, :])) for S in S_full
-    )
-    return res
-
-
-def _grading_cases():
-    """The systems of the grading checks: i n=3 and iii n=4 to level 5,
-    iii n=5 r=2 to level 4, and the complex rotation of the n=4 pair with
-    the family rotated along."""
+def _reference_systems():
+    """The systems of several reference comparisons: i n=3 and iii n=4 to
+    level 5, iii n=5 r=2 to level 4, and the complex rotation of the n=4
+    pair with the family rotated along."""
     pair5 = build_example_pair("iii", 5, 2, Fraction(1, 5))
     return [_system(3, 5), _system(4, 5), build_subproduct(pair5, 4), _rotated_system(5)]
 
@@ -437,7 +430,7 @@ class TestBuild:
             for k, want in enumerate(expected):
                 rank, gap = projection_rank(sys, k)
                 assert rank == want == dim_subproduct(n, k)
-                assert gap >= 1e3
+                assert gap >= _GAP_FLOOR
 
     def test_ranks_read_the_build(self, monkeypatch):
         # Rank and gap were recorded by the build; reading them runs no
@@ -452,15 +445,7 @@ class TestBuild:
         for sys in systems:
             for k in range(sys.levels + 1):
                 rank, gap = projection_rank(sys, k)
-                assert rank == sys.dims[k] and gap == sys.spectral_gaps[k] >= RANK_GAP
-
-    def test_small_gap_raises(self, monkeypatch):
-        sys = build_subproduct(_pair(4), 3)
-        sys.spectral_gaps[2] = RANK_GAP / 2
-        with pytest.raises(StructureError, match="level 2: no clear spectral gap"):
-            projection_rank(sys, 2)
-        monkeypatch.setattr(fock, "RANK_GAP", RANK_GAP / 4)
-        assert projection_rank(sys, 2)[0] == 8
+                assert rank == sys.dims[k] and gap == sys.spectral_gaps[k] >= _GAP_FLOOR
 
     def test_matches_ambient_recursion(self):
         cases = [
@@ -588,8 +573,8 @@ class TestBuild:
     def test_matches_eigh_reference(self):
         # One SVD per block against the form-and-eigh reference step: the same
         # levels, sectors and blocks, the same projections and battery values
-        # to 1e-13, and gaps above RANK_GAP at the same levels.
-        for system in _grading_cases() + _relation_systems():
+        # to 1e-13, and every gap above the snap bound.
+        for system in _reference_systems() + _relation_systems():
             pair, levels = system.pair, system.levels
             ref = _eigh_build(pair, levels)
             ref.family = system.family
@@ -607,37 +592,36 @@ class TestBuild:
             assert got.keys() == want.keys(), label
             for key, value in got.items():
                 assert abs(value - want[key]) <= 1e-13, (label, key)
-            assert [g >= RANK_GAP for g in system.spectral_gaps] == [
-                g >= RANK_GAP for g in ref.spectral_gaps
-            ], label
+            assert min(system.spectral_gaps + ref.spectral_gaps) >= _GAP_FLOOR, label
 
     def test_perturbed_pairs_match_eigh_reference(self):
-        # The four standard pairs off the pair conditions by eps d, d standard
-        # normal, added to a, to b on its support, or to both, three draws
-        # each: the build and the eigh reference accept and refuse the same
-        # pairs, at the same level with the same text, and record rounding at
-        # the same levels.  Every pair at eps = 1e-3 is refused and none at
-        # 1e-9.
-        pairs = [
-            _pair(4),
-            build_example_pair("ii", 5, 1, Fraction(1, 5)),
-            build_example_pair("iii", 5, 2, Fraction(1, 5)),
-            _pair(3),
-        ]
+        # The build and the eigh reference accept and refuse the same
+        # perturbed pairs, at the same level with the same text, and record
+        # rounding at the same levels.  Every pair at eps = 1e-3 is refused
+        # and none at 1e-9.
         verdicts = {}
-        for base in pairs:
-            for eps in (1e-3, 1e-6, 1e-9):
-                for seed in range(3):
-                    da, db = np.random.default_rng(seed).standard_normal((2, base.n))
-                    changes = {"a": base.a + eps * da, "b": base.b + eps * db * (base.b != 0)}
-                    for part in ("a", "b", "ab"):
-                        pair = dataclasses.replace(base, **{x: changes[x] for x in part})
-                        got = _build_verdict(build_subproduct, pair, 4)
-                        want = _build_verdict(_eigh_build, pair, 4)
-                        assert got == want, (base.n, eps, seed, part)
-                        verdicts.setdefault(eps, []).append(got[0])
+        for label, pair in _perturbed_pairs():
+            got = _build_verdict(build_subproduct, pair, 4)
+            assert got == _build_verdict(_eigh_build, pair, 4), label
+            verdicts.setdefault(label[1], []).append(got[0])
         assert set(verdicts[1e-3]) == {"refused"}
         assert set(verdicts[1e-9]) == {"built"}
+
+    def test_gaps_clear_the_snap_bound(self):
+        # Every gap the build records, at a clean level or at one it rounded
+        # onto {0, 1}, is at least (1 - _SNAP_TOL) / _SNAP_TOL, so
+        # `projection_rank` has no gap to refuse.
+        systems, rounded = list(_recursion_systems()), 0
+        for _, pair in _perturbed_pairs():
+            try:
+                system = build_subproduct(pair, 4)
+            except StructureError:
+                continue
+            systems.append(system)
+            rounded += max(system.rounding_magnitudes) > 0
+        assert rounded
+        for system in systems:
+            assert min(system.spectral_gaps) >= _GAP_FLOOR, system.pair.n
 
     def test_refuses_a_block_off_the_character(self, monkeypatch):
         # Each block must keep chi_{k+1}(c) columns, not only the level d_k.
@@ -987,6 +971,21 @@ def _complex_frames(system):
     return fresh
 
 
+def _scrambled(system, rng):
+    """A fresh build of ``system``'s pair and levels whose every frame block
+    is replaced by standard-normal entries of the same shape, before any
+    relation check reads it."""
+    fresh = build_subproduct(system.pair, system.levels)
+    fresh.frames = [
+        {
+            t: {i: (c, rng.standard_normal(F.shape)) for i, (c, F) in slots.items()}
+            for t, slots in frame.items()
+        }
+        for frame in fresh.frames
+    ]
+    return fresh
+
+
 def _battery(system):
     """Every value of the Toeplitz and limiting relations, the reverse
     identity and the matrix units on a system, keyed by report and label."""
@@ -1036,14 +1035,10 @@ def _dense_relations(system):
         kind: system.creation_blocks(fam.vectors[idx])
         for idx, kind in enumerate(fam.kinds)
     }
-    res = dict(_dense_grading_residuals(system))
-    for m in range(N):
-        if m == 0:
-            lhs = rhs = np.zeros((1, 1))
-        else:
-            lhs = sum(bl[m - 1] @ bl[m - 1].conj().T for bl in blocks.values())
-            rhs = np.eye(system.dims[m])
-        res[f"eq2[m={m}]"] = float(np.linalg.norm(lhs - rhs))
+    res = {}
+    for m in range(1, N):
+        lhs = sum(bl[m - 1] @ bl[m - 1].conj().T for bl in blocks.values())
+        res[f"eq2[m={m}]"] = float(np.linalg.norm(lhs - np.eye(system.dims[m])))
     for m in range(N - 1):
         acc = sum(
             alpha * (blocks[x][m + 1] @ blocks[px][m]) for x, (alpha, px, _) in table.items()
@@ -1086,7 +1081,7 @@ class TestChargeSectors:
             dataclasses.replace(fam4, kinds=fam4.kinds[1:], vectors=fam4.vectors[1:]),
         ]
         cases = (
-            _grading_cases()
+            _reference_systems()
             + _relation_systems()
             + [_with_family(_system(4, 5), part) for part in parts]
         )
@@ -1111,7 +1106,7 @@ class TestChargeSectors:
         # frame columns.  Every creation block of every family direction
         # is exactly zero outside the blocks from sector c to sector
         # c + w_x: the per-sector sums rest on this.
-        for system in _grading_cases() + _relation_systems():
+        for system in _reference_systems() + _relation_systems():
             pair, fam = system.pair, system.family
             weights = fock._charge_weights(pair)
             for k, sectors in enumerate(system.sectors):
@@ -1191,8 +1186,10 @@ class TestToeplitzRelations:
     def test_label_coverage(self):
         rep4 = toeplitz_residuals(_system(4, 5))
         labels = set(rep4.residuals)
-        assert "eq1[levels]" in labels and "eq1[weight]" in labels
-        assert {f"eq2[m={m}]" for m in range(5)} <= labels
+        assert not any(lbl.startswith("eq1") for lbl in labels)
+        assert {lbl for lbl in labels if lbl.startswith("eq2")} == {
+            f"eq2[m={m}]" for m in range(1, 5)
+        }
         assert {f"eq3[m={m}]" for m in range(4)} <= labels
         assert "eq4[i=2,j=3,m=1]" in labels
         assert "eq5[j=2,s=1,m=0]" in labels
@@ -1202,15 +1199,43 @@ class TestToeplitzRelations:
         assert not any(lbl.startswith(("eq5", "eq6")) for lbl in rep3.residuals)
         assert "eq4[i=1,j=3,m=2]" in rep3.residuals
 
-    def test_grading_matches_dense_reference(self):
-        # The block form reads eq1 off the creation blocks; the dense form
-        # builds every D x D operator.  Both give exactly 0.
-        for system in _grading_cases():
-            rep = toeplitz_residuals(system)
-            dense = _dense_grading_residuals(system)
-            assert list(rep.residuals)[:2] == ["eq1[levels]", "eq1[weight]"]
-            for label, value in dense.items():
-                assert repr(rep.residuals[label]) == repr(value) == "0.0", label
+    def test_every_residual_can_fail(self):
+        # On frames of random entries, every Toeplitz, limiting and reverse
+        # residual exceeds its tolerance (TOL_TOEPLITZ for the limiting ones,
+        # which have none of their own), and every limiting residual moves
+        # off its value on the true frames by more than that.  The only
+        # exceptions are the m = 0 eq4 and eq5 keys between directions of
+        # different charge: S_x^* S_y takes the vacuum to sector w_y - w_x of
+        # level 0, which is empty, so they hold by the grading alone.  The
+        # rotated pair has no family that `operator_family` accepts.
+        rng, checked = np.random.default_rng(0), 0
+        for system in _recursion_systems():
+            try:
+                operator_family(system.pair)
+            except ParameterError:
+                continue
+            checked += 1
+            n, scrambled = system.pair.n, _scrambled(system, rng)
+            rep = toeplitz_residuals(scrambled)
+            table = scrambled._relations[0]
+            graded = {
+                f"eq4[i={y[1]},j={x[1]},m=0]" if y[0] == "v" else f"eq5[j={x[1]},s={y[1]},m=0]"
+                for x in table
+                for y in table
+                if x[0] == "v" and table[x][2] != table[y][2]
+            }
+            assert {rep.residuals[label] for label in graded} <= {0.0}
+            for label, value in rep.residuals.items():
+                assert label in graded or value > rep.tol, (n, label, value)
+            for m in range(1, system.levels):
+                true = cuntz_pimsner_residual(system, m).residuals
+                for label, value in cuntz_pimsner_residual(scrambled, m).residuals.items():
+                    moved = abs(value - true[label])
+                    assert min(value, moved) > TOL_TOEPLITZ, (n, m, label, value)
+            for k in range(1, system.levels + 1):
+                rev = reverse_identity(scrambled, k)
+                assert rev.residual > rev.tol, (n, k, rev.residual)
+        assert checked == 5
 
     def test_battery_reads_creation_blocks_only(self):
         system = _system(4, 6)
@@ -1327,7 +1352,7 @@ class TestToeplitzRelations:
         # on frames copied to complex, so that every block is complex.  The
         # relation set-up is cached with the system, so the reference runs
         # on fresh builds.
-        for system in _grading_cases() + _relation_systems():
+        for system in _reference_systems() + _relation_systems():
             values = _battery(system)
             system = _complex_frames(system)
             reference = _battery(system)

@@ -3,10 +3,11 @@
 The levelwise spaces H_k sit inside (C^n)^{(x) k}, and H_{k+1} sits inside
 C^n (x) H_k.  Each level is therefore carried as a hat frame, an isometry
 onto H_{k+1} inside C^n (x) H_k in the coordinates of the level below,
-stored once as its (charge sector, slot) blocks.  All operator algebra
-happens in the compressed dimensions; the n^k-sized ambient frames and
-projections are built only on request, by `SubproductSystem.basis` and
-`SubproductSystem.projection` or, from a pair, by `subproduct_projection`.
+stored once as its (charge sector, slot) blocks.  All operator algebra,
+the check of the subproduct axiom included, happens in the compressed
+dimensions; the n^k-sized ambient frames and projections are built anew on
+each request, by `SubproductSystem.basis` and `SubproductSystem.projection`
+or, from a pair, by `subproduct_projection`, and none is kept.
 
 Each system has one operator family, ``SubproductSystem.family``, and every
 relation check reads the set-up the system builds from it once: the
@@ -59,7 +60,7 @@ class SubproductSystem:
     No compressed projection is formed or kept, and no stored array is
     taller than the largest charge block.  The n^k x d_k ambient frame
     B_k = (1 (x) B_{k-1}) B^_k (``basis``) and the full projection B_k B_k^*
-    (``projection``) are built on request; the frames are cached.
+    (``projection``) are built anew on each call and not kept.
 
     The recursion: conjugated into C^n (x) H_k, the level-(k+1) projection
     is G^ = (1 - b b^*) (x) 1 - phi(k) Y Y^*, with b the distinguished unit
@@ -113,7 +114,6 @@ class SubproductSystem:
         self.rounding_magnitudes: list[float] = [0.0]
         self.spectral_gaps: list[float] = [np.inf]
         self.charge_block_sizes: list[list[int]] = [[]]
-        self._bases: dict[int, np.ndarray] = {0: np.ones((1, 1), dtype=self.dtype)}
 
         a, b = pair.vectors()
         weights = _charge_weights(pair)
@@ -227,16 +227,17 @@ class SubproductSystem:
     # -- frames and projections ------------------------------------------
 
     def basis(self, k: int) -> np.ndarray:
-        """The n^k x d_k isometry onto level k, built on first use."""
+        """The n^k x d_k isometry B_k onto level k, built from the frames on each call."""
         self._check_level(k)
-        if k not in self._bases:
-            lower = self.sectors[k - 1]
-            H = np.zeros((self.pair.n, self.dims[k - 1], self.dims[k]), dtype=self.dtype)
-            for t, cols in self.sectors[k].items():
-                for i, (c, F) in self.frames[k][t].items():
+        B = np.ones((1, 1), dtype=self.dtype)
+        for j in range(1, k + 1):
+            lower = self.sectors[j - 1]
+            H = np.zeros((self.pair.n, self.dims[j - 1], self.dims[j]), dtype=self.dtype)
+            for t, cols in self.sectors[j].items():
+                for i, (c, F) in self.frames[j][t].items():
                     H[i, lower[c], cols] = F
-            self._bases[k] = (self.basis(k - 1) @ H).reshape(-1, self.dims[k])
-        return self._bases[k]
+            B = (B @ H).reshape(-1, self.dims[j])
+        return B
 
     def projection(self, k: int) -> np.ndarray:
         """The full n^k x n^k orthogonal projection onto level k."""
@@ -387,33 +388,34 @@ def projection_rank(system: SubproductSystem, k: int):
 
 
 def coassociativity_residuals(system: SubproductSystem) -> dict[str, float]:
-    """Residuals of (G_p (x) 1) G_k = G_k and (1 (x) G_q) G_k = G_k.
-
-    Taken for k = 2 .. min(4, K), with K the largest built level whose
-    ambient dimension n^K is at most FULL_MATRIX_DIM, and every split
-    p + q = k.  With G_k = B_k B_k^* and B_k an isometry, ||X G_k - G_k||
-    equals ||X B_k - B_k||, so each residual is taken on the frame and X
-    acts through B_p or B_q without forming a Kronecker product.
-    """
-    n = system.pair.n
-    kmax = min(system.levels, 4)
-    while n**kmax > FULL_MATRIX_DIM:
-        kmax -= 1
-    out: dict[str, float] = {}
-    for k in range(2, kmax + 1):
-        B_k = system.basis(k)
-        d_k = system.dims[k]
-        for p in range(1, k):
-            q = k - p
-            B_p, B_q = system.basis(p), system.basis(q)
-            X = B_k.reshape(n**p, n**q * d_k)
-            out[f"left[p={p},k={k}]"] = float(
-                np.linalg.norm(B_p @ (B_p.conj().T @ X) - X)
-            )
-            X = B_k.reshape(n**p, n**q, d_k)
-            out[f"right[q={q},k={k}]"] = float(
-                np.linalg.norm(B_q @ (B_q.conj().T @ X) - X)
-            )
+    """One residual of the subproduct axiom per built level k = 2 .. L, read off
+    the frames sector by sector.  R_1 = B^_1, X_k = (1 (x) R_{k-1}) B^_k and
+    R_k = (B^_{k-1}^* (x) 1) X_k = (B_{k-1}^* (x) 1) B_k, held as the frames
+    are: R[t][j] = (t - w_j, block).  left[k=k] is ||X_k - (B^_{k-1} (x) 1) R_k||,
+    the part of (1 - G_{k-1} (x) 1) B_k inside C^n (x) H_{k-2} (x) C^n, taken as
+    a difference, as ||R_k^* R_k - 1|| would show a defect e only as e^2.  The
+    part outside is (1 (x) (1 - G_{k-2} (x) 1) B_{k-1}) B^_k, so in operator norm
+    ||(G_{k-1} (x) 1) G_k - G_k|| <= E_k = sqrt(sum_{j<=k} left[k=j]^2); for
+    p < k - 1 the bounds add along H_k < H_{k-1} (x) C^n < .. < H_p (x) C^{n(k-p)}.
+    (1 (x) G_q) G_k = G_k holds by construction: B_k = (1 (x) B_{k-1}) B^_k and
+    the frames are isometries."""
+    weights = [tuple(w) for w in _charge_weights(system.pair).tolist()]
+    R, out = system.frames[1] if system.levels else {}, {}
+    for k in range(2, system.levels + 1):
+        below, R_next, total = system.frames[k - 1], {}, 0.0
+        for t, slots in system.frames[k].items():
+            for j, w in enumerate(weights):
+                s = tuple(map(operator.sub, t, w))
+                X = {i: R[c][j][1] @ F for i, (c, F) in slots.items() if j in R.get(c, {})}
+                H = below.get(s, {})
+                common = X.keys() & H.keys()
+                if common:
+                    R_next.setdefault(t, {})[j] = (s, sum(H[i][1].conj().T @ X[i] for i in common))
+                for i in X.keys() | (H.keys() if common else ()):
+                    D = X.get(i, 0) - (H[i][1] @ R_next[t][j][1] if i in H else 0)
+                    total += float(np.vdot(D, D).real)
+        out[f"left[k={k}]"] = float(np.sqrt(total))
+        R = R_next
     return out
 
 

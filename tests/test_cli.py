@@ -575,8 +575,8 @@ class TestRunCommand:
             "FAIL toeplitz n=4: toeplitz battery refused",
             "FAIL toeplitz n=3: toeplitz battery refused",
         ]
-        assert sum(line.startswith("PASS ") for line in lines) == 36
-        assert lines[-1] == "36/38 checks passed"
+        assert sum(line.startswith("PASS ") for line in lines) == 34
+        assert lines[-1] == "34/36 checks passed"
 
 
 # ---------------------------------------------------------------------------

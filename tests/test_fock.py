@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from motzkin import fock
-from motzkin.config import TOL_TOEPLITZ
+from motzkin.config import TOL_CHECK, TOL_TOEPLITZ
 from motzkin.errors import LimitError, ParameterError, StructureError
 from motzkin.fock import (
     build_subproduct,
@@ -320,6 +320,46 @@ def _recursion_systems():
         (_rotated_pair4(), 5),
     ]
     return [build_subproduct(pair, levels) for pair, levels in cases]
+
+
+def _ambient_coassociativity(system):
+    """Reference: residuals of (G_p (x) 1) G_k = G_k and (1 (x) G_q) G_k = G_k
+    on the ambient frames, for k = 2 .. min(4, K), K the largest built level
+    with n^K <= 1024, and every split p + q = k, keyed (p, k) and (q, k).
+    Each is taken on the frame: with G_k = B_k B_k^* and B_k an isometry,
+    ||X G_k - G_k|| equals ||X B_k - B_k||."""
+    n = system.pair.n
+    kmax = min(system.levels, 4)
+    while n**kmax > 1024:
+        kmax -= 1
+    bases = [system.basis(k) for k in range(kmax + 1)]
+    out = {}
+    for k in range(2, kmax + 1):
+        B_k, d_k = bases[k], system.dims[k]
+        for p in range(1, k):
+            q = k - p
+            B_p, B_q = bases[p], bases[q]
+            X = B_k.reshape(n**p, n**q * d_k)
+            out["left", p, k] = float(np.linalg.norm(B_p @ (B_p.conj().T @ X) - X))
+            X = B_k.reshape(n**p, n**q, d_k)
+            out["right", q, k] = float(np.linalg.norm(B_q @ (B_q.conj().T @ X) - X))
+    return out
+
+
+def _dense_coassociativity(system):
+    """Reference: the residuals of `coassociativity_residuals` from the dense
+    hat frames, for any frame blocks.  R_k is held as d_{k-1} x n x d_k:
+    R_1 = B^_1, X_k = (1 (x) R_{k-1}) B^_k, R_k = (B^_{k-1}^* (x) 1) X_k, and
+    left[k=k] = ||X_k - (B^_{k-1} (x) 1) R_k||."""
+    n, dims = system.pair.n, system.dims
+    R, out = _dense_hat(system, 1).reshape(1, n, dims[1]), {}
+    for k in range(2, system.levels + 1):
+        H = _dense_hat(system, k).reshape(n, dims[k - 1], dims[k])
+        below = _dense_hat(system, k - 1).reshape(n, dims[k - 2], dims[k - 1])
+        X = np.einsum("ajr,irs->iajs", R, H)
+        R = np.einsum("iau,iajs->ujs", below.conj(), X)
+        out[f"left[k={k}]"] = float(np.linalg.norm(X - np.einsum("iau,ujs->iajs", below, R)))
+    return out
 
 
 def _charge_operator(weights, k):
@@ -679,15 +719,19 @@ class TestBuild:
     def test_stores_compressed_frames_only(self):
         # Each frame is stored once, as its charge blocks: every coordinate
         # direction's block in the relation set-up is a read-only view of
-        # the frame, and until an ambient frame is asked for, nothing the
-        # system holds, the set-up included, is taller than its largest
-        # charge block.  The rotated pair is given the n = 4 family, whose
-        # v directions are coordinate vectors, on its complex frames.
+        # the frame, and after the subproduct-axiom check, the ideal
+        # generator and ambient projections and frames, nothing the system
+        # holds, the set-up included, is taller than its largest charge
+        # block.  The rotated pair is given the n = 4 family, whose v
+        # directions are coordinate vectors, on its complex frames.
         fam4 = operator_family(_pair(4))
         for system in _recursion_systems():
             sys = build_subproduct(system.pair, system.levels)
             if sys.pair.dtype.kind == "c":
                 sys.family = fam4
+            coassociativity_residuals(sys)
+            ideal_generator(sys)
+            sys.projection(2)
             table, cuts = sys._relations
             for x in table:
                 for k, cut in enumerate(cuts):
@@ -699,7 +743,15 @@ class TestBuild:
                             assert np.shares_memory(A, F), (sys.pair.n, x, k, t)
             rows = [a.shape[0] for a in _held_arrays(vars(sys)) if a.ndim]
             assert max(rows) <= max(map(max, sys.charge_block_sizes[1:])), sys.pair.n
-        assert build_subproduct(_pair(4), 5).basis(5).shape == (4**5, 144)
+        pair5 = build_example_pair("ii", 5, 1, Fraction(1, 5))
+        for pair, levels, d in [(_pair(4), 5, 144), (pair5, 4, 209), (_pair(3), 5, 6)]:
+            sys = build_subproduct(pair, levels)
+            coassociativity_residuals(sys)
+            ideal_generator(sys)
+            sys.projection(2)
+            assert sys.basis(levels).shape == (pair.n**levels, d)
+            rows = [a.shape[0] for a in _held_arrays(vars(sys)) if a.ndim]
+            assert max(rows) <= max(map(max, sys.charge_block_sizes[1:])), pair.n
 
     @pytest.mark.slow
     def test_level_eight(self):
@@ -711,6 +763,9 @@ class TestBuild:
         limits = [cuntz_pimsner_residual(sys, m).residual for m in range(1, 8)]
         assert all(x > y > 0 for x, y in zip(limits, limits[1:]))
         assert all(reverse_identity(sys, k).ok for k in range(1, 9))
+        res = coassociativity_residuals(sys)
+        assert list(res) == [f"left[k={k}]" for k in range(2, 9)]
+        assert max(res.values()) < 1e-12
 
     @pytest.mark.slow
     def test_level_eight_memory(self):
@@ -742,23 +797,48 @@ class TestBuild:
             assert max(res.values()) < 1e-10
 
     def test_coassociativity_levels(self):
-        # k runs over 2 .. min(4, K), K the largest built level with
-        # n^K <= 1024; each k has k - 1 left and k - 1 right residuals.
+        # One residual per built level k = 2 .. L, with no cap on n^k.
         pair6 = build_example_pair("iii", 6, 1, Fraction(1, 8))
         cases = [
             (build_subproduct(_pair(4), 3), 3),
-            (_system(4, 6), 4),
-            (build_subproduct(pair6, 4), 3),  # 6^4 = 1296 > 1024
+            (_system(4, 6), 6),
+            (build_subproduct(pair6, 4), 4),  # 6^4 = 1296
         ]
-        for sys, kmax in cases:
+        for sys, levels in cases:
             res = coassociativity_residuals(sys)
-            assert list(res) == [
-                key
-                for k in range(2, kmax + 1)
-                for p in range(1, k)
-                for key in (f"left[p={p},k={k}]", f"right[q={k - p},k={k}]")
-            ]
-            assert len(res) == {3: 6, 4: 12}[kmax]
+            assert list(res) == [f"left[k={k}]" for k in range(2, levels + 1)]
+            assert max(res.values()) < TOL_CHECK
+        assert coassociativity_residuals(_system(4, 1)) == {}
+
+    def test_coassociativity_matches_ambient(self):
+        # left[k] equals the ambient left[p=k-1,k] wherever n^k <= 1024, and
+        # every ambient residual, left or right, lies under
+        # sqrt(sum_{j<=k} left[k=j]^2) up to round-off.
+        for sys in _reference_systems() + _recursion_systems():
+            res, label = coassociativity_residuals(sys), (sys.pair.n, sys.levels)
+            bound = np.sqrt(np.cumsum([0.0, 0.0] + [v * v for v in res.values()]))
+            ambient = _ambient_coassociativity(sys)
+            assert ambient, label
+            for (side, p, k), value in ambient.items():
+                assert value <= bound[k] + 1e-13, (label, side, p, k)
+                if side == "left" and p == k - 1:
+                    assert abs(res[f"left[k={k}]"] - value) <= 1e-13, (label, k)
+
+    def test_coassociativity_matches_dense_frames(self):
+        # The sector-by-sector residuals equal the same products on the dense
+        # hat frames: on the true frames, and on frames of random entries
+        # with one slot block of level 2 dropped, so that a block of X_3 is
+        # zero where B^_2 (x) 1 is not.
+        rng = np.random.default_rng(1)
+        for sys in _reference_systems():
+            scrambled = _scrambled(sys, rng)
+            slots = next(iter(scrambled.frames[2].values()))
+            slots.pop(min(slots))
+            for frames in (sys, scrambled):
+                got, want = coassociativity_residuals(frames), _dense_coassociativity(frames)
+                assert got.keys() == want.keys()
+                for key, value in want.items():
+                    assert abs(got[key] - value) <= 1e-13 * max(1.0, value), (sys.pair.n, key)
 
     def test_level_bounds(self):
         sys = _system(4, 5)
@@ -1200,14 +1280,15 @@ class TestToeplitzRelations:
         assert "eq4[i=1,j=3,m=2]" in rep3.residuals
 
     def test_every_residual_can_fail(self):
-        # On frames of random entries, every Toeplitz, limiting and reverse
-        # residual exceeds its tolerance (TOL_TOEPLITZ for the limiting ones,
-        # which have none of their own), and every limiting residual moves
-        # off its value on the true frames by more than that.  The only
-        # exceptions are the m = 0 eq4 and eq5 keys between directions of
-        # different charge: S_x^* S_y takes the vacuum to sector w_y - w_x of
-        # level 0, which is empty, so they hold by the grading alone.  The
-        # rotated pair has no family that `operator_family` accepts.
+        # On frames of random entries, every subproduct-axiom, Toeplitz,
+        # limiting and reverse residual exceeds its tolerance (TOL_TOEPLITZ
+        # for the limiting ones, which have none of their own), and every
+        # limiting residual moves off its value on the true frames by more
+        # than that.  The only exceptions are the m = 0 eq4 and eq5 keys
+        # between directions of different charge: S_x^* S_y takes the vacuum
+        # to sector w_y - w_x of level 0, which is empty, so they hold by the
+        # grading alone.  The rotated pair has no family that
+        # `operator_family` accepts.
         rng, checked = np.random.default_rng(0), 0
         for system in _recursion_systems():
             try:
@@ -1216,6 +1297,8 @@ class TestToeplitzRelations:
                 continue
             checked += 1
             n, scrambled = system.pair.n, _scrambled(system, rng)
+            for label, value in coassociativity_residuals(scrambled).items():
+                assert value > TOL_CHECK, (n, label, value)
             rep = toeplitz_residuals(scrambled)
             table = scrambled._relations[0]
             graded = {

@@ -263,12 +263,11 @@ def _cmd_fock_matrix_units(args) -> int:
     ok = True
     for k in range(min(args.kmax, args.levels) + 1):
         rep = matrix_unit_dimension(system, k)
-        rank_g, _ = projection_rank(system, k)
         rows.append(
             {
                 "k": k,
                 "space_dim": rep.space_dim,
-                "rank": rank_g,
+                "rank": rep.rank,
                 "expected": rep.expected,
                 "measured": rep.measured,
             }

@@ -32,14 +32,14 @@ DEFAULT_MAX_DIM = 4096
 FULL_MATRIX_DIM = 1024
 # Bytes the span closure may hold at once: its basis, one round's images
 # (counted twice, as they may all become basis rows) and three images of
-# SVD work, each operator n^(2k) complex entries.  At k = 3 the largest
-# round counts 604 operators, 144 MiB for n = 5; n = 4 at k = 5 would need
-# 624 MiB before its first round.
+# SVD work, each operator n^(2k) entries in the pair's dtype.  At k = 3
+# the largest round counts 604 operators, 72 MiB for a real n = 5 pair;
+# the real n = 4 pair at k = 5 would need 312 MiB before its first round.
 SPAN_MAX_BYTES = 2**28
-# Bytes the subproduct level build may hold while it adds a level: the hat
-# frames so far plus the new level's working arrays.  The default n = 4
-# pair needs about 116 MiB at level 8 (232 MiB for a complex pair of the
-# same shape) and 784 MiB at level 9, which is refused.
+# Bytes the subproduct level build may hold: the hat frames so far, counted
+# from chi, and the SVD arrays of a level's costliest charge block.  The
+# default n = 4 pair needs about 128 MiB at level 9 (254 MiB for a complex
+# pair of the same shape); level 10 (801 MiB) is refused before level 1.
 FOCK_MAX_BYTES = 2**29
 
 # Tolerances.

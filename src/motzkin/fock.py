@@ -20,7 +20,8 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, islice
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .config import (
     TOL_TOEPLITZ,
 )
 from .errors import LimitError, ParameterError, StructureError
-from .qpoly import PhiFunction, charge_characters, dim_subproduct
+from .qpoly import PhiFunction, charge_characters
 from .representation import MotzkinPair, p_matrix, validate_pair
 
 _SNAP_TOL = 1e-6
@@ -73,21 +74,21 @@ class SubproductSystem:
     has spectrum 1 - sigma^2 on the right singular vectors of M and 1 on
     the rest; the level-(k+1) frame is spanned by those above 1/2.
 
-    Charge grading: every bar-orbit {i, ibar} with i != ibar and b zero on
-    both points carries its own U(1) charge, +1 on i and -1 on ibar; the
-    other coordinates have charge 0.  Then b and V have charge 0 for every
-    a, so G^ commutes with the total charge on C^n (x) H_k.  Every frame
-    column has a definite charge; M is taken one charge block of columns
-    at a time, one SVD each (a pair without free orbits is one block), and
-    the block of charge c must keep chi_{k+1}(c) columns
-    (`charge_characters`).  The idempotent residual, spectral rounding and
-    spectral gap (smallest eigenvalue above 1/2 over largest below) are
-    read off the spectrum of G^ gathered over the blocks; spectral
-    rounding is recorded, and checked, only where the idempotent residual
-    exceeds TOL_CONSTRUCT.  The arithmetic is in the pair's ``dtype``: real
-    when a and b have no imaginary part, complex otherwise.  A level whose
-    estimated bytes exceed FOCK_MAX_BYTES raises LimitError before it is
-    built (`_check_level_bytes`).
+    Charge grading: every bar-orbit {i, ibar} with i != ibar and b zero on both
+    points (a free orbit) carries its own U(1) charge, +1 on i and -1 on ibar;
+    the other coordinates have charge 0 (``charges``, `_charge_weights`).  Then
+    b and V have charge 0 for every a, so G^ commutes with the total charge on
+    C^n (x) H_k.  Every frame column has a definite charge; M is taken one
+    charge block of columns at a time, one SVD each (a pair without free orbits
+    is one block), and the block of charge c must keep chi_{k+1}(c) columns
+    (`charge_characters`).  So every level's blocks and bytes follow from chi
+    before level 1 is built (`_plan_levels`), and a level count past
+    FOCK_MAX_BYTES raises LimitError at once.  The idempotent residual,
+    spectral rounding and spectral gap (smallest eigenvalue above 1/2 over
+    largest below) are read off the spectrum of G^ gathered over the blocks;
+    spectral rounding is recorded, and checked, only where the idempotent
+    residual exceeds TOL_CONSTRUCT.  The arithmetic is in the pair's
+    ``dtype``: real when a and b have no imaginary part, complex otherwise.
 
     A creation operator S_u is kept only as blocks between consecutive
     levels: S_u^* is sum_i conj(u_i) times the slot-i blocks of the frame
@@ -108,57 +109,46 @@ class SubproductSystem:
         self.levels = levels
         self.phi = PhiFunction(pair.lam)
         self.dtype = pair.dtype
+        self.charges = _charge_weights(pair)
         self.dims: list[int] = [1]
         self.frames: list[dict] = [{}]
+        self.sectors: list[dict[tuple, slice]] = [{(0,) * len(self.charges[0]): slice(0, 1)}]
         self.idempotent_residuals: list[float] = [0.0]
         self.rounding_magnitudes: list[float] = [0.0]
         self.spectral_gaps: list[float] = [np.inf]
         self.charge_block_sizes: list[list[int]] = [[]]
 
         a, b = pair.vectors()
-        weights = _charge_weights(pair)
-        self.sectors: list[dict[tuple[int, ...], slice]] = [{(0,) * weights.shape[1]: slice(0, 1)}]
-        chi = charge_characters(map(tuple, weights.tolist()))
-        for k, chi_next in zip(range(levels), islice(chi, 1, None)):
-            self._add_level(k, a, b, weights, chi_next)
+        for k, blocks in enumerate(_plan_levels(self.charges, levels, self.dtype.itemsize)[0]):
+            self._add_level(k, a, b, blocks)
 
-    def _add_level(self, k: int, a, b, weights, chi: dict) -> None:
-        """Build level k + 1 from level k: one SVD per charge block t of M,
-        on the rows (i, sector t - w_i of level k) slot by slot, fills the
-        frame in charge order; the gathered spectrum is checked once."""
-        n, lower = self.pair.n, self.sectors[k]
-        d_next = dim_subproduct(n, k + 1)
-        span = {c: cols.stop - cols.start for c, cols in lower.items()}
-        rows: dict = {}
-        for i, w in enumerate(map(tuple, weights.tolist())):
-            for c in lower:
-                rows.setdefault(tuple(map(operator.add, w, c)), []).append((i, c))
-        blocks = sorted(rows.items())
-        sizes = [sum(span[c] for _, c in slots) for _, slots in blocks]
-        self._check_level_bytes(k + 1, d_next, sizes)
-
+    def _add_level(self, k: int, a, b, blocks: list[_Block]) -> None:
+        """Build level k + 1 from its plan: one SVD per charge block of M fills the
+        frame in charge order; then the spectrum and each block's kept columns."""
+        n = self.pair.n
         phik = float(self.phi(k))
         bc, coef = b.conj(), np.sqrt(phik) * a.conj()
-        frame, sectors, squares, found = {}, {}, [], 0
-        for (t, slots), size in zip(blocks, sizes):
+        frame, sectors, squares, counts, found = {}, {}, [], [], 0
+        for t, slots, rows, width, height, _ in blocks:
             # The rows of b^* (x) 1; b_i = 0 on every slot whose sector is not t.
-            width = span.get(t, 0)
-            M = np.hstack([bc[i] * np.eye(width, span[c]) for i, c in slots])
-            if phik and t in self.sectors[k - 1]:
+            M = np.hstack([bc[i] * np.eye(width, size) for i, _, size in slots])
+            if phik and height:
                 # Z[s, (i, j)] = conj(a_i) H[ibar, s, j]: V holds a_i at (i, ibar),
                 # and the slot-ibar block of sector c_i has the rows of sector t.
-                Z = [coef[i] * self.frames[k][c][n - 1 - i][1] for i, c in slots]
-                M = np.vstack([M, np.hstack(Z)])
+                Z = np.hstack([coef[i] * self.frames[k][c][n - 1 - i][1] for i, c, _ in slots])
+                M = np.vstack([M, Z])
             V, sigma = np.linalg.svd(M.conj().T)[:2]
-            sq = np.concatenate([sigma**2, np.zeros(size - sigma.size)])
+            sq = np.concatenate([sigma**2, np.zeros(rows - sigma.size)])
             squares.append(sq)
             keep = np.flatnonzero(sq < 0.5)
+            columns = V[:, keep]
+            del M, V  # so that no block's arrays outlive it (`_Block.transient`)
             if keep.size:
-                columns = V[:, keep]
                 columns.flags.writeable = False
-                ends = accumulate(span[c] for _, c in slots)
-                frame[t] = {i: (c, columns[e - span[c] : e]) for (i, c), e in zip(slots, ends)}
+                ends = accumulate(size for *_, size in slots)
+                frame[t] = {i: (c, columns[e - size : e]) for (i, c, size), e in zip(slots, ends)}
                 sectors[t] = slice(found, found + keep.size)
+            counts.append(keep.size)
             found += keep.size
         sq = np.concatenate(squares)
         evals = 1.0 - sq
@@ -171,58 +161,21 @@ class SubproductSystem:
                 f"level {k + 1}: compressed projection has spectrum "
                 f"away from {{0, 1}} (drift {drift:.3e})",
             )
-        if found != d_next:
-            raise _level_failure(
-                self.pair,
-                f"level {k + 1} basis: extracted {found} independent "
-                f"directions, expected {d_next}",
-            )
-        kept = {c: cols.stop - cols.start for c, cols in sectors.items()}
-        for c in sorted(kept.keys() | chi.keys()):
-            if kept.get(c) != chi.get(c):
+        for block, count in zip(blocks, counts):
+            if count != block.keep:
                 raise _level_failure(
-                    self.pair,
-                    f"level {k + 1}: charge {c} keeps {kept.get(c, 0)} "
-                    f"directions, expected {chi.get(c, 0)}",
+                    self.pair, f"level {k + 1}: charge {block.charge} keeps {count} "
+                    f"directions, expected {block.keep}"
                 )
         low = float(evals[sq >= 0.5].max(initial=0.0))
         high = float(evals[sq < 0.5].min(initial=np.inf))
         self.idempotent_residuals.append(res)
         self.rounding_magnitudes.append(drift if res > TOL_CONSTRUCT else 0.0)
         self.spectral_gaps.append(high / low if low else np.inf)
-        self.charge_block_sizes.append(sizes)
-        self.dims.append(d_next)
+        self.charge_block_sizes.append([block.rows for block in blocks])
+        self.dims.append(found)
         self.frames.append(frame)
         self.sectors.append(sectors)
-
-    def _check_level_bytes(self, k: int, d_k: int, sizes: list[int]) -> None:
-        """Refuse level k when the system with it would exceed FOCK_MAX_BYTES:
-        the hat frames stored so far, the level's own hat frame, the frame
-        below once more for the rows of Z, and five arrays the size of the
-        largest block for its SVD (M, LAPACK's copy, U, V, workspace).
-        One block is alive at a time.  Frames count at their dense size
-        n d_{j-1} d_j, although only their charge blocks are stored, on
-        purpose: every refusal point stays until ROADMAP item 4 derives the
-        sizes from chi.  With one BLAS thread, the SVD of the largest n = 4
-        level-8 block (M 216 x 592) and its kept columns raise the process
-        peak by 11.0 of the 13.4 MiB counted here."""
-        n = self.pair.n
-        hats = [0] + [n * d * e for d, e in zip(self.dims, self.dims[1:])]
-        rows = sum(sizes)
-        entries = (
-            sum(hats)
-            + hats[-1]  # the frame below again: a block's rows of Z are at most its size
-            + rows * d_k
-            + 5 * max(sizes) ** 2
-        )
-        need = entries * self.dtype.itemsize
-        if need > FOCK_MAX_BYTES:
-            raise LimitError(
-                f"level {k} would hold about {need / 2**20:.0f} MiB "
-                f"(hat frame {rows} x {d_k}, {len(sizes)} charge blocks of up "
-                f"to {max(sizes)} rows), above the bound "
-                f"{FOCK_MAX_BYTES / 2**20:.0f} MiB"
-            )
 
     # -- frames and projections ------------------------------------------
 
@@ -274,7 +227,7 @@ class SubproductSystem:
         read-only block of S_x^* from sector t of level k + 1 to sector
         c = t - w_x of level k (`_adjoint_blocks`), off which S_x is zero: a
         view of the frame for a coordinate direction."""
-        table = _relation_table(self.pair, self.family)
+        table = _relation_table(self, self.family)
         cuts = [{} for _ in range(self.levels)]
         for x, u in zip(table, self.family.vectors):
             u = u if u.imag.any() else u.real
@@ -327,20 +280,68 @@ def _adjoint_blocks(frame: dict, u: np.ndarray) -> dict:
     return out
 
 
-def _charge_weights(pair: MotzkinPair) -> np.ndarray:
-    """The charge vector of each coordinate, one row per index.
+def _charge_weights(pair: MotzkinPair) -> list[tuple[int, ...]]:
+    """The charge w_i of each coordinate i, one component per free orbit (see
+    `SubproductSystem`); a pair without free orbits gets one, zero everywhere."""
+    free = [i for i in range(pair.n // 2) if pair.b[i] == 0 and pair.b[-1 - i] == 0]
+    return [tuple((i == j) - (i == pair.n - 1 - j) for j in free) or (0,) for i in range(pair.n)]
 
-    Each bar-orbit {i, ibar} with i != ibar on which b vanishes is a free
-    orbit with its own coordinate, +1 on i and -1 on ibar; the support of
-    b and a self-paired middle index have charge 0.  A pair without free
-    orbits gets one coordinate that is zero everywhere.
-    """
-    n = pair.n
-    free = [i for i in range(n // 2) if pair.b[i] == 0 and pair.b[n - 1 - i] == 0]
-    weights = np.zeros((n, max(len(free), 1)), dtype=np.int64)
-    for c, i in enumerate(free):
-        weights[i, c], weights[n - 1 - i, c] = 1, -1
-    return weights
+
+class _Block(NamedTuple):
+    """One charge block t of a level step k -> k + 1, read off chi alone."""
+    charge: tuple  # t
+    slots: list  # (i, c, chi_k(c)) for each slot i, c = t - w_i a sector of level k
+    rows: int  # the sum of chi_k(c) over the slots
+    width: int  # chi_k(t), the rows of b^* (x) 1 in M
+    height: int  # chi_{k-1}(t), the rows of sqrt(phi(k)) Z in M
+    keep: int  # chi_{k+1}(t), the columns the block must keep
+
+    @property
+    def transient(self) -> int:
+        """Entries alive besides the frames during the block's SVD, s rows under
+        m rows of M: the left factor twice (LAPACK's and the returned one), M
+        thrice (its parts, itself, LAPACK's copy), LAPACK's right factor and work."""
+        s, m = self.rows, self.width + self.height
+        return 2 * s * s + 3 * m * s + 6 * m * m
+
+
+_FIRST_SVD_BYTES = 2**20  # BLAS and LAPACK buffers of a process's first SVD, 1.2 MiB measured
+_SLOT_BYTES = 800  # Python objects per block slot: its plan entry and its stored view
+
+
+def _plan_levels(charges: list, levels: int, itemsize: int) -> list[list[_Block]]:
+    """(plans, bytes): the charge blocks of each level step k -> k + 1, k < levels,
+    read off chi_k (`charge_characters`) alone, and the bytes the build would
+    peak at, before any level is built.  A level counts the frames up to it
+    (sum_t rows_t chi_j(t) entries of ``itemsize`` bytes and _SLOT_BYTES per
+    block slot, for level j), its costliest block's transient arrays and
+    _FIRST_SVD_BYTES: 1.1 - 1.4 times the peak RSS growth of a fresh process
+    building n = 4 levels 7 - 9, ii n = 5 levels 5 - 7 or iii n = 5 r = 2 levels
+    5 - 6.  The first level over FOCK_MAX_BYTES raises LimitError."""
+    chi = charge_characters(charges)
+    plans, held, need, below, here = [], 0, 0, {}, next(chi)
+    for k, above in zip(range(1, levels + 1), chi):
+        by_charge: dict = {}
+        for i, w in enumerate(charges):
+            for c, size in here.items():
+                by_charge.setdefault(tuple(map(operator.add, w, c)), []).append((i, c, size))
+        blocks = []
+        for t, slots in sorted(by_charge.items()):
+            size = sum(s for *_, s in slots)
+            blocks.append(_Block(t, slots, size, here.get(t, 0), below.get(t, 0), above.get(t, 0)))
+        held += itemsize * sum(block.rows * block.keep for block in blocks)
+        held += _SLOT_BYTES * sum(len(block.slots) for block in blocks)
+        need = held + itemsize * max(block.transient for block in blocks) + _FIRST_SVD_BYTES
+        if need > FOCK_MAX_BYTES:
+            raise LimitError(
+                f"level {k} would hold about {need / 2**20:.0f} MiB (hat frame "
+                f"{len(charges) * sum(here.values())} x {sum(above.values())}, {len(blocks)} "
+                f"charge blocks of up to {max(block.rows for block in blocks)} rows), "
+                f"above the bound {FOCK_MAX_BYTES / 2**20:.0f} MiB"
+            )
+        plans.append(blocks)
+        below, here = here, above
+    return plans, need
 
 
 def _level_failure(pair: MotzkinPair, message: str) -> StructureError:
@@ -399,12 +400,11 @@ def coassociativity_residuals(system: SubproductSystem) -> dict[str, float]:
     p < k - 1 the bounds add along H_k < H_{k-1} (x) C^n < .. < H_p (x) C^{n(k-p)}.
     (1 (x) G_q) G_k = G_k holds by construction: B_k = (1 (x) B_{k-1}) B^_k and
     the frames are isometries."""
-    weights = [tuple(w) for w in _charge_weights(system.pair).tolist()]
     R, out = system.frames[1] if system.levels else {}, {}
     for k in range(2, system.levels + 1):
         below, R_next, total = system.frames[k - 1], {}, 0.0
         for t, slots in system.frames[k].items():
-            for j, w in enumerate(weights):
+            for j, w in enumerate(system.charges):
                 s = tuple(map(operator.sub, t, w))
                 X = {i: R[c][j][1] @ F for i, (c, F) in slots.items() if j in R.get(c, {})}
                 H = below.get(s, {})
@@ -520,28 +520,27 @@ class ToeplitzReport:
         return self.max_residual < self.tol
 
 
-def _relation_table(pair: MotzkinPair, fam: OperatorFamily) -> dict:
+def _relation_table(system: SubproductSystem, fam: OperatorFamily) -> dict:
     """Each direction's weight alpha_x, partner pi(x) and charge shift w_x,
     in family order: v_j has weight a_j and partner v_jbar; w_s has weight
     a_{j_1} e^{-i pi s / r} and is its own partner (a is constant on the
     orbit of b).  A weight whose imaginary part is exactly zero is a real
     float, so that it keeps real creation blocks real.
 
-    The shift is the charge (see `SubproductSystem`) of the coordinates on
+    The shift is the charge (``system.charges``) of the coordinates on
     which the direction's vector in ``fam`` is nonzero: S_x maps charge c
     to charge c + w_x.  A direction whose support spans two charges, or a
     partner pair whose shifts do not cancel, raises ParameterError, since
     the relations are then not products of charge sectors."""
-    a = pair.a
-    weights = _charge_weights(pair).tolist()
+    a, charges = system.pair.a, system.charges
     table = {}
     for (kind, index), support in zip(fam.kinds, (fam.vectors != 0).tolist()):
         if kind == "v":
-            alpha, partner = a[index - 1], ("v", pair.n + 1 - index)
+            alpha, partner = a[index - 1], ("v", system.pair.n + 1 - index)
         else:
             alpha = a[fam.j_list[0] - 1] * _orbit_phase(fam.r, -index)
             partner = (kind, index)
-        shifts = {tuple(w) for w, on in zip(weights, support) if on}
+        shifts = {w for w, on in zip(charges, support) if on}
         if len(shifts) > 1:
             raise ParameterError(
                 f"direction {kind}{index} spans the charges {sorted(shifts)}; "
@@ -551,7 +550,7 @@ def _relation_table(pair: MotzkinPair, fam: OperatorFamily) -> dict:
         table[kind, index] = (
             alpha.real if alpha.imag == 0 else alpha,
             partner,
-            shifts.pop() if shifts else (0,) * len(weights[0]),
+            shifts.pop() if shifts else (0,) * len(charges[0]),
         )
     for (kind, index), (_, px, shift) in table.items():
         if any(map(operator.add, shift, table[px][2])):

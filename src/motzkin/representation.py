@@ -442,19 +442,19 @@ MAX_SPAN_ROUNDS = 12
 _SPAN_WORK_IMAGES = 3
 
 
-def _check_span_bytes(dim: int, basis: int, images: int, size: int) -> None:
+def _check_span_bytes(itemsize: int, dim: int, basis: int, images: int, size: int) -> None:
     """Refuse a span round that would hold more than SPAN_MAX_BYTES.
 
     The round starts from `basis` orthonormal directions and holds `images`
     images of `size` operators each, and the SVD work of one image.  Each
-    operator is dim**2 complex entries, 16 bytes each; for a real pair,
-    whose operators take 8 bytes an entry, the count is an upper bound.
-    The basis can grow by as many operators as the images hold; its rows
-    are written into pages of their own, while the images freed along the
-    way stay with the allocator, so both are counted in full.
+    operator is dim**2 entries of `itemsize` bytes, the pair's dtype: 8
+    for a real pair, 16 for a complex one.  The basis can grow by as many
+    operators as the images hold; its rows are written into pages of their
+    own, while the images freed along the way stay with the allocator, so
+    both are counted in full.
     """
     operators = basis + (2 * images + _SPAN_WORK_IMAGES) * size
-    need = 16 * dim * dim * operators
+    need = itemsize * dim * dim * operators
     if need > SPAN_MAX_BYTES:
         raise LimitError(
             f"span closure at n**k = {dim} would hold {operators} operators, "
@@ -500,8 +500,9 @@ def span_dimension(pair: MotzkinPair, k: int) -> tuple[int, int]:
     dim = _check_dim(n, k)
     blocks = [(_generator_base(pair, name), i) for i in range(1, k) for name in ("l", "r", "t")]
     blocks += [(_generator_base(pair, "p"), i) for i in range(1, k + 1)]
-    _check_span_bytes(dim, 0, 1 + len(blocks), 1)
-    basis = np.empty((SPAN_MAX_BYTES // (16 * dim * dim), dim * dim), dtype=pair.dtype)
+    itemsize = pair.dtype.itemsize
+    _check_span_bytes(itemsize, dim, 0, 1 + len(blocks), 1)
+    basis = np.empty((SPAN_MAX_BYTES // (itemsize * dim * dim), dim * dim), dtype=pair.dtype)
     found = 0
     eye = np.eye(dim, dtype=pair.dtype)
     images = [_stacked(eye, dim)] + [_stacked(_apply_local(eye, n, base, i), dim) for base, i in blocks]
@@ -523,7 +524,7 @@ def span_dimension(pair: MotzkinPair, k: int) -> tuple[int, int]:
             del vh, new
         if found == old:
             return old, rounds
-        _check_span_bytes(dim, found, len(blocks), found - old)
+        _check_span_bytes(itemsize, dim, found, len(blocks), found - old)
         new = basis[old:found].reshape(-1, dim, dim).transpose(1, 0, 2).reshape(dim, -1)
         images = [_stacked(_apply_local(new, n, base, i), dim) for base, i in blocks]
         del new

@@ -433,7 +433,7 @@ class TestRunCommand:
 
     def test_rep_faithful_byte_budget(self, capsys, monkeypatch):
         # n=4, k=5 passes the dimension bound (1024), but its first span
-        # round alone counts 2*18 + 3 = 39 operators of 1024**2 complex
+        # round alone counts 2*18 + 3 = 39 operators of 1024**2 real
         # entries (the images, the basis rows they may become, and the SVD
         # work).  The estimate refuses it before any image is built.
         def refuse(*args):
@@ -441,7 +441,7 @@ class TestRunCommand:
 
         monkeypatch.setattr(representation, "_apply_local", refuse)
         assert run_command(["rep", "faithful", "--k", "5"]) == 2
-        assert "would hold 39 operators, about 624 MiB" in capsys.readouterr().err
+        assert "would hold 39 operators, about 312 MiB" in capsys.readouterr().err
 
     def test_fock_build(self, capsys):
         assert (
@@ -462,16 +462,19 @@ class TestRunCommand:
         ]
 
     def test_fock_build_size_guard(self, capsys, monkeypatch):
-        # A level whose estimated bytes pass the bound is refused before it
-        # is built, with exit code 2; the bound is lowered so that the
-        # refusal comes at level 6 instead of level 9.
-        monkeypatch.setattr(fock, "FOCK_MAX_BYTES", 2**20)
-        assert run_command(["fock", "build", "--levels", "12"]) == 2
-        err = capsys.readouterr().err
-        assert err == (
-            "error: level 6 would hold about 3 MiB (hat frame 576 x 377, 13 "
-            "charge blocks of up to 100 rows), above the bound 1 MiB\n"
-        )
+        # A level count whose count from chi passes the bound is refused
+        # before level 1 is built, with exit code 2: the default pair
+        # reaches level 9 and stops at level 10, for any larger count.
+        def refuse(*args):
+            raise AssertionError("a level was built past the size check")
+
+        monkeypatch.setattr(fock.SubproductSystem, "_add_level", refuse)
+        for levels in ("12", "1000000"):
+            assert run_command(["fock", "build", "--levels", levels]) == 2
+            assert capsys.readouterr().err == (
+                "error: level 10 would hold about 801 MiB (hat frame 27060 x 17711, "
+                "21 charge blocks of up to 3624 rows), above the bound 512 MiB\n"
+            )
 
     def test_fock_build_names_failing_pair_conditions(self, tmp_path, capsys):
         # A pair that loads but breaks the Motzkin conditions fails in the
@@ -504,6 +507,23 @@ class TestRunCommand:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "k,space_dim,rank,expected,measured"
         assert out[1:] == ["0,1,1,1,1", "1,3,3,9,9", "2,8,8,64,64"]
+
+    def test_matrix_units_report_the_measured_rank(self, capsys, monkeypatch):
+        # The rank column is the rank of the word matrix Psi that the check
+        # measures, not d_k: with every word a multiple of one, Psi has
+        # rank 1 and every row above k = 0 fails.
+        words = fock.word_vectors
+
+        def rank_one(system, k):
+            psi = words(system, k)
+            top = psi[:, np.argmax(np.linalg.norm(psi, axis=0))]
+            return np.outer(top, np.arange(1, psi.shape[1] + 1))
+
+        monkeypatch.setattr(fock, "word_vectors", rank_one)
+        assert run_command(["fock", "matrix-units", "--kmax", "2"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "k,space_dim,rank,expected,measured", "0,1,1,1,1", "1,3,1,9,1", "2,8,1,64,1",
+        ]
 
     def test_usage_errors_exit_two(self):
         with pytest.raises(SystemExit) as info:

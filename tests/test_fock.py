@@ -1,11 +1,17 @@
 """Tests for the subproduct system and its Toeplitz operators."""
 
 import dataclasses
+import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -38,6 +44,7 @@ from motzkin.representation import (
 
 QUARTER = Fraction(1, 4)
 THIRD = Fraction(1, 3)
+_SRC = Path(fock.__file__).resolve().parents[1]
 
 
 @lru_cache(maxsize=None)
@@ -114,14 +121,17 @@ def _dense_hat(system, k):
     return H.reshape(n * below, -1)
 
 
-def _eigh_add_level(self, k, a, b, weights, chi):
+def _eigh_add_level(self, k, a, b, blocks):
     """Reference level step, in place of `SubproductSystem._add_level`: form
     each charge block of G^ = (1 - b b^*) (x) 1 - phi(k) Z^* Z, symmetrise
     it, total its idempotent residual from G^2 - G, diagonalise it with
     eigh and keep the eigenvectors above 1/2, written as the blocks of
-    ``frames``.  ``chi`` is not checked."""
+    ``frames``.  The blocks are derived from the sectors built so far, not
+    from the plan ``blocks``, and the level's dimension is checked against
+    `dim_subproduct`, not against chi."""
     n, d_k = self.pair.n, self.dims[k]
     d_next = dim_subproduct(n, k + 1)
+    weights = np.array(self.charges)
     Q = np.eye(n) - np.outer(b, b.conj())
     lower = self.sectors[k]
     col_charges = np.repeat(
@@ -135,7 +145,6 @@ def _eigh_add_level(self, k, a, b, weights, chi):
     starts = np.flatnonzero(np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)])
     members = np.split(order, starts[1:])
     sizes = [rows.size for rows in members]
-    self._check_level_bytes(k + 1, d_next, sizes)
 
     phik = float(self.phi(k))
     if phik:
@@ -573,8 +582,7 @@ class TestBuild:
                 {c: cols.stop - cols.start for c, cols in sectors.items()}
                 for sectors in sys.sectors
             ]
-            charges = map(tuple, fock._charge_weights(sys.pair).tolist())
-            assert chi == list(islice(charge_characters(charges), sys.levels + 1))
+            assert chi == list(islice(charge_characters(sys.charges), sys.levels + 1))
             for k in range(1, sys.levels):
                 want = {}
                 for c1, m1 in chi[1].items():
@@ -699,22 +707,95 @@ class TestBuild:
         assert np.allclose(first[2], np.tensordot(u.conj(), H, axes=(0, 0)).conj().T)
 
     def test_size_guard(self, monkeypatch):
-        # The estimate before level 4 of the real n = 4 pair, in entries of
-        # 8 bytes: 780 stored (hat frames 4 x 3, 12 x 8 and 32 x 21), the
-        # level-3 frame reordered as Z (672), the hat frame 84 x 55 (4620),
-        # and five 18 x 18 arrays for the largest of the charge blocks
-        # [1, 5, 11, 16, 18, 16, 11, 5, 1]: 7692 entries.
-        monkeypatch.setattr(fock, "FOCK_MAX_BYTES", 8 * 7692 - 1)
-        with pytest.raises(
-            LimitError,
-            match=r"level 4 would hold about 0 MiB \(hat frame 84 x 55, 9 charge "
-            r"blocks of up to 18 rows\), above the bound 0 MiB",
-        ):
-            build_subproduct(_pair(4), 5)
-        monkeypatch.setattr(fock, "FOCK_MAX_BYTES", 8 * 7692)
-        with pytest.raises(LimitError, match="level 5 would hold"):
+        # The count for level 4 of the n = 4 pair, from chi alone: the
+        # frames of levels 1 .. 4 (4 + 22 + 122 + 714 = 862 entries,
+        # sum_t rows_t chi_j(t) each, and 4 + 12 + 20 + 28 = 64 block slots
+        # of 800 bytes), and the largest of the charge blocks
+        # [1, 5, 11, 16, 18, 16, 11, 5, 1], 18 rows under M of 5 + 2 rows:
+        # 2 * 18^2 + 3 * 7 * 18 + 6 * 7^2 = 1320 entries.  With 8 bytes an
+        # entry and 1 MiB for the first SVD that is 1117232 bytes; a complex
+        # pair of the same shape counts 16 bytes an entry.  A refused count
+        # builds no level.
+        def refuse(*args):
+            raise AssertionError("a level was built past the size check")
+
+        need = 8 * (862 + 1320) + 800 * 64 + 2**20
+        assert fock._plan_levels(fock._charge_weights(_pair(4)), 4, 8)[1] == need == 1117232
+        monkeypatch.setattr(fock, "FOCK_MAX_BYTES", need - 1)
+        with monkeypatch.context() as m:
+            m.setattr(fock.SubproductSystem, "_add_level", refuse)
+            with pytest.raises(
+                LimitError,
+                match=r"^level 4 would hold about 1 MiB \(hat frame 84 x 55, 9 charge "
+                r"blocks of up to 18 rows\), above the bound 1 MiB$",
+            ):
+                build_subproduct(_pair(4), 5)
+        monkeypatch.setattr(fock, "FOCK_MAX_BYTES", need)
+        with pytest.raises(LimitError, match="^level 5 would hold"):
             build_subproduct(_pair(4), 5)
         assert build_subproduct(_pair(4), 4).dims[-1] == 55
+        with pytest.raises(LimitError, match="^level 4 would hold"):
+            build_subproduct(_rotated_pair4(), 4)
+        monkeypatch.setattr(fock, "FOCK_MAX_BYTES", need + 8 * (862 + 1320))
+        assert build_subproduct(_rotated_pair4(), 4).dims[-1] == 55
+
+    def test_level_count_refused_before_level_one(self, monkeypatch):
+        # Levels 12 of the n = 4 pair are refused at level 10, by the count
+        # from chi, before any level is built.  On i n = 3 the frames stay
+        # tiny, d_k = k + 1, but each level k adds 3 k block slots
+        # of Python objects: the count refuses level 666.
+        def refuse(*args):
+            raise AssertionError("a level was built past the size check")
+
+        monkeypatch.setattr(fock.SubproductSystem, "_add_level", refuse)
+        with pytest.raises(
+            LimitError,
+            match=r"^level 10 would hold about 801 MiB \(hat frame 27060 x 17711, "
+            r"21 charge blocks of up to 3624 rows\), above the bound 512 MiB$",
+        ):
+            build_subproduct(_pair(4), 12)
+        with pytest.raises(
+            LimitError,
+            match=r"^level 666 would hold about 513 MiB \(hat frame 1998 x 667, "
+            r"1333 charge blocks of up to 2 rows\), above the bound 512 MiB$",
+        ):
+            build_subproduct(_pair(3), 100000)
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+    def test_size_count_bounds_measured_growth(self):
+        # In a fresh process with one BLAS thread, the count for the last
+        # level lies between the peak RSS growth of the build and 1.5 times
+        # it.  tracemalloc would not see LAPACK's workspace.  The peak is
+        # VmHWM: a child's ru_maxrss starts at its parent's peak.
+        script = textwrap.dedent(
+            """
+            import json, sys
+            from fractions import Fraction
+            from motzkin import fock
+            from motzkin.representation import build_example_pair
+
+            def peak():
+                with open("/proc/self/status") as status:
+                    return next(int(line.split()[1]) for line in status if line.startswith("VmHWM"))
+
+            family, n, levels = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+            pair = build_example_pair(family, n, 1, Fraction(1, n))
+            estimate = fock._plan_levels(fock._charge_weights(pair), levels, 8)[1]
+            before = peak()
+            fock.build_subproduct(pair, levels)
+            print(json.dumps([1024 * (peak() - before), estimate]))
+            """
+        )
+        threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {**os.environ, **dict.fromkeys(threads, "1")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC), env.get("PYTHONPATH")]))
+        for family, n, levels in [("iii", 4, 7), ("iii", 4, 8), ("ii", 5, 5), ("ii", 5, 6)]:
+            out = subprocess.run(
+                [sys.executable, "-c", script, family, str(n), str(levels)],
+                env=env, capture_output=True, text=True, check=True, timeout=120,
+            ).stdout
+            growth, estimate = json.loads(out)
+            assert growth <= estimate <= 1.5 * growth, (family, n, levels, growth, estimate)
 
     def test_stores_compressed_frames_only(self):
         # Each frame is stored once, as its charge blocks: every coordinate
@@ -766,6 +847,22 @@ class TestBuild:
         res = coassociativity_residuals(sys)
         assert list(res) == [f"left[k={k}]" for k in range(2, 9)]
         assert max(res.values()) < 1e-12
+
+    @pytest.mark.slow
+    def test_level_nine(self):
+        # The count from chi admits level 9 (about 128 MiB) under the default
+        # bound, and every relation and the subproduct axiom hold there.
+        sys = build_subproduct(_pair(4), 9)
+        assert sys.dims[-1] == 6765
+        assert max(sys.idempotent_residuals) < 1e-12
+        assert toeplitz_residuals(sys).ok
+        limits = [cuntz_pimsner_residual(sys, m).residual for m in range(1, 9)]
+        assert all(x > y > 0 for x, y in zip(limits, limits[1:]))
+        assert all(reverse_identity(sys, k).ok for k in range(1, 10))
+        assert all(matrix_unit_dimension(sys, k).ok for k in range(5))
+        res = coassociativity_residuals(sys)
+        assert list(res) == [f"left[k={k}]" for k in range(2, 10)]
+        assert max(res.values()) < TOL_CHECK
 
     @pytest.mark.slow
     def test_level_eight_memory(self):
@@ -985,16 +1082,15 @@ class TestRelationTable:
         for system in _relation_systems():
             pair = system.pair
             fam = operator_family(pair)
-            table = fock._relation_table(pair, fam)
+            table = fock._relation_table(system, fam)
             assert list(table) == fam.kinds
-            weights = fock._charge_weights(pair)
             for x, (alpha, px, shift) in table.items():
                 assert table[px][1] == x
                 assert px == (x if x[0] == "w" else ("v", pair.n + 1 - x[1]))
                 assert abs(np.conj(alpha) * table[px][0] - float(pair.lam)) <= 1e-15
                 assert shift == tuple(-w for w in table[px][2])
                 home = x[1] if x[0] == "v" else fam.j_list[0]
-                assert shift == tuple(weights[home - 1])
+                assert shift == system.charges[home - 1]
 
     def test_matches_written_out_relations(self):
         # eq3, the reverse identity and xi against the weights written out
@@ -1110,7 +1206,7 @@ def _dense_relations(system):
     reverse identity on the whole creation blocks, keyed by report, level
     and label."""
     N, fam = system.levels, system.family
-    table = fock._relation_table(system.pair, fam)
+    table = fock._relation_table(system, fam)
     blocks = {
         kind: system.creation_blocks(fam.vectors[idx])
         for idx, kind in enumerate(fam.kinds)
@@ -1188,7 +1284,7 @@ class TestChargeSectors:
         # c + w_x: the per-sector sums rest on this.
         for system in _reference_systems() + _relation_systems():
             pair, fam = system.pair, system.family
-            weights = fock._charge_weights(pair)
+            weights = np.array(system.charges)
             for k, sectors in enumerate(system.sectors):
                 assert list(sectors) == sorted(sectors)
                 bounds = [(cols.start, cols.stop) for cols in sectors.values()]
@@ -1201,7 +1297,7 @@ class TestChargeSectors:
                     np.array(list(sectors)), [stop - start for start, stop in bounds], axis=0
                 )
                 assert np.abs(charges - labels).max() < 1e-12, (pair.n, k)
-            table = fock._relation_table(pair, fam)
+            table = fock._relation_table(system, fam)
             for (x, (_, _, shift)), u in zip(table.items(), fam.vectors):
                 for k, blk in enumerate(system.creation_blocks(u)):
                     allowed = np.zeros(blk.shape, dtype=bool)

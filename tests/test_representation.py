@@ -667,24 +667,25 @@ class TestSpanDimension:
 
     def test_byte_budget(self, monkeypatch):
         # n=4, k=3: the identity and the 9 generator images are 10
-        # operators of 64**2 complex entries, 640 KiB.  A round counts its
-        # basis, twice its images (they may all turn into basis rows) and
-        # three images' worth of SVD work: 0 + 2*10 + 3 = 23 operators in
-        # the first round.  The rounds add 10, 27 and 14 directions, and the
-        # round that adds 14 starts from 37 basis directions and 9*27 image
-        # operators, 37 + 2*243 + 3*27 = 604, the most the closure counts.
-        pair = _pair4()
-        column = 16 * 64**2
-        monkeypatch.setattr(representation, "SPAN_MAX_BYTES", 23 * column - 1)
-        with monkeypatch.context() as m:
-            m.setattr(representation, "_apply_local", _refuse_to_apply)
-            with pytest.raises(LimitError, match="would hold 23 operators"):
+        # operators of 64**2 entries, 8 bytes each for the real pair and 16
+        # for its complex rotation.  A round counts its basis, twice its
+        # images (they may all turn into basis rows) and three images' worth
+        # of SVD work: 0 + 2*10 + 3 = 23 operators in the first round.  The
+        # rounds add 10, 27 and 14 directions, and the round that adds 14
+        # starts from 37 basis directions and 9*27 image operators,
+        # 37 + 2*243 + 3*27 = 604, the most the closure counts.
+        for pair in (_pair4(), _rotated(_pair4())[0]):
+            column = pair.dtype.itemsize * 64**2
+            monkeypatch.setattr(representation, "SPAN_MAX_BYTES", 23 * column - 1)
+            with monkeypatch.context() as m:
+                m.setattr(representation, "_apply_local", _refuse_to_apply)
+                with pytest.raises(LimitError, match="would hold 23 operators"):
+                    span_dimension(pair, 3)
+            monkeypatch.setattr(representation, "SPAN_MAX_BYTES", 603 * column)
+            with pytest.raises(LimitError, match="would hold 604 operators"):
                 span_dimension(pair, 3)
-        monkeypatch.setattr(representation, "SPAN_MAX_BYTES", 603 * column)
-        with pytest.raises(LimitError, match="would hold 604 operators"):
-            span_dimension(pair, 3)
-        monkeypatch.setattr(representation, "SPAN_MAX_BYTES", 604 * column)
-        assert span_dimension(pair, 3) == (51, 3)
+            monkeypatch.setattr(representation, "SPAN_MAX_BYTES", 604 * column)
+            assert span_dimension(pair, 3) == (51, 3), pair.dtype
 
     def test_matches_reference_on_standard_families(self):
         for pair, ks in STANDARD_SPANS:

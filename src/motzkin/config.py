@@ -28,8 +28,6 @@ MAX_EXPONENT = 4096
 
 # Numeric (matrix) layer.
 DEFAULT_MAX_DIM = 4096
-# Full n^k x n^k projection matrices are only materialised below this size.
-FULL_MATRIX_DIM = 1024
 # Bytes the span closure may hold at once: its basis, one round's images
 # (counted twice, as they may all become basis rows) and three images of
 # SVD work, each operator n^(2k) entries in the pair's dtype.  At k = 3

@@ -621,8 +621,10 @@ def _check_generator(k: int, name: str, i: int | None) -> None:
 def generator(k: int, name: str, i: int | None = None, *, lam) -> Element:
     """The generator `name` with (1-based) index i inside width k; 't'
     carries its defining coefficient lam."""
-    if k < 0 or k > MAX_WIDTH:
+    if k < 0:
         raise ParameterError(f"width {k} out of range 0..{MAX_WIDTH}")
+    if k > MAX_WIDTH:
+        raise LimitError(f"width {k} exceeds the configured bound {MAX_WIDTH}")
     _check_generator(k, name, i)
     if name == "id":
         return identity(k, lam=lam)

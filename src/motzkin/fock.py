@@ -25,17 +25,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import (
-    FOCK_MAX_BYTES,
-    FULL_MATRIX_DIM,
-    TOL_CHECK,
-    TOL_CONSTRUCT,
-    TOL_RANK,
-    TOL_TOEPLITZ,
-)
+from .config import FOCK_MAX_BYTES, TOL_CHECK, TOL_CONSTRUCT, TOL_RANK, TOL_TOEPLITZ
 from .errors import LimitError, ParameterError, StructureError
 from .qpoly import PhiFunction, charge_characters
-from .representation import MotzkinPair, p_matrix, validate_pair
+from .representation import MotzkinPair, _check_dim, p_matrix, validate_pair
 
 _SNAP_TOL = 1e-6
 
@@ -193,14 +186,10 @@ class SubproductSystem:
         return B
 
     def projection(self, k: int) -> np.ndarray:
-        """The full n^k x n^k orthogonal projection onto level k."""
+        """The full n^k x n^k orthogonal projection onto level k, within the
+        dimension bound of every dense operator on (C^n)^k (`_check_dim`)."""
         self._check_level(k)
-        n = self.pair.n
-        if n**k > FULL_MATRIX_DIM:
-            raise LimitError(
-                f"full projection at level {k} has size n**k = {n ** k}, "
-                f"above the cap {FULL_MATRIX_DIM}"
-            )
+        _check_dim(self.pair.n, k)
         B = self.basis(k)
         return B @ B.conj().T
 
@@ -212,7 +201,9 @@ class SubproductSystem:
 
     @cached_property
     def family(self) -> OperatorFamily:
-        """The operator family of the pair, `operator_family` on first use.
+        """The operator family of the pair, `operator_family` on first use;
+        it raises ParameterError only for a pair whose |b| is not uniform on
+        its support.
 
         Every relation check and word vector reads this family.  Another
         one (a rotated family, a partner-closed part of this one) is set by
@@ -427,16 +418,18 @@ def coassociativity_residuals(system: SubproductSystem) -> dict[str, float]:
 class OperatorFamily:
     """The n - 1 creation-operator directions attached to a pair.
 
-    Coordinates whose b-weight vanishes contribute plain basis vectors
-    ("v" kind, labelled by their 1-based coordinate).  The support of b is
-    a bar-closed orbit of size 2r carrying a discrete Fourier basis; the
-    2r - 1 combinations orthogonal to b contribute the "w" kind, labelled
-    by their frequency s = 1 .. 2r - 1.
+    The support S of b, its m points j_1 < .. < j_m (``j_list``, 1-based),
+    is closed under bar, and |b| is uniform on it.  S carries the discrete
+    Fourier basis times b's unit phases b^ = b / |b|: the "w" kind
+    w_s = sum_k b^_{j_k} e^{2 pi i k s / m} e_{j_k} / sqrt(m), labelled by
+    its frequency s = 1 .. m - 1, are the combinations orthogonal to
+    w_0 = b.  Coordinates off S contribute plain basis vectors ("v" kind,
+    labelled by their 1-based coordinate).  ``r`` is m // 2.
     """
 
     n: int
     r: int
-    j_list: list[int] = field(default_factory=list)  # 1-based orbit coordinates
+    j_list: list[int] = field(default_factory=list)  # 1-based support of b
     kinds: list[tuple[str, int]] = field(default_factory=list)
     vectors: np.ndarray | None = None
 
@@ -448,54 +441,46 @@ class OperatorFamily:
         return self.vectors[self.kinds.index((kind, index))]
 
 
-def _orbit_phase(r: int, aexp) -> complex:
-    """e^{i pi aexp / r}, exactly +-1 when r divides aexp."""
-    if aexp % r == 0:
-        return complex((-1) ** (aexp // r))
-    return complex(np.exp(2j * np.pi * aexp / (2 * r)))
+def _orbit_phase(m: int, aexp) -> complex:
+    """e^{2 pi i aexp / m}, exactly +-1 when m divides 2 aexp."""
+    if 2 * aexp % m == 0:
+        return complex((-1) ** (2 * aexp // m))
+    return complex(np.exp(2j * np.pi * aexp / m))
 
 
 def operator_family(pair: MotzkinPair) -> OperatorFamily:
-    """Read the operator family off the support pattern of b: the
-    coordinates where |b_i| exceeds TOL_CHECK."""
-    n = pair.n
-    support = [i for i in range(n) if abs(pair.b[i]) > TOL_CHECK]
-    eye = np.eye(n, dtype=complex)
-    if len(support) == 1:
-        mid = support[0]
-        if abs(pair.b[mid] - 1.0) > 1e-9:
-            raise ParameterError("b concentrates on one coordinate but is not 1 there")
-        kinds = [("v", j) for j in range(1, n + 1) if j - 1 != mid]
-        return OperatorFamily(n=n, r=0, kinds=kinds, vectors=eye[[j - 1 for _, j in kinds]])
+    """Read the operator family (see `OperatorFamily`) off b.  Its support,
+    the coordinates where |b_i| exceeds TOL_CHECK, must be closed under bar
+    and |b| uniform on it; otherwise ParameterError."""
+    n, b = pair.n, pair.b
+    support = [i for i in range(n) if abs(b[i]) > TOL_CHECK]
+    if support != [n - 1 - i for i in reversed(support)]:
+        raise ParameterError(f"support of b is {support}, not closed under bar")
+    moduli = np.abs(b[support])
+    if support and np.ptp(moduli) > 1e-9:
+        raise ParameterError("|b| is not uniform over its support")
 
-    if len(support) % 2:
-        raise ParameterError("support of b must be a single point or bar-symmetric")
-    r = len(support) // 2
-    expected = list(range(r)) + list(range(n - r, n))
-    if support != expected:
-        raise ParameterError(
-            f"support of b is {support}, not the outer orbit {expected}"
-        )
-    if np.abs(pair.b[support] - 1.0 / np.sqrt(2 * r)).max() > 1e-9:
-        raise ParameterError("b is not uniform over its orbit")
-
-    fam = OperatorFamily(n=n, r=r, j_list=[j + 1 for j in support])
+    m = len(support)
+    unit = b[support] / moduli
+    fam = OperatorFamily(n=n, r=m // 2, j_list=[j + 1 for j in support])
     vecs = []
-    for s in range(1, 2 * r):
+    for s in range(1, m):
         w = np.zeros(n, dtype=complex)
-        for kpos, j in enumerate(fam.j_list, start=1):
-            w[j - 1] = _orbit_phase(r, kpos * s) / np.sqrt(2 * r)
+        for kpos, (j, phase) in enumerate(zip(support, unit), start=1):
+            w[j] = phase * (_orbit_phase(m, kpos * s) / np.sqrt(m))
         fam.kinds.append(("w", s))
         vecs.append(w)
-    for j in range(r + 1, n - r + 1):
-        fam.kinds.append(("v", j))
-        vecs.append(eye[j - 1])
+    eye = np.eye(n, dtype=complex)
+    for j in range(n):
+        if j not in support:
+            fam.kinds.append(("v", j + 1))
+            vecs.append(eye[j])
     fam.vectors = np.stack(vecs)
 
     gram = fam.vectors @ fam.vectors.conj().T
-    if np.linalg.norm(gram - np.eye(n - 1)) > 1e-9:
+    if np.linalg.norm(gram - np.eye(len(vecs))) > 1e-9:
         raise StructureError("operator family is not orthonormal")
-    if np.abs(fam.vectors @ pair.b.conj()).max() > 1e-9:
+    if np.abs(fam.vectors @ b.conj()).max() > 1e-9:
         raise StructureError("operator family is not orthogonal to b")
     return fam
 
@@ -523,22 +508,27 @@ class ToeplitzReport:
 def _relation_table(system: SubproductSystem, fam: OperatorFamily) -> dict:
     """Each direction's weight alpha_x, partner pi(x) and charge shift w_x,
     in family order: v_j has weight a_j and partner v_jbar; w_s has weight
-    a_{j_1} e^{-i pi s / r} and is its own partner (a is constant on the
-    orbit of b).  A weight whose imaginary part is exactly zero is a real
-    float, so that it keeps real creation blocks real.
+    a_{j_1} conj(b^_{j_1} b^_{j_1bar}) e^{-2 pi i s / m}, b^ = b / |b| on the
+    m points of the support of b, and is its own partner (the compatibility
+    condition of the pair makes a_j conj(b^_j b^_jbar) constant there).  A
+    weight whose imaginary part is exactly zero is a real float, so that it
+    keeps real creation blocks real.
 
     The shift is the charge (``system.charges``) of the coordinates on
     which the direction's vector in ``fam`` is nonzero: S_x maps charge c
     to charge c + w_x.  A direction whose support spans two charges, or a
     partner pair whose shifts do not cancel, raises ParameterError, since
     the relations are then not products of charge sectors."""
-    a, charges = system.pair.a, system.charges
+    pair, charges = system.pair, system.charges
+    n, a, b = pair.n, pair.a, pair.b
     table = {}
     for (kind, index), support in zip(fam.kinds, (fam.vectors != 0).tolist()):
         if kind == "v":
-            alpha, partner = a[index - 1], ("v", system.pair.n + 1 - index)
+            alpha, partner = a[index - 1], ("v", n + 1 - index)
         else:
-            alpha = a[fam.j_list[0] - 1] * _orbit_phase(fam.r, -index)
+            j, jbar = fam.j_list[0] - 1, n - fam.j_list[0]
+            unit = b[j] / abs(b[j]) * (b[jbar] / abs(b[jbar]))
+            alpha = a[j] * np.conj(unit) * _orbit_phase(len(fam.j_list), -index)
             partner = (kind, index)
         shifts = {w for w, on in zip(charges, support) if on}
         if len(shifts) > 1:

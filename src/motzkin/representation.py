@@ -545,7 +545,8 @@ def rep_conditional_expectation(pair: MotzkinPair, X: np.ndarray) -> np.ndarray:
     the factorisation is verified to TOL_CHECK, relative to the sizes of M
     and w, and what / lam = |<v_A, b (x) b>|^2 M / lam
     is returned, matching the diagram-side conditional expectation under
-    evaluation.  Nothing of size n^(k+2) is formed.
+    evaluation.  Nothing of size n^(k+2) is formed, so the dimension bound
+    is checked on X, of size n^(k+1).
     """
     n = pair.n
     lam = float(pair.lam)
@@ -553,7 +554,7 @@ def rep_conditional_expectation(pair: MotzkinPair, X: np.ndarray) -> np.ndarray:
     k = round(np.log(dim) / np.log(n)) - 1
     if n ** (k + 1) != dim or X.shape != (dim, dim):
         raise ParameterError(f"operator shape {X.shape} is not a power of n={n}")
-    _check_dim(n, k + 2)
+    _check_dim(n, k + 1)
 
     a, b = pair.vectors()
     dk = n**k

@@ -29,7 +29,7 @@ from motzkin import cli, fock, representation
 from motzkin.diagram_core import adjoint, embed, generator, identity
 from motzkin.errors import ParameterError, ParseError, StructureError
 from motzkin.jones_wenzl import jones_wenzl
-from motzkin.representation import build_example_pair, evaluate_element
+from motzkin.representation import MotzkinPair, build_example_pair, evaluate_element
 
 QUARTER = Fraction(1, 4)
 
@@ -322,6 +322,26 @@ class TestRunCommand:
             assert err.startswith("error: dimension n**k = 256 exceeds"), expression
         assert run_command(["eval", "g2 - p1", "--k", "3", "--rep"]) == 0
 
+    def test_dense_guards_check_what_is_formed(self, monkeypatch, capsys):
+        # E(t1) at k = 5 forms its operator on n**6 = 4096 slots, within the
+        # bound; nothing on n**7 slots is formed.
+        assert run_command(["eval", "E(t1)", "--k", "5", "--rep"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["shape"] == [1024, 1024] and abs(data["norm"] - 8.0) < 1e-9
+        # The level projection of `fock ideal` (n**2 = 16) has the same bound.
+        monkeypatch.setenv("MOTZKIN_MAX_DIM", "15")
+        assert run_command(["fock", "ideal"]) == 2
+        assert capsys.readouterr().err == (
+            "error: dimension n**k = 16 exceeds the configured bound 15 "
+            "(raise MOTZKIN_MAX_DIM to override)\n"
+        )
+
+    def test_width_limit_error(self, capsys):
+        # Every width past MAX_WIDTH is refused with one LimitError text.
+        for argv in (["presentation", "--k", "7"], ["eval", "t1", "--k", "7"], ["jw", "--k", "7"]):
+            assert run_command(argv) == 2
+            assert capsys.readouterr().err == "error: width 7 exceeds the configured bound 6\n"
+
     def test_presentation_and_jw(self, capsys):
         assert run_command(["presentation", "--k", "2", "--lambda", "1/3"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -492,6 +512,19 @@ class TestRunCommand:
             "norm_a 1.100e-01, pairing 5.000e-02, "
         )
         assert "norm_b" not in err and err.endswith(" (tol 1e-12)\n")
+
+    def test_fock_toeplitz_odd_support(self, tmp_path, capsys):
+        # b uniform on the bar-closed support {0, 2, 4} of n = 5, lam = 1/6:
+        # a has sqrt(lam) there and y, lam / sqrt(y) on the free orbit {1, 3}.
+        lam = 1 / 6
+        y = (0.5 + np.sqrt(0.25 - 4 * lam * lam)) / 2
+        a = [np.sqrt(lam), np.sqrt(y), np.sqrt(lam), lam / np.sqrt(y), np.sqrt(lam)]
+        b = np.array([1, 0, 1, 0, 1]) / np.sqrt(3)
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps(MotzkinPair(5, Fraction(1, 6), a, b).to_json_dict()))
+        assert run_command(["fock", "toeplitz", "--in", str(path), "--levels", "4"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["ok"] is True and "eq6[s=2,s'=1,m=3]" in data["residuals"]
 
     def test_fock_toeplitz_tolerance_failure(self, capsys):
         # an absurd tolerance flips the check into a reported failure

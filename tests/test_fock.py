@@ -16,6 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, strategies as st
 
 from motzkin import fock
 from motzkin.config import TOL_CHECK, TOL_TOEPLITZ
@@ -40,6 +41,7 @@ from motzkin.representation import (
     build_example_pair,
     evaluate_element,
     p_matrix,
+    validate_pair,
 )
 
 QUARTER = Fraction(1, 4)
@@ -267,7 +269,8 @@ def _rotated_pair4():
 
 def _rotated_system(levels):
     """The rotated pair built to ``levels``, with the n = 4 family rotated
-    along: `operator_family` cannot read it off the rotated b."""
+    along, v_j included: `operator_family` of the rotated pair has the same
+    w_1 but keeps each v_j a coordinate vector."""
     system = build_subproduct(_rotated_pair4(), levels)
     fam4 = operator_family(_pair(4))
     system.family = dataclasses.replace(fam4, vectors=fam4.vectors * _ROTATION)
@@ -937,12 +940,16 @@ class TestBuild:
                 for key, value in want.items():
                     assert abs(got[key] - value) <= 1e-13 * max(1.0, value), (sys.pair.n, key)
 
-    def test_level_bounds(self):
+    def test_level_bounds(self, monkeypatch):
         sys = _system(4, 5)
         with pytest.raises(ParameterError):
             sys.basis(6)
-        with pytest.raises(LimitError):
-            _system(4, 6).projection(6)  # 4**6 above the full-matrix cap
+        # The level projection has the dimension bound of every dense
+        # operator on (C^n)^k.
+        assert sys.projection(5).shape == (1024, 1024)
+        monkeypatch.setenv("MOTZKIN_MAX_DIM", "1023")
+        with pytest.raises(LimitError, match=r"n\*\*k = 1024 exceeds the configured bound 1023"):
+            sys.projection(5)
         with pytest.raises(ParameterError):
             build_subproduct(_pair(4), -1)
 
@@ -956,6 +963,97 @@ class TestBuild:
         assert B1.shape == (4, 3)
         assert np.abs(B1.conj().T @ pair.b).max() < 1e-12
         assert np.allclose(_orthonormal_basis(pair, 2), sys.basis(2))
+
+
+def _uniform_pair(n, support, lam, theta=None, psi=0.0, shares=None):
+    """A pair whose b is e^{i theta_j} / sqrt(m) on the m points of
+    ``support`` (bar-closed, 0-based) and zero elsewhere, with a as the
+    compatibility condition forces it on the support:
+    sqrt(lam) e^{i (theta_j + theta_jbar - psi)}.  Off the support a takes
+    the phase theta_i: sqrt(lam) on a middle point, and on each free orbit
+    {i, ibar}, i < ibar, sqrt(y) on i and lam / sqrt(y) on ibar, y the larger
+    root of y + lam^2 / y = budget.  The budgets split 1 - lam (m + 1 for a
+    free middle point) in proportion to ``shares`` (even by default) above
+    2 lam each; where that is impossible y = lam / 2, so that ||a|| > 1 and
+    `validate_pair` refuses the pair."""
+    lamf, m = float(lam), len(support)
+    theta = np.zeros(n) if theta is None else np.asarray(theta, dtype=float)
+    a, b = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+    for j in support:
+        b[j] = np.exp(1j * theta[j]) / np.sqrt(m)
+        a[j] = np.sqrt(lamf) * np.exp(1j * (theta[j] + theta[n - 1 - j] - psi))
+    middle = [(n - 1) // 2] if n % 2 and (n - 1) // 2 not in support else []
+    for i in middle:
+        a[i] = np.sqrt(lamf) * np.exp(1j * theta[i])
+    free = [i for i in range(n // 2) if i not in support]
+    shares = np.ones(len(free)) if shares is None else np.asarray(shares, dtype=float)
+    total = 1 - lamf * (m + len(middle))
+    spare = total - 2 * lamf * len(free)
+    for i, share in zip(free, shares):
+        y = lamf / 2
+        if spare >= 0:
+            budget = 2 * lamf + spare * share / shares.sum()
+            y = (budget + np.sqrt(max(budget * budget - 4 * lamf * lamf, 0.0))) / 2
+        a[i] = np.sqrt(y) * np.exp(1j * theta[i])
+        a[n - 1 - i] = lamf / np.sqrt(y) * np.exp(1j * theta[i])
+    return MotzkinPair(n=n, lam=Fraction(lam), a=a, b=b)
+
+
+def _moved_pair(phase=0.0):
+    """iii n=6 r=1 lam=1/8 with b moved to the orbit {1, 4} by a permutation
+    that commutes with bar, and b's entries there times e^{+-i phase}."""
+    pair = build_example_pair("iii", 6, 1, Fraction(1, 8))
+    perm = [1, 0, 2, 3, 5, 4]
+    b = pair.b[perm] * np.exp(1j * phase * np.array([0, 1, 0, 0, -1, 0]))
+    return MotzkinPair(n=6, lam=pair.lam, a=pair.a[perm], b=b)
+
+
+_NAMED_PAIRS = {
+    "odd support n=5": lambda: _uniform_pair(5, [0, 2, 4], Fraction(1, 6)),
+    "odd support n=7": lambda: _uniform_pair(7, [0, 3, 6], Fraction(1, 9)),
+    "moved orbit": _moved_pair,
+    "moved orbit with phases": lambda: _moved_pair(0.4),
+    "signed b n=4": lambda: dataclasses.replace(_pair(4), b=np.array([1, 0, 0, -1]) / np.sqrt(2)),
+    "phases r=2": lambda: _uniform_pair(
+        5, [0, 1, 3, 4], Fraction(1, 5), theta=[0.4, -1.3, 0.0, 2.2, 0.9], psi=0.7
+    ),
+}
+
+_LAMBDAS = [Fraction(1, d) for d in range(3, 11)] + [Fraction(2, 7), Fraction(2, 9), Fraction(3, 10)]
+
+
+@st.composite
+def _uniform_pairs(draw):
+    """Pairs from `_uniform_pair` with n = 3 .. 7, a random bar-closed
+    support (the middle point may belong to it), random phases, lam from a
+    grid of rationals <= 1/3 and uneven free-orbit budgets; `validate_pair`
+    refuses those whose budgets cannot be met."""
+    n = draw(st.integers(3, 7))
+    orbits = draw(st.sets(st.integers(0, (n - 1) // 2), min_size=1))
+    support = sorted({j for i in orbits for j in (i, n - 1 - i)})
+    angle = st.floats(-np.pi, np.pi)
+    theta, psi = draw(st.lists(angle, min_size=n, max_size=n)), draw(angle)
+    free = len([i for i in range(n // 2) if i not in orbits])
+    shares = draw(st.lists(st.floats(0.1, 1.0), min_size=free, max_size=free))
+    return _uniform_pair(n, support, draw(st.sampled_from(_LAMBDAS)), theta, psi, shares)
+
+
+def _check_family_rule(system):
+    """The family of ``system`` follows the rule: w_1 .. w_{m-1} on the m
+    points of the support of b, then v_j off it; and the Toeplitz battery,
+    the reverse identity, the ideal generator, the matrix units and the
+    subproduct axiom pass at every built level."""
+    pair, fam = system.pair, system.family
+    support = [j + 1 for j in np.flatnonzero(np.abs(pair.b) > TOL_CHECK)]
+    assert fam.j_list == support and fam.r == len(support) // 2
+    off = [j for j in range(1, pair.n + 1) if j not in support]
+    assert fam.kinds == [("w", s) for s in range(1, len(support))] + [("v", j) for j in off]
+    assert toeplitz_residuals(system).ok
+    for k in range(1, system.levels + 1):
+        assert reverse_identity(system, k).ok
+        assert matrix_unit_dimension(system, k).ok
+    assert ideal_generator(system).ok
+    assert max(coassociativity_residuals(system).values()) < TOL_CHECK
 
 
 class TestOperatorFamily:
@@ -975,11 +1073,15 @@ class TestOperatorFamily:
         ideal_generator(system)
 
     def test_exact_orbit_phases(self):
-        for r, aexp, sign in [(1, 1, -1), (1, -1, -1), (1, 2, 1), (2, 2, -1), (2, -4, 1)]:
-            phase = fock._orbit_phase(r, aexp)
+        # e^{2 pi i aexp / m} is exactly +-1 wherever m divides 2 aexp.
+        cases = [(2, 1, -1), (2, -1, -1), (2, 2, 1), (4, 2, -1), (4, -4, 1), (3, 3, 1), (3, -6, 1),
+                 (6, 3, -1), (1, 1, 1)]
+        for m, aexp, sign in cases:
+            phase = fock._orbit_phase(m, aexp)
             assert phase.real == sign and phase.imag == 0.0
-        assert abs(fock._orbit_phase(2, 1) - 1j) < 1e-15
-        # So the r = 1 Fourier direction of the n = 4 pair is real.
+        assert abs(fock._orbit_phase(4, 1) - 1j) < 1e-15
+        assert abs(fock._orbit_phase(3, -1) - np.exp(-2j * np.pi / 3)) < 1e-15
+        # So the m = 2 Fourier direction of the n = 4 pair is real.
         assert not operator_family(_pair(4)).vector("w", 1).imag.any()
 
     def test_structure(self):
@@ -1000,16 +1102,41 @@ class TestOperatorFamily:
             assert np.linalg.norm(gram - np.eye(n - 1)) < 1e-12
             assert np.abs(fam.vectors @ pair.b.conj()).max() < 1e-12
 
-    def test_rejects_nonstandard_b(self):
-        pair = _pair(4)
-        twisted = MotzkinPair(
-            n=4,
-            lam=pair.lam,
-            a=pair.a,
-            b=np.array([2**-0.5, 0.0, 0.0, -(2**-0.5)], dtype=complex),
-        )
-        with pytest.raises(ParameterError):
-            operator_family(twisted)
+    def test_rejects_nonuniform_modulus(self):
+        # iii n=5 r=2 with |b| scaled by 1.2 on {0, 4} and renormalised on
+        # {1, 3}: a valid pair, but the family needs |b| uniform.
+        pair = build_example_pair("iii", 5, 2, Fraction(1, 5))
+        b = np.array([0.6, np.sqrt(0.14), 0.0, np.sqrt(0.14), 0.6])
+        uneven = dataclasses.replace(pair, b=b)
+        assert validate_pair(uneven).ok
+        with pytest.raises(ParameterError, match=r"^\|b\| is not uniform over its support$"):
+            operator_family(uneven)
+        # A support that bar does not preserve (never that of a valid pair).
+        lopsided = dataclasses.replace(pair, b=np.eye(5)[0])
+        with pytest.raises(ParameterError, match=r"^support of b is \[0\], not closed under bar$"):
+            operator_family(lopsided)
+
+    @pytest.mark.parametrize("name", sorted(_NAMED_PAIRS))
+    def test_named_pairs(self, name):
+        # Pairs off the standard families: the family follows the rule and
+        # the whole battery passes at level 4, where the limiting residual
+        # falls in m.
+        pair = _NAMED_PAIRS[name]()
+        assert validate_pair(pair).ok
+        system = build_subproduct(pair, 4)
+        _check_family_rule(system)
+        limits = [cuntz_pimsner_residual(system, m).residual for m in (1, 2, 3)]
+        assert limits[0] > limits[1] > limits[2], limits
+
+    @given(pair=_uniform_pairs(), levels=st.integers(2, 3))
+    def test_generated_pairs(self, pair, levels):
+        # Every drawn pair that validate_pair accepts has a family, and the
+        # whole battery passes on it.  The rejected share is shown by
+        # --hypothesis-show-statistics.
+        valid = validate_pair(pair).ok
+        event("validate_pair accepts" if valid else "validate_pair refuses")
+        assume(valid)
+        _check_family_rule(build_subproduct(pair, levels))
 
 
 def _reference_syzygy(system, fam):
@@ -1383,8 +1510,7 @@ class TestToeplitzRelations:
         # than that.  The only exceptions are the m = 0 eq4 and eq5 keys
         # between directions of different charge: S_x^* S_y takes the vacuum
         # to sector w_y - w_x of level 0, which is empty, so they hold by the
-        # grading alone.  The rotated pair has no family that
-        # `operator_family` accepts.
+        # grading alone.
         rng, checked = np.random.default_rng(0), 0
         for system in _recursion_systems():
             try:
@@ -1414,7 +1540,7 @@ class TestToeplitzRelations:
             for k in range(1, system.levels + 1):
                 rev = reverse_identity(scrambled, k)
                 assert rev.residual > rev.tol, (n, k, rev.residual)
-        assert checked == 5
+        assert checked == 6
 
     def test_battery_reads_creation_blocks_only(self):
         system = _system(4, 6)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import lcm
 from typing import Collection, Iterator, Sequence
 
@@ -174,6 +175,8 @@ def enumerate_basis(k: int) -> list[MotzkinDiagram]:
 # of 2048 and 4096 pairs made g_5 * i(g_4) slower and raised the peak
 # resident memory by 2-5 MB.
 _BLOCK_PAIRS = 512
+# The keys of `products` fit in int64: a call with more products is split.
+_KEY_LIMIT = 2**63
 
 
 @lru_cache(maxsize=MAX_WIDTH + 1)
@@ -238,7 +241,8 @@ def _compose_rows(top: np.ndarray, bottom: np.ndarray, k: int
 
 def _decode(codes: np.ndarray, k: int) -> list[Pairing]:
     """The pairings with the given codes.  A code holds point i's partner
-    plus one (0 when isolated) as digit i in base 2k+1."""
+    plus one (0 when isolated) as digit i in base 2k+1; digits past the
+    2k-th are ignored, so `products`' keys decode as their codes."""
     digits = codes[:, None] // _width_tables(k)[3] % (2 * k + 1) - 1
     return [tuple(row) for row in digits.tolist()]
 
@@ -251,59 +255,85 @@ def _numerators(coeffs: Collection[Fraction]) -> tuple[list[int], int]:
 
 
 def _sum_dtype(a1: list[int], a2: list[int], lam: Fraction, k: int) -> type:
-    """np.int64 when no sum of `_product_terms` over numerators a1 and a2 at
+    """np.int64 when no sum of `products` over numerators a1 and a2 at
     width k can reach 2**62 in size, else object (Python ints)."""
     big = max(lam.numerator, lam.denominator) ** (k // 2)
     bound = max(map(abs, a1)) * max(map(abs, a2)) * big * len(a1) * len(a2)
     return np.int64 if bound < 2**62 else object
 
 
-def _group(code: np.ndarray, value: np.ndarray, first: np.ndarray):
-    """Sum `value` over equal `code`s; keep the least `first` of each code."""
-    order = code.argsort(kind="stable")
-    code = code[order]
-    head = np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1])))
-    return (code[head], np.add.reduceat(value[order], head),
+def _group(key: np.ndarray, value: np.ndarray, first: np.ndarray):
+    """Sum `value` over equal `key`s; keep the least `first` of each key."""
+    order = key.argsort(kind="stable")
+    key = key[order]
+    head = np.concatenate(([True], key[1:] != key[:-1])).nonzero()[0]
+    return (key[head], np.add.reduceat(value[order], head),
             np.minimum.reduceat(first[order], head))
 
 
-def _product_terms(x: "Element", y: "Element") -> dict:
-    """The terms of x * y, composing every term pair with `_compose_rows`,
-    _BLOCK_PAIRS pairs at a time.
+def products(pairs: Sequence[tuple["Element", "Element"]]) -> list["Element"]:
+    """[x * y for x, y in pairs], for elements of one width and lam, in one
+    blocked pass of `_compose_rows` over the term pairs of every product.
 
-    With lam = p/q, coefficients a1/d1 and a2/d2, and at most L = k // 2
-    loops at width k, a pair that closes l loops adds a1 a2 q^l p^(L-l)
-    over the common denominator d1 d2 p^L.  These integer sums are exact:
-    in int64 where `_sum_dtype` allows, otherwise in Python ints.  A
-    block is reduced to its distinct results before the next is composed,
-    and the result terms come in the order in which the pairs (x's terms
-    outer, y's inner) first reach them.
-    """
-    k = x.width
+    Product r's term pairs (x's terms outer, y's inner) follow those of
+    product r-1, and _BLOCK_PAIRS of them are composed at a time.  With lam =
+    p/q, coefficients a1/d1 and a2/d2, and at most L = k // 2 loops at width
+    k, a pair that closes l loops adds a1 a2 q^l p^(L-l) over its product's
+    denominator d1 d2 p^L.  These integer sums are exact: in int64 where
+    `_sum_dtype` allows for every product, otherwise in Python ints.  Sums
+    are grouped by the key r * (2k+1)^(2k) + code (see `_decode`), and a
+    block is reduced to its distinct keys before the next is composed.  Each
+    product's terms come in the order in which its pairs first reach them."""
+    if not pairs:
+        return []
+    x0 = pairs[0][0]
+    for x, y in pairs:
+        x0._check_compatible(x)
+        x._check_compatible(y)
+    k, lam = x0.width, x0.lam
     if k > MAX_WIDTH:
         # Result codes (see `_decode`) fit in int64 only up to width 7.
         raise LimitError(f"width {k} exceeds the configured bound {MAX_WIDTH}")
-    n1, n2 = len(x.terms), len(y.terms)
-    if not n1 or not n2:
-        return {}
-    a1, d1 = _numerators(x.terms.values())
-    a2, d2 = _numerators(y.terms.values())
-    p, q = x.lam.numerator, x.lam.denominator
-    most = k // 2
-    dtype = _sum_dtype(a1, a2, x.lam, k)
-    a1 = np.array(a1, dtype=dtype)
-    a2 = np.array(a2, dtype=dtype)
+    span = (2 * k + 1) ** (2 * k)
+    if len(pairs) > _KEY_LIMIT // span:
+        return products(pairs[:_KEY_LIMIT // span]) + products(pairs[_KEY_LIMIT // span:])
+    p, q, most = lam.numerator, lam.denominator, k // 2
+    a1, a2, ends, table, dens, dtype = [], [], [0], [], [], np.int64
+    top, bottom = [], []
+    for r, (x, y) in enumerate(pairs):
+        (c1, d1), (c2, d2) = _numerators(x.terms.values()), _numerators(y.terms.values())
+        if c1 and c2:
+            if _sum_dtype(c1, c2, lam, k) is object:
+                dtype = object
+            top += [d.pairing for d in x.terms]
+            bottom += [d.pairing for d in y.terms]
+        else:
+            c1 = c2 = []  # a zero product keeps no rows and no numerators
+        # Pair s of product r composes x row (s + shift) // n2 with y row
+        # y0 + (s + shift) % n2, and r * span leads its keys.
+        table.append((len(a1) * len(c2) - ends[-1], len(c2) or 1, len(a2), r * span))
+        ends.append(ends[-1] + len(c1) * len(c2))
+        dens.append(d1 * d2 * p**most)
+        a1 += c1
+        a2 += c2
+    del c1, c2  # the numerators live on in a1 and a2 alone
+    if not ends[-1]:
+        return [Element._trusted(k, lam, {}) for _ in pairs]
     weight = np.array([q**l * p ** (most - l) for l in range(most + 1)], dtype=dtype)
-    top = np.array([d.pairing for d in x.terms], dtype=np.intp).reshape(n1, 2 * k)
-    bottom = np.array([d.pairing for d in y.terms], dtype=np.intp).reshape(n2, 2 * k)
+    top = np.array(top, dtype=np.intp).reshape(len(a1), 2 * k)
+    bottom = np.array(bottom, dtype=np.intp).reshape(len(a2), 2 * k)
+    a1, a2 = np.array(a1, dtype=dtype), np.array(a2, dtype=dtype)
+    end, table = np.array(ends[1:]), np.array(table)
 
     found: list[tuple] = []
     held, limit = 0, 4 * _BLOCK_PAIRS
-    for start in range(0, n1 * n2, _BLOCK_PAIRS):
-        pair = np.arange(start, min(start + _BLOCK_PAIRS, n1 * n2))
-        i, j = np.divmod(pair, n2)
-        code, loops = _compose_rows(top[i], bottom[j], k)
-        found.append(_group(code, a1[i] * a2[j] * weight[loops], pair))
+    for start in range(0, ends[-1], _BLOCK_PAIRS):
+        pair = np.arange(start, min(start + _BLOCK_PAIRS, ends[-1]))
+        shift, n2, y0, lead = table.take(end.searchsorted(pair, side="right"), axis=0).T
+        i, j = np.divmod(pair + shift, n2)
+        j += y0
+        code, loops = _compose_rows(top.take(i, axis=0), bottom.take(j, axis=0), k)
+        found.append(_group(lead + code, a1[i] * a2[j] * weight[loops], pair))
         held += len(found[-1][0])
         if held > limit:
             found = [_group(*map(np.concatenate, zip(*found)))]
@@ -311,16 +341,19 @@ def _product_terms(x: "Element", y: "Element") -> dict:
             limit = max(limit, 2 * held)
     if len(found) > 1:
         found = [_group(*map(np.concatenate, zip(*found)))]
-    code, total, first = found[0]
-    if len(code) > MAX_TERMS:
+    key, total, first = found[0]
+    if len(key) > MAX_TERMS and np.bincount(key // span).max() > MAX_TERMS:
         raise LimitError(f"product has more than {MAX_TERMS} terms")
-    keep = np.flatnonzero(total)
+    keep = total.nonzero()[0]
     keep = keep[first[keep].argsort()]
-    den = d1 * d2 * p**most
-    return {
-        _wrap(pairing): Fraction(num, den)
-        for pairing, num in zip(_decode(code[keep], k), total[keep].tolist())
-    }
+    key = key[keep]
+    counts = np.bincount(key // span, minlength=len(pairs)).tolist()
+    terms = zip(_decode(key, k), total[keep].tolist())
+    return [
+        Element._trusted(k, lam, {_wrap(pairing): Fraction(num, den)
+                                  for pairing, num in islice(terms, count)})
+        for den, count in zip(dens, counts)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +491,7 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        self._check_compatible(other)
-        return Element._trusted(self.width, self.lam, _product_terms(self, other))
+        return products([(self, other)])[0]
 
     def adjoint(self) -> "Element":
         return adjoint(self)

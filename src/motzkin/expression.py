@@ -28,6 +28,7 @@ from .diagram_core import (
     generator,
     identity,
     presentation_relations,
+    products,
 )
 from .errors import LimitError, ParameterError, ParseError
 from .fock import subproduct_projection
@@ -344,7 +345,26 @@ def _exponent(node: Pow) -> int:
 # The two interpreters
 
 
+def _eval_all(nodes: list, k: int, lam) -> list[Element]:
+    """The elements of `nodes` at width k: the left children of all their
+    products as one list, then the right ones, then one `products` call, so a
+    forest costs one kernel pass per tree depth; equal nodes of another kind
+    are read once.  A single tree is read left subtree first."""
+    muls = [node for node in nodes if isinstance(node, Mul)]
+    if muls:
+        left = _eval_all([node.left for node in muls], k, lam)
+        right = _eval_all([node.right for node in muls], k, lam)
+        done = iter(products(list(zip(left, right))))
+    value = dict.fromkeys(node for node in nodes if not isinstance(node, Mul))
+    value = {node: _eval_node(node, k, lam) for node in value}
+    return [next(done) if isinstance(node, Mul) else value[node] for node in nodes]
+
+
 def _eval(node, k: int, lam) -> Element:
+    return _eval_all([node], k, lam)[0]
+
+
+def _eval_node(node, k: int, lam) -> Element:
     if isinstance(node, Num):
         return identity(k, lam=lam).scale(node.value)
     if isinstance(node, Gen):
@@ -361,8 +381,6 @@ def _eval(node, k: int, lam) -> Element:
         return _eval(node.left, k, lam) + _eval(node.right, k, lam)
     if isinstance(node, Sub):
         return _eval(node.left, k, lam) - _eval(node.right, k, lam)
-    if isinstance(node, Mul):
-        return _eval(node.left, k, lam) * _eval(node.right, k, lam)
     if isinstance(node, Adj):
         return adjoint(_eval(node.operand, k, lam))
     if isinstance(node, Pow):
@@ -481,19 +499,20 @@ class PresentationReport:
 
 def check_presentation(k: int, lam) -> PresentationReport:
     """Verify every defining relation exactly at width k; all arithmetic
-    is exact, so a pass is a proof for this width and lam.  Widths below
-    2 have no relation to check and raise ParameterError."""
+    is exact, so a pass is a proof for this width and lam.  The word trees
+    of every relation go through `_eval_all` as one forest, one kernel pass
+    per tree depth.  Widths below 2 have no relation to check and raise
+    ParameterError."""
     if k < 2:
         raise ParameterError(f"need k >= 2 for a relation to check, got {k}")
     lam = as_fraction(lam)
+    relations = list(presentation_relations(k))
+    words = [word for _, lhs, rhs in relations for side in (lhs, rhs) for _, word in side]
+    values = iter(_eval_all([_word_tree(word) for word in words], k, lam))
 
     def side(terms) -> Element:
-        total = Element.zero(k, lam)
-        for power, word in terms:
-            total = total + _eval(_word_tree(word), k, lam).scale(lam**power)
-        return total
+        return sum((next(values).scale(lam**power) for power, _ in terms), Element.zero(k, lam))
 
-    relations = list(presentation_relations(k))
     failures = [label for label, lhs, rhs in relations if side(lhs) != side(rhs)]
     return PresentationReport(width=k, lam=lam, checked=len(relations), failures=failures)
 

@@ -98,6 +98,8 @@ class SubproductSystem:
     def __init__(self, pair: MotzkinPair, levels: int):
         if levels < 0:
             raise ParameterError(f"need levels >= 0, got {levels}")
+        if not pair.b.any():  # chi_1 would remove a line of b at charge 0
+            raise _level_failure(pair, "b is zero, so level 1 has no line of b to remove")
         self.pair = pair
         self.levels = levels
         self.phi = PhiFunction(pair.lam)

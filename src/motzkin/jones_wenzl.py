@@ -28,6 +28,7 @@ from .diagram_core import (
     generator,
     identity,
     juxtapose,
+    products,
     reflect,
 )
 from .errors import LimitError, ParameterError, StructureError
@@ -175,13 +176,10 @@ def jw_report(k: int, lam, cache: JWCache | None = None) -> JWReport:
     self_adjoint = adjoint(g) == g
     reflect_invariant = reflect(g) == g
 
-    annihilation = True
-    for i in range(1, k):
-        p = generator(k, "p", i, lam=lam)
-        if not (g * p).is_zero() or not (p * g).is_zero():
-            annihilation = False
-    p_top = generator(k, "p", k, lam=lam)
-    kills_top_p = (g * p_top).is_zero() and (p_top * g).is_zero()
+    # g p_i and p_i g for i = 1 .. k in one kernel pass; i = k is informational.
+    ps = [generator(k, "p", i, lam=lam) for i in range(1, k + 1)]
+    kills = [z.is_zero() for z in products([pair for p in ps for pair in ((g, p), (p, g))])]
+    annihilation, kills_top_p = all(kills[:-2]), all(kills[-2:])
 
     # E(g_k) = mu * g_{k-1} where mu = 1/phi(k), equivalently
     # mu = (1/lam - 1) P_k(x) / ((1/lam) P_{k-1}(x)) with x = 1/(1/lam-1)**2.
@@ -203,14 +201,11 @@ def jw_report(k: int, lam, cache: JWCache | None = None) -> JWReport:
         mirrored = left * head - (left * t1 * left).scale(phi(m))
         symmetric_recursion = mirrored == g
 
-    absorption = True
+    pads = []
     for q in range(1, k):
-        gq = cache.element(q, lam)
-        right_pad = juxtapose(gq, identity(k - q, lam=lam))
-        left_pad = juxtapose(identity(k - q, lam=lam), gq)
-        if g * right_pad != g or g * left_pad != g:
-            absorption = False
-            break
+        gq, one = cache.element(q, lam), identity(k - q, lam=lam)
+        pads += [juxtapose(gq, one), juxtapose(one, gq)]
+    absorption = all(h == g for h in products([(g, pad) for pad in pads]))
 
     return JWReport(
         width=k,
@@ -313,28 +308,17 @@ def _probe_rows(k: int, lam: Fraction, g: Element) -> tuple[list[list[Fraction]]
     that numbers its columns."""
     basis = enumerate_basis(k)
     index = {d: j for j, d in enumerate(basis)}
-    nb = len(basis)
-
-    constraints = []
-    for i in range(1, k):
-        p = generator(k, "p", i, lam=lam)
-        constraints.append(lambda y, p=p: p * y)
-        constraints.append(lambda y, p=p: y * p)
-    constraints.append(lambda y: g * y - y)
-    constraints.append(lambda y: y * g - y)
-    constraints.append(lambda y: adjoint(y) - y)
-
-    rows: list[list[Fraction]] = []
-    images = []
-    for d in basis:
-        e = Element.from_diagram(d, lam)
-        images.append([c(e) for c in constraints])
-    ncons = len(constraints)
-    for ci in range(ncons):
-        # Rows indexed by output diagram; columns by input basis diagram.
-        out: dict[int, list[Fraction]] = {}
-        for j in range(nb):
-            for diag, coeff in images[j][ci].terms.items():
-                out.setdefault(index[diag], [Fraction(0)] * nb)[j] = coeff
-        rows.extend(out.values())
-    return rows, basis
+    # Per basis diagram y: p_i y and y p_i (i < k), g y and y g, all in one
+    # kernel pass and popped as read; then g y - y, y g - y and y* - y.
+    factors = [generator(k, "p", i, lam=lam) for i in range(1, k)] + [g]
+    ys = [Element.from_diagram(d, lam) for d in basis]
+    done = products([pair for y in ys for f in factors for pair in ((f, y), (y, f))])[::-1]
+    # One dict per constraint: rows by output diagram, columns by basis diagram.
+    outs: list[dict[int, list[Fraction]]] = [{} for _ in range(2 * len(factors) + 1)]
+    for j, y in enumerate(ys):
+        image = [done.pop() for _ in range(2 * len(factors))]
+        image[-2:] = [image[-2] - y, image[-1] - y, adjoint(y) - y]
+        for out, z in zip(outs, image):
+            for diag, coeff in z.terms.items():
+                out.setdefault(index[diag], [Fraction(0)] * len(basis))[j] = coeff
+    return [row for out in outs for row in out.values()], basis

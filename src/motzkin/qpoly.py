@@ -21,6 +21,7 @@ import operator
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from itertools import islice
 
 from .errors import ParameterError
 
@@ -41,26 +42,24 @@ def _check_index(m: int) -> None:
         raise ParameterError(f"index {m} out of range 0..{_MAX_INDEX}")
 
 
+def _recurrence(v0: Fraction, v1: Fraction, s, t) -> Iterator[Fraction]:
+    """v_0, v_1, v_2, ... with v_{m+1} = s v_m - t v_{m-1}."""
+    while True:
+        yield v0
+        v0, v1 = v1, s * v1 - t * v0
+
+
 def chebyshev_P(m: int, x) -> Fraction:
     """P_m(x) for exact rational x."""
     _check_index(m)
-    x = as_fraction(x)
-    prev, cur = Fraction(1), Fraction(1)
-    for _ in range(m - 1):
-        prev, cur = cur, cur - x * prev
-    return cur if m >= 1 else prev
+    return next(islice(_recurrence(Fraction(1), Fraction(1), 1, as_fraction(x)), m, None))
 
 
 def chebyshev_Q(m: int, y) -> Fraction:
     """Q_m(y) for exact rational y."""
     _check_index(m)
     y = as_fraction(y)
-    prev, cur = Fraction(1), y
-    if m == 0:
-        return prev
-    for _ in range(m - 1):
-        prev, cur = cur, y * cur - prev
-    return cur
+    return next(islice(_recurrence(Fraction(1), y, y, 1), m, None))
 
 
 def validate_lam(lam) -> Fraction:
@@ -98,16 +97,25 @@ def phi_infinity(lam) -> float:
 
 
 class PhiFunction:
-    """phi for a fixed lam, with caching and the limiting value attached."""
+    """phi for a fixed lam, with the limiting value attached.  It keeps
+    phi(0..m) and Q_0..Q_m at y = 1/lam - 1 for the largest m asked so far,
+    and extends both from one run of the recurrence of Q, so each value is
+    computed once and equals that of `phi`."""
 
     def __init__(self, lam):
         self.lam = validate_lam(lam)
-        self._cache: dict[int, Fraction] = {}
+        y = 1 / self.lam - 1
+        self._more_q = _recurrence(Fraction(1), y, y, 1)
+        self._q = [next(self._more_q)]
+        self._values = [Fraction(0)]
 
     def __call__(self, m: int) -> Fraction:
-        if m not in self._cache:
-            self._cache[m] = phi(m, self.lam)
-        return self._cache[m]
+        _check_index(m)
+        q, values = self._q, self._values
+        while len(values) <= m:
+            q.append(next(self._more_q))
+            values.append((1 / self.lam) * q[-2] / q[-1])
+        return values[m]
 
     @property
     def infinity(self) -> float:
@@ -130,8 +138,8 @@ def is_generic(lam, kmax: int) -> bool:
     y = 1 / lam - 1
     if y == 0:
         raise ParameterError("lam = 1/2 ... 1 gives y <= 0; not supported")
-    x = 1 / y**2
-    return all(chebyshev_P(k, x) != 0 for k in range(1, kmax + 1))
+    values = _recurrence(Fraction(1), Fraction(1), 1, 1 / y**2)
+    return all(v != 0 for v in islice(values, 1, kmax + 1))
 
 
 def dim_sequence(n: int, kmax: int) -> Iterator[int]:

@@ -287,6 +287,11 @@ class TestRunCommand:
             assert run_command(argv) == 2
             err = capsys.readouterr().err
             assert err.startswith(message) and "Traceback" not in err
+        # A zero factor beside numbers past int64 gives the zero element.
+        for argv in (["eval", "t1*0", "--k", "2", "--lambda", "1/" + "1" + "0" * 20],
+                     ["eval", "1" + "0" * 20 + "*t1*0", "--k", "2"]):
+            assert run_command(argv) == 0
+            assert json.loads(capsys.readouterr().out)["terms"] == []
         # At the bounds themselves the expressions still evaluate.
         nested = "(" * 100 + "2*t1" + ")" * 100
         assert run_command(["eval", nested + "^4096 - 2^4096*t1", "--k", "2"]) == 0
@@ -512,6 +517,20 @@ class TestRunCommand:
             "norm_a 1.100e-01, pairing 5.000e-02, "
         )
         assert "norm_b" not in err and err.endswith(" (tol 1e-12)\n")
+
+    def test_fock_refuses_zero_b(self, tmp_path, capsys):
+        # With b zero no coordinate has charge 0, so chi_1(0) would be -1 and
+        # the level plan would hold negative widths.
+        path = tmp_path / "zero_b.json"
+        pair = {"n": 4, "lambda": "1/4", "a": [[0.5, 0]] * 4, "b": [[0, 0]] * 4}
+        path.write_text(json.dumps(pair))
+        assert run_command(["fock", "toeplitz", "--in", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "structure check failed: b is zero, so level 1 has no line of b to remove; "
+            "the pair violates norm_b 1.000e+00"
+        )
+        assert "Traceback" not in err
 
     def test_fock_toeplitz_odd_support(self, tmp_path, capsys):
         # b uniform on the bar-closed support {0, 2, 4} of n = 5, lam = 1/6:

@@ -22,6 +22,7 @@ from motzkin import (
     motzkin_number,
     reflect,
 )
+from motzkin import diagram_core, expression
 from motzkin.diagram_core import (
     _BLOCK_PAIRS,
     _SITES,
@@ -30,6 +31,7 @@ from motzkin.diagram_core import (
     _numerators,
     _sum_dtype,
     presentation_relations,
+    products,
 )
 
 LAM = Fraction(1, 3)
@@ -336,6 +338,31 @@ def test_presentation_matches_token_words(lam):
         assert (report.checked, report.failures) == (len(list(presentation_relations(k))), failures)
 
 
+def test_presentation_reports_a_false_relation(monkeypatch):
+    # t1 t1 = lam t1 is false (t1 is idempotent), and it is the only failure.
+    t1 = ("t", 1, False)
+    false = ("(7)[i=1] with rhs lam*t1", [(0, (t1, t1))], [(1, (t1,))])
+    real = expression.presentation_relations
+    monkeypatch.setattr(expression, "presentation_relations", lambda k: [*real(k), false])
+    report = check_presentation(4, LAM)
+    assert report.failures == [false[0]]
+    assert report.checked == len(list(real(4))) + 1
+
+
+def test_presentation_one_kernel_pass_per_depth(monkeypatch):
+    # Every word of every relation at width 6 goes through one forest: one
+    # `products` call per tree depth, so `_compose_rows` runs once per block
+    # of each depth, not once per word.
+    calls = []
+    real = diagram_core._compose_rows
+    monkeypatch.setattr(diagram_core, "_compose_rows", lambda *args: calls.append(1) or real(*args))
+    assert check_presentation(6, LAM).ok
+    words = [w for _, lhs, rhs in presentation_relations(6) for side in (lhs, rhs) for _, w in side]
+    depths = max(map(len, words)) - 1
+    blocks = -(-sum(len(w) - 1 for w in words) // _BLOCK_PAIRS)
+    assert (depths, blocks, len(words)) == (2, 1, 240) and len(calls) <= depths * blocks
+
+
 @pytest.mark.parametrize("k", range(2, 7))
 def test_presentation_relations_token_form(k):
     # bench/worker.py (relation_gflop) walks these words token by token, so
@@ -619,6 +646,71 @@ class TestBatchedProduct:
             assert [(d.pairing, c) for d, c in got.terms.items()] == _ref_multiply(x, y)
         u = _gen(2, "t", 1).scale(1 / lam)
         assert u * u == u.scale(1 / lam)
+
+    def test_batches_match_fraction_loop(self):
+        # Batches mix empty, one-term and many-term elements; the first 512
+        # products of one pair each end a block exactly, the 900 pairs of the
+        # next cross a block edge, and the large-lam batch sums in Python ints.
+        for k, lam, seed in ((3, LAM, 1), (3, Fraction(3, 13), 2), (4, Fraction(2, 9), 3),
+                             (6, LAM, 4), (4, Fraction(10**29 + 3, 3 * 10**29 + 7), 5)):
+            rng = random.Random(7300 + seed)
+            basis = enumerate_basis(k)
+            pool = [_random_element(rng, basis, lam, size) for size in (0, 1, 1, 2, 7, 30, 30)]
+            pairs = [(pool[1], pool[2])] * _BLOCK_PAIRS + [(pool[5], pool[6])]
+            pairs += [(rng.choice(pool), rng.choice(pool)) for _ in range(60)]
+            ends = np.cumsum([len(x.terms) * len(y.terms) for x, y in pairs])
+            assert _BLOCK_PAIRS in ends and ends[-1] > 4 * _BLOCK_PAIRS
+            assert [[(d.pairing, c) for d, c in z.terms.items()] for z in products(pairs)] == [
+                _ref_multiply(x, y) for x, y in pairs
+            ]
+
+    def test_zero_factor_with_huge_numbers(self):
+        # A product with an empty factor is zero, and the numbers of its other
+        # factor never reach an int64 array: not a tiny lam's p^(k/2) weights,
+        # nor a 21-digit coefficient, nor in a batch of zero products alone.
+        tiny = Fraction(1, 10**20)
+        for k in (2, 3, 4):
+            zero = Element.zero(k, tiny)
+            t1 = generator(k, "t", 1, lam=tiny)
+            assert (t1 * zero).is_zero() and (zero * t1).is_zero()
+            assert all(z.is_zero() for z in products([(t1, zero), (zero, t1), (zero, zero)]))
+            big = _gen(k, "t", 1).scale(10**20)
+            assert (big * Element.zero(k, LAM)).is_zero()
+            assert products([(big, Element.zero(k, LAM)), (_gen(k, "t", 1), big)]) == [
+                Element.zero(k, LAM), _gen(k, "t", 1) * big
+            ]
+        x = Element(4, tiny, {d: 10**20 + j for j, d in enumerate(enumerate_basis(4)[:5])})
+        pairs = [(x, Element.zero(4, tiny)), (x, x), (Element.zero(4, tiny), x)]
+        assert [[(d.pairing, c) for d, c in z.terms.items()] for z in products(pairs)] == [
+            _ref_multiply(a, b) for a, b in pairs
+        ]
+
+    def test_batch_split_at_key_bound(self, monkeypatch):
+        # With room for the keys of three products, a batch of ten runs in
+        # four passes and gives the same products.
+        rng = random.Random(7500)
+        basis = enumerate_basis(2)
+        pairs = [(_random_element(rng, basis, LAM, 4), _random_element(rng, basis, LAM, 3))
+                 for _ in range(10)]
+        calls = []
+        real = diagram_core._compose_rows
+        monkeypatch.setattr(diagram_core, "_compose_rows", lambda *args: calls.append(1) or real(*args))
+        monkeypatch.setattr(diagram_core, "_KEY_LIMIT", 3 * 5**4)
+        got = products(pairs)
+        assert len(calls) == 4
+        assert [[(d.pairing, c) for d, c in z.terms.items()] for z in got] == [
+            _ref_multiply(x, y) for x, y in pairs
+        ]
+
+    def test_batch_refuses_mixed_elements(self):
+        x2, x3 = identity(2, lam=LAM), identity(3, lam=LAM)
+        assert products([]) == []
+        with pytest.raises(ParameterError, match="width mismatch: 2 vs 3"):
+            products([(x2, x2), (x3, x3)])
+        with pytest.raises(ParameterError, match="width mismatch: 2 vs 3"):
+            products([(x2, x3)])
+        with pytest.raises(ParameterError, match="lam mismatch"):
+            products([(x2, x2), (x2, identity(2, lam=Fraction(1, 4)))])
 
     def test_width_above_bound_refused(self):
         # Width 7 is one past MAX_WIDTH; the exact layer refuses it, as

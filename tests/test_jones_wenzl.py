@@ -26,7 +26,7 @@ from motzkin import (
     identity,
 )
 from motzkin.config import MAX_WIDTH
-from motzkin.diagram_core import _numerators, _sum_dtype
+from motzkin.diagram_core import _numerators, _sum_dtype, enumerate_basis
 from motzkin.jones_wenzl import (
     JWCache,
     _probe_rows,
@@ -164,6 +164,37 @@ def _fraction_rank(rows):
         rank += 1
         col += 1
     return rank
+
+
+def _probe_rows_one_by_one(k, lam, g):
+    # Reference: each constraint applied to each basis diagram by its own
+    # product, as the probe was built before its products were batched.
+    basis = enumerate_basis(k)
+    index = {d: j for j, d in enumerate(basis)}
+    constraints = []
+    for i in range(1, k):
+        p = generator(k, "p", i, lam=lam)
+        constraints.append(lambda y, p=p: p * y)
+        constraints.append(lambda y, p=p: y * p)
+    constraints.append(lambda y: g * y - y)
+    constraints.append(lambda y: y * g - y)
+    constraints.append(lambda y: adjoint(y) - y)
+    images = [[c(Element.from_diagram(d, lam)) for c in constraints] for d in basis]
+    rows = []
+    for ci in range(len(constraints)):
+        out = {}
+        for j in range(len(basis)):
+            for diag, coeff in images[j][ci].terms.items():
+                out.setdefault(index[diag], [Fraction(0)] * len(basis))[j] = coeff
+        rows.extend(out.values())
+    return rows, basis
+
+
+def test_probe_rows_match_one_product_at_a_time():
+    for lam in (Fraction(1, 3), Fraction(2, 9), Fraction(3, 13)):
+        for k in (1, 2, 3):
+            g = jones_wenzl(k, lam)
+            assert _probe_rows(k, lam, g) == _probe_rows_one_by_one(k, lam, g)
 
 
 def test_integer_rank_matches_fraction_elimination():

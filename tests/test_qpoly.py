@@ -107,6 +107,27 @@ def test_phi_function_wrapper():
     assert f.q == pytest.approx(q_parameter(QUARTER))
 
 
+def test_phi_function_matches_phi():
+    # Queried out of order, m = 60 first, the kept Q values give phi's values.
+    for lam in (THIRD, QUARTER, Fraction(2, 9), Fraction(3, 13)):
+        f = PhiFunction(lam)
+        for m in [60, *range(60), 17, 60]:
+            assert f(m) == phi(m, lam)
+    with pytest.raises(ParameterError):
+        PhiFunction(QUARTER)(10**4 + 1)
+
+
+def test_is_generic_matches_every_p():
+    # lam = 1/2 has P_2 = 0; the others have no zero up to P_12.
+    for lam in (THIRD, QUARTER, Fraction(1, 2), Fraction(2, 5), Fraction(3, 4), Fraction(3, 13)):
+        x = 1 / (1 / lam - 1) ** 2
+        p = [Fraction(1), Fraction(1)]
+        while len(p) <= 12:
+            p.append(p[-1] - x * p[-2])
+        for kmax in (0, 1, 2, 3, 12):
+            assert is_generic(lam, kmax) == all(v != 0 for v in p[1:kmax + 1])
+
+
 def test_lam_domain():
     with pytest.raises(ParameterError):
         phi(1, Fraction(1, 2))

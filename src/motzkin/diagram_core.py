@@ -12,15 +12,24 @@ Elements of the algebra are Fraction-linear combinations of diagrams of a
 common width.  Stacking x over y multiplies them: closed loops formed in
 the middle contribute a factor delta = 1/lam each, and strands that dead-end
 on an unmatched middle point are simply erased.
+
+Products are composed by table lookups on half-diagrams.  A diagram is its
+top and bottom rows, each a half-diagram of arcs, isolated points and
+through strands, and the through strands of the two rows meet in order
+(Benkart-Halverson, Motzkin algebras, 2014).  Stacking x over y glues x's
+bottom half to y's top half; that middle alone decides the closed loops and
+where each side's through strands end, and those ends turn x's top and y's
+bottom into the result's halves.  Per width, a middle table and a
+substitution table hold these facts, indexed by half-diagram numbers; both
+start empty and are filled only where a product first needs an entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 from math import lcm
-from typing import Collection, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -137,31 +146,11 @@ def enumerate_basis(k: int) -> list[MotzkinDiagram]:
         raise ParameterError(f"width must be >= 0, got {k}")
     if k > MAX_WIDTH:
         raise LimitError(f"width {k} exceeds the configured bound {MAX_WIDTH}")
-    order = _boundary_order(k)
-
-    def matchings(seq: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
-        # Non-crossing partial matchings of the points in `seq`, which is
-        # kept in cyclic-boundary order throughout the recursion.
-        if not seq:
-            yield ()
-            return
-        x, rest = seq[0], seq[1:]
-        for m in matchings(rest):
-            yield m
-        for t in range(len(rest)):
-            y = rest[t]
-            inside, outside = rest[:t], rest[t + 1:]
-            for mi in matchings(inside):
-                for mo in matchings(outside):
-                    yield mi + mo + ((x, y),)
-
-    pairings = []
-    for m in matchings(tuple(order)):
-        arr = [-1] * (2 * k)
-        for a, b in m:
-            arr[a], arr[b] = b, a
-        pairings.append(tuple(arr))
-    pairings.sort()
+    # Every top half beside every bottom half with as many through strands.
+    tables = _half_tables(k)
+    through = tables.through.sum(axis=1)
+    top, bottom = (through[:, None] == through).nonzero()
+    pairings = sorted(map(tuple, tables.pairings(top, bottom).tolist()))
     assert len(pairings) == motzkin_number(2 * k)
     return [_wrap(p) for p in pairings]
 
@@ -169,20 +158,18 @@ def enumerate_basis(k: int) -> list[MotzkinDiagram]:
 # ---------------------------------------------------------------------------
 # Composition of diagrams
 
-# Term pairs of a product are composed this many at a time.  Each working
-# array of a block then stays under 100 kB at every width up to MAX_WIDTH,
-# below the size at which the C allocator maps fresh pages for it.  Blocks
-# of 2048 and 4096 pairs made g_5 * i(g_4) slower and raised the peak
-# resident memory by 2-5 MB.
-_BLOCK_PAIRS = 512
-# The keys of `products` fit in int64: a call with more products is split.
-_KEY_LIMIT = 2**63
+# Term pairs of a product are composed this many at a time; each working
+# array of a block is one int64 or one object pointer per pair, 16 kB.
+# Against blocks of 512 pairs, these compose g_6 * g_6 in 2.3-2.4 s CPU,
+# not 3.4-3.9, for a traced peak of uniqueness_probe(3) of 509 KiB, not
+# 349; blocks of 4096 gain little more and peak at 626 KiB.
+_BLOCK_PAIRS = 2048
 
 
 @lru_cache(maxsize=MAX_WIDTH + 1)
 def _width_tables(k: int) -> tuple[np.ndarray, ...]:
-    """Index tables of `_compose_rows` and the place values of `_decode`
-    at width k; they depend on k alone and are never written to."""
+    """Index tables of `_compose_rows` at width k; they depend on k alone
+    and are never written to."""
     # The state each entry x of a pairing leads to, at position x (x = -1
     # reads the last position).  In the top diagram an entry x >= k is the
     # middle node x-k, left downwards; in the bottom one an entry x < k is
@@ -193,8 +180,7 @@ def _width_tables(k: int) -> tuple[np.ndarray, ...]:
     via_bottom = np.array([x + k if x < k else x - 2 * k for x in range(2 * k)]
                           + [-2 * k - 1])
     tail = np.arange(-2 * k - 1, 0)
-    place = (2 * k + 1) ** np.arange(2 * k, dtype=np.int64)
-    tables = (via_top, via_bottom, tail, place)
+    tables = (via_top, via_bottom, tail)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -203,8 +189,8 @@ def _width_tables(k: int) -> tuple[np.ndarray, ...]:
 def _compose_rows(top: np.ndarray, bottom: np.ndarray, k: int
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Stack top[b] over bottom[b] for every row b of two (B, 2k) integer
-    arrays of pairings.  Return the (B,) codes of the result pairings (see
-    `_decode`) and the (B,) numbers of closed loops.
+    arrays of pairings.  Return the (B, 2k) result pairings and the (B,)
+    numbers of closed loops.
 
     Middle node m is the bottom point k+m of the top diagram glued to the
     top point m of the bottom one.  Row b has 2k states, "down at m" (at
@@ -219,7 +205,7 @@ def _compose_rows(top: np.ndarray, bottom: np.ndarray, k: int
     (one per orientation); the squarings also track the least state seen,
     which picks one state per cycle.
     """
-    via_top, via_bottom, tail, place = _width_tables(k)
+    via_top, via_bottom, tail = _width_tables(k)
     rows = len(top)
     t = via_top[top]
     b = via_bottom[bottom]
@@ -236,15 +222,203 @@ def _compose_rows(top: np.ndarray, bottom: np.ndarray, k: int
         table = table.take(table)
     heads = (least == states) & (table >= 0)
     loops = heads[:2 * k * rows].reshape(rows, 2 * k).sum(axis=1) // 2
-    return (table.take(flat[:, 2 * k:]) + (2 * k + 1)) @ place, loops
+    # The dead end reads -1 and outer point x reads x.
+    return table.take(flat[:, 2 * k:]) + 2 * k, loops
 
 
-def _decode(codes: np.ndarray, k: int) -> list[Pairing]:
-    """The pairings with the given codes.  A code holds point i's partner
-    plus one (0 when isolated) as digit i in base 2k+1; digits past the
-    2k-th are ignored, so `products`' keys decode as their codes."""
-    digits = codes[:, None] // _width_tables(k)[3] % (2 * k + 1) - 1
-    return [tuple(row) for row in digits.tolist()]
+def _row_keys(pairing, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The top and bottom rows of a diagram as half-diagrams.
+
+    A half-diagram lists, for each of the k points of a row, -1 for an
+    isolated point, the position of its partner for an arc on that row,
+    and k for a through strand.
+    """
+    top = tuple(j if j < k else k for j in pairing[:k])
+    bottom = tuple(-1 if j == -1 else (j - k if j >= k else k) for j in pairing[k:])
+    return top, bottom
+
+
+def _half_diagrams(k: int) -> list[tuple[int, ...]]:
+    """Every half-diagram of width k (see `_row_keys`), sorted.  No arc
+    crosses another or spans a through strand."""
+    found: list[tuple[int, ...]] = []
+
+    def grow(row: list, opened: list[int]) -> None:
+        i = len(row)
+        if i == k:
+            if not opened:
+                found.append(tuple(row))
+            return
+        grow(row + [-1], opened)
+        if not opened:
+            grow(row + [k], opened)
+        if len(opened) < k - i - 1:
+            grow(row + [None], opened + [i])
+        if opened:
+            j = opened[-1]
+            grow(row[:j] + [i] + row[j + 1:] + [j], opened[:-1])
+
+    grow([], [])
+    return sorted(found)
+
+
+def _unfilled(values: np.ndarray) -> bool:
+    """Whether a table lookup met an entry that is still -1.  (argmin
+    skips the Python wrapper of min, which costs a few µs a call.)"""
+    return len(values) > 0 and values[values.argmin()] < 0
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of an integer array.  (np.unique would
+    import numpy.ma, about 13 ms, in every process that multiplies.)"""
+    values = np.sort(values)
+    head = np.ones(len(values), dtype=bool)
+    head[1:] = values[1:] != values[:-1]
+    return values[head]
+
+
+class _HalfTables:
+    """The half-diagrams of width k and the tables that compose by them.
+
+    A diagram is its pair (top, bottom) of half-diagram indices, coded as
+    top * size + bottom; the t through strands of the top half meet those
+    of the bottom half in order.  Stacking x over y glues x's bottom half
+    to y's top half.  That middle decides the closed loops and the fate of
+    each side's through strands: a dead end, an arc to another strand of
+    the same side, or a through strand of the result.  A fate is written
+    as a half-diagram on the strands' first t points, so the middle table
+    maps (x's bottom, y's top) to a loop count and two half indices, and
+    the substitution table maps (half, fate) to the result's half: x's top
+    with x's fates, and y's bottom with y's.
+
+    Both tables start empty (-1) and are filled, vectorised, only where a
+    call meets an entry first.  A missing middle entry is read off
+    `_compose_rows` on canonical representatives: x's top and y's bottom
+    are replaced by rows of bare through strands on their first points, so
+    the result's rows are the fates.  A missing substitution puts the fate
+    of each through point in its place.  The dictionaries give each
+    diagram's code and the one `MotzkinDiagram` per code that every
+    product reuses.
+    """
+
+    def __init__(self, k: int):
+        halves = _half_diagrams(k)
+        self.k, self.size = k, len(halves)
+        self.halves = np.array(halves, dtype=np.intp).reshape(self.size, k)
+        # The halves as bottom rows of a pairing, their arcs moved by k, and
+        # where their through strands are.
+        self.lower = np.where((self.halves >= 0) & (self.halves < k), self.halves + k, self.halves)
+        self.through = self.halves == k
+        self.index = {half: i for i, half in enumerate(halves)}
+        # Each half read as k digits in base k+2, most significant first,
+        # gives increasing keys in the sorted order.
+        self.place = (k + 2) ** np.arange(k - 1, -1, -1)
+        self.keys = (self.halves + 1) @ self.place
+        # The canonical half with as many through strands as each half.
+        canon = [self.index[(k,) * t + (-1,) * (k - t)] for t in range(k + 1)]
+        self.canon = np.array(canon, dtype=np.intp)[self.through.sum(axis=1)]
+        # Loop counts (at most k // 2) and half indices (below 2**15 up to
+        # width 9) in the least dtypes that hold them.
+        cells = self.size**2
+        self.loops = np.full(cells, -1, dtype=np.int8)
+        self.fate_top = np.full(cells, -1, dtype=np.int16)
+        self.fate_bottom = np.full(cells, -1, dtype=np.int16)
+        self.subst = np.full(cells, -1, dtype=np.int16)
+        self.made = np.full(cells, -1, dtype=np.int8)  # 0 once `diagrams` holds the code
+        self.codes: dict[Pairing, int] = {}
+        self.diagrams: dict[int, MotzkinDiagram] = {}
+
+    def codes_of(self, diagrams: Iterable[MotzkinDiagram]) -> list[int]:
+        """The codes of `diagrams`, in order."""
+        out = []
+        for d in diagrams:
+            code = self.codes.get(d.pairing)
+            if code is None:
+                top, bottom = _row_keys(d.pairing, self.k)
+                code = self.codes[d.pairing] = self.index[top] * self.size + self.index[bottom]
+                self.diagrams.setdefault(code, d)
+                self.made[code] = 0
+            out.append(code)
+        return out
+
+    def diagrams_for(self, codes: np.ndarray) -> dict[int, MotzkinDiagram]:
+        """The diagram dictionary, holding every code in `codes`."""
+        made = self.made.take(codes)
+        if _unfilled(made):
+            new = _distinct(codes[made < 0])
+            for code, row in zip(new.tolist(), self.pairings(*np.divmod(new, self.size)).tolist()):
+                pairing = tuple(row)
+                self.codes[pairing], self.diagrams[code] = code, _wrap(pairing)
+            self.made[new] = 0
+        return self.diagrams
+
+    def pairings(self, top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
+        """The (B, 2k) pairings of the diagrams with the given halves."""
+        k = self.k
+        out = np.concatenate((self.halves[top], self.lower[bottom]), axis=1)
+        # The m-th through point of a top half meets the m-th of its bottom.
+        row_t, col_t = self.through[top].nonzero()
+        row_b, col_b = self.through[bottom].nonzero()
+        out[row_t, col_t] = col_b + k
+        out[row_b, col_b + k] = col_t
+        return out
+
+    def _half_index(self, rows: np.ndarray) -> np.ndarray:
+        return self.keys.searchsorted((rows + 1) @ self.place)
+
+    def middle(self, cells: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Loop counts and x's and y's fates for the (B,) cells
+        x_bottom * size + y_top."""
+        loops = self.loops.take(cells)
+        if _unfilled(loops):
+            new = _distinct(cells[loops < 0])
+            x_bottom, y_top = np.divmod(new, self.size)
+            k, n = self.k, len(new)
+            both = self.pairings(np.concatenate((self.canon[x_bottom], y_top)),
+                                 np.concatenate((x_bottom, self.canon[y_top])))
+            result, loops = _compose_rows(both[:n], both[n:], k)
+            # The rows of the results, as half-diagrams, are the fates.
+            low = result[:, k:]
+            fates = self._half_index(np.concatenate((
+                np.minimum(result[:, :k], k), np.where(low >= k, low - k, np.where(low >= 0, k, -1)))))
+            # The loop count goes in last: it marks the cell as filled.
+            self.fate_top[new], self.fate_bottom[new], self.loops[new] = fates[:n], fates[n:], loops
+            loops = self.loops.take(cells)
+        return loops, self.fate_top.take(cells), self.fate_bottom.take(cells)
+
+    def substitute(self, cells: np.ndarray) -> np.ndarray:
+        """The halves of the (B,) cells half * size + fate, as int16."""
+        out = self.subst.take(cells)
+        if _unfilled(out):
+            new = _distinct(cells[out < 0])
+            half, fate = np.divmod(new, self.size)
+            k, rows, fates = self.k, self.halves[half], self.halves[fate]
+            # The m-th through point of a row takes entry m of its fate: a
+            # dead end (-1), a through strand (k) or an arc to the m'-th.
+            row, col = (rows == k).nonzero()
+            first = row.searchsorted(row)
+            end = fates[row, np.arange(len(row)) - first]
+            partner = col[first + np.where((end >= 0) & (end < k), end, 0)]
+            rows[row, col] = np.where((end < 0) | (end == k), end, partner)
+            self.subst[new] = self._half_index(rows)
+            out = self.subst.take(cells)
+        return out
+
+
+@lru_cache(maxsize=MAX_WIDTH + 1)
+def _half_tables(k: int) -> _HalfTables:
+    return _HalfTables(k)
+
+
+def _compose_halves(tables: _HalfTables, x_top: np.ndarray, x_bottom: np.ndarray,
+                    y_top: np.ndarray, y_bottom: np.ndarray
+                    ) -> tuple[np.ndarray, ...]:
+    """Stack x over y for (B,) arrays of half indices: the results' (B,)
+    top and bottom halves (int16) and loop counts, by table lookups."""
+    size = tables.size
+    loops, fate_x, fate_y = tables.middle(x_bottom * size + y_top)
+    halves = tables.substitute(np.concatenate((x_top * size + fate_x, y_bottom * size + fate_y)))
+    return halves[:len(loops)], halves[len(loops):], loops
 
 
 def _numerators(coeffs: Collection[Fraction]) -> tuple[list[int], int]:
@@ -273,7 +447,7 @@ def _group(key: np.ndarray, value: np.ndarray, first: np.ndarray):
 
 def products(pairs: Sequence[tuple["Element", "Element"]]) -> list["Element"]:
     """[x * y for x, y in pairs], for elements of one width and lam, in one
-    blocked pass of `_compose_rows` over the term pairs of every product.
+    blocked pass of `_compose_halves` over the term pairs of every product.
 
     Product r's term pairs (x's terms outer, y's inner) follow those of
     product r-1, and _BLOCK_PAIRS of them are composed at a time.  With lam =
@@ -281,9 +455,10 @@ def products(pairs: Sequence[tuple["Element", "Element"]]) -> list["Element"]:
     k, a pair that closes l loops adds a1 a2 q^l p^(L-l) over its product's
     denominator d1 d2 p^L.  These integer sums are exact: in int64 where
     `_sum_dtype` allows for every product, otherwise in Python ints.  Sums
-    are grouped by the key r * (2k+1)^(2k) + code (see `_decode`), and a
-    block is reduced to its distinct keys before the next is composed.  Each
-    product's terms come in the order in which its pairs first reach them."""
+    are grouped by the key (r * h + top) * h + bottom, for the result's
+    halves among the h half-diagrams of width k, and a block is reduced to
+    its distinct keys before the next is composed.  Each product's terms
+    come in the order in which its pairs first reach them."""
     if not pairs:
         return []
     x0 = pairs[0][0]
@@ -292,26 +467,26 @@ def products(pairs: Sequence[tuple["Element", "Element"]]) -> list["Element"]:
         x._check_compatible(y)
     k, lam = x0.width, x0.lam
     if k > MAX_WIDTH:
-        # Result codes (see `_decode`) fit in int64 only up to width 7.
         raise LimitError(f"width {k} exceeds the configured bound {MAX_WIDTH}")
-    span = (2 * k + 1) ** (2 * k)
-    if len(pairs) > _KEY_LIMIT // span:
-        return products(pairs[:_KEY_LIMIT // span]) + products(pairs[_KEY_LIMIT // span:])
+    tables = _half_tables(k)
+    # Keys stay below len(pairs) * h**2, in int64 for over 10**12 products
+    # at width 8 (h = 2123), so no call is split.
+    size = tables.size
     p, q, most = lam.numerator, lam.denominator, k // 2
     a1, a2, ends, table, dens, dtype = [], [], [0], [], [], np.int64
-    top, bottom = [], []
+    codes1, codes2 = [], []
     for r, (x, y) in enumerate(pairs):
         (c1, d1), (c2, d2) = _numerators(x.terms.values()), _numerators(y.terms.values())
         if c1 and c2:
             if _sum_dtype(c1, c2, lam, k) is object:
                 dtype = object
-            top += [d.pairing for d in x.terms]
-            bottom += [d.pairing for d in y.terms]
+            codes1 += tables.codes_of(x.terms)
+            codes2 += tables.codes_of(y.terms)
         else:
             c1 = c2 = []  # a zero product keeps no rows and no numerators
-        # Pair s of product r composes x row (s + shift) // n2 with y row
-        # y0 + (s + shift) % n2, and r * span leads its keys.
-        table.append((len(a1) * len(c2) - ends[-1], len(c2) or 1, len(a2), r * span))
+        # Pair s of product r composes x term (s + shift) // n2 with y term
+        # y0 + (s + shift) % n2, and r * h leads its keys.
+        table.append((len(a1) * len(c2) - ends[-1], len(c2) or 1, len(a2), r * size))
         ends.append(ends[-1] + len(c1) * len(c2))
         dens.append(d1 * d2 * p**most)
         a1 += c1
@@ -320,8 +495,8 @@ def products(pairs: Sequence[tuple["Element", "Element"]]) -> list["Element"]:
     if not ends[-1]:
         return [Element._trusted(k, lam, {}) for _ in pairs]
     weight = np.array([q**l * p ** (most - l) for l in range(most + 1)], dtype=dtype)
-    top = np.array(top, dtype=np.intp).reshape(len(a1), 2 * k)
-    bottom = np.array(bottom, dtype=np.intp).reshape(len(a2), 2 * k)
+    top1, bottom1 = np.divmod(np.array(codes1, dtype=np.intp), size)
+    top2, bottom2 = np.divmod(np.array(codes2, dtype=np.intp), size)
     a1, a2 = np.array(a1, dtype=dtype), np.array(a2, dtype=dtype)
     end, table = np.array(ends[1:]), np.array(table)
 
@@ -332,8 +507,10 @@ def products(pairs: Sequence[tuple["Element", "Element"]]) -> list["Element"]:
         shift, n2, y0, lead = table.take(end.searchsorted(pair, side="right"), axis=0).T
         i, j = np.divmod(pair + shift, n2)
         j += y0
-        code, loops = _compose_rows(top.take(i, axis=0), bottom.take(j, axis=0), k)
-        found.append(_group(lead + code, a1[i] * a2[j] * weight[loops], pair))
+        top, bottom, loops = _compose_halves(tables, top1.take(i), bottom1.take(i),
+                                             top2.take(j), bottom2.take(j))
+        # lead is intp, so the int16 halves are widened before any product.
+        found.append(_group((lead + top) * size + bottom, a1[i] * a2[j] * weight[loops], pair))
         held += len(found[-1][0])
         if held > limit:
             found = [_group(*map(np.concatenate, zip(*found)))]
@@ -342,18 +519,20 @@ def products(pairs: Sequence[tuple["Element", "Element"]]) -> list["Element"]:
     if len(found) > 1:
         found = [_group(*map(np.concatenate, zip(*found)))]
     key, total, first = found[0]
+    span = size**2
     if len(key) > MAX_TERMS and np.bincount(key // span).max() > MAX_TERMS:
         raise LimitError(f"product has more than {MAX_TERMS} terms")
     keep = total.nonzero()[0]
     keep = keep[first[keep].argsort()]
-    key = key[keep]
-    counts = np.bincount(key // span, minlength=len(pairs)).tolist()
-    terms = zip(_decode(key, k), total[keep].tolist())
-    return [
-        Element._trusted(k, lam, {_wrap(pairing): Fraction(num, den)
-                                  for pairing, num in islice(terms, count)})
-        for den, count in zip(dens, counts)
-    ]
+    product, code = np.divmod(key[keep], span)
+    total = total[keep]
+    diagrams = tables.diagrams_for(code)
+    out, lo = [], 0
+    for den, hi in zip(dens, np.searchsorted(product, np.arange(1, len(pairs) + 1)).tolist()):
+        terms = zip(code[lo:hi].tolist(), total[lo:hi].tolist())
+        out.append(Element._trusted(k, lam, {diagrams[c]: Fraction(num, den) for c, num in terms}))
+        lo = hi
+    return out
 
 
 # ---------------------------------------------------------------------------

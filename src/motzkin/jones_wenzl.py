@@ -67,7 +67,8 @@ class JWCache:
             one = identity(k, lam=lam)
             p_top = generator(k, "p", k, lam=lam)
             t_top = generator(k, "t", m, lam=lam)
-            g = prev * (one - p_top) - (prev * t_top * prev).scale(phi(m))
+            head, middle = products([(prev, one - p_top), (prev, t_top)])
+            g = head - (middle * prev).scale(phi(m))
         self._elements[key] = g
         return g
 
@@ -103,18 +104,21 @@ def qk_element(k: int, lam, cache: JWCache | None = None) -> tuple[Element, Elem
     c = cache.phi(lam)(k)
     g = embed(cache.element(k, lam))
     t = generator(k + 1, "t", k, lam=lam)
-    q = (g * t * g).scale(c)
-    if q * q != q or adjoint(q) != q:
+    gt, x = products([(g, t), (g, cup_element(k, lam))])
+    q = (gt * g).scale(c)
+    # The three checks' products in one kernel pass, then checked in turn.
+    xs = adjoint(x)
+    qq, xx, xsx = products([(q, q), (x, xs), (xs, x)])
+    if qq != q or adjoint(q) != q:
         raise StructureError(f"q_{k} is not a self-adjoint idempotent")
-    x = g * cup_element(k, lam)
-    if (x * adjoint(x)).scale(c * lam) != q:
+    if xx.scale(c * lam) != q:
         raise StructureError(f"x x* does not recover q_{k}")
     target = (
         embed(cache.element(k - 1, lam), 2)
         * generator(k + 1, "p", k, lam=lam)
         * generator(k + 1, "p", k + 1, lam=lam)
     )
-    if (adjoint(x) * x).scale(c * lam) != target:
+    if xsx.scale(c * lam) != target:
         raise StructureError(f"x* x does not recover g_{k - 1} p_{k} p_{k + 1}")
     return q, x
 
@@ -172,7 +176,6 @@ def jw_report(k: int, lam, cache: JWCache | None = None) -> JWReport:
     phi = cache.phi(lam)
     g = cache.element(k, lam)
 
-    idempotent = (g * g) == g
     self_adjoint = adjoint(g) == g
     reflect_invariant = reflect(g) == g
 
@@ -191,15 +194,17 @@ def jw_report(k: int, lam, cache: JWCache | None = None) -> JWReport:
         k - 1, lam
     ).scale(mu)
 
+    # g g goes in one kernel pass with the mirrored recursion's first products.
     if k == 1:
-        symmetric_recursion = True
+        square, symmetric_recursion = g * g, True
     else:
         m = k - 1
         left = juxtapose(identity(1, lam=lam), cache.element(m, lam))
         head = identity(k, lam=lam) - generator(k, "p", 1, lam=lam)
         t1 = generator(k, "t", 1, lam=lam)
-        mirrored = left * head - (left * t1 * left).scale(phi(m))
-        symmetric_recursion = mirrored == g
+        square, left_head, left_t1 = products([(g, g), (left, head), (left, t1)])
+        symmetric_recursion = left_head - (left_t1 * left).scale(phi(m)) == g
+    idempotent = square == g
 
     pads = []
     for q in range(1, k):

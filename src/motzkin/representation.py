@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import SPAN_MAX_BYTES, TOL_CHECK, TOL_CONSTRUCT, TOL_RANK, max_rep_dimension
-from .diagram_core import Element, MotzkinDiagram
+from .diagram_core import Element, MotzkinDiagram, _row_keys
 from .errors import LimitError, ParameterError, StructureError
 from .qpoly import validate_lam
 
@@ -344,18 +344,6 @@ def _apply_local(X: np.ndarray, n: int, base: np.ndarray, i: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Direct diagram evaluation
-
-
-def _row_keys(pairing, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The top and bottom rows of a diagram as half-diagrams.
-
-    A half-diagram lists, for each of the k points of a row, -1 for an
-    isolated point, the position of its partner for an arc on that row,
-    and k for a through strand.
-    """
-    top = tuple(j if j < k else k for j in pairing[:k])
-    bottom = tuple(-1 if j == -1 else (j - k if j >= k else k) for j in pairing[k:])
-    return top, bottom
 
 
 def _half(key: tuple[int, ...], b: np.ndarray, arc: np.ndarray) -> np.ndarray:

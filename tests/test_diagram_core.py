@@ -1,10 +1,17 @@
 """Tests for the exact diagram calculus."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from motzkin import (
     Element,
@@ -26,8 +33,10 @@ from motzkin import diagram_core, expression
 from motzkin.diagram_core import (
     _BLOCK_PAIRS,
     _SITES,
+    _compose_halves,
     _compose_rows,
-    _decode,
+    _half_diagrams,
+    _half_tables,
     _numerators,
     _sum_dtype,
     presentation_relations,
@@ -351,11 +360,11 @@ def test_presentation_reports_a_false_relation(monkeypatch):
 
 def test_presentation_one_kernel_pass_per_depth(monkeypatch):
     # Every word of every relation at width 6 goes through one forest: one
-    # `products` call per tree depth, so `_compose_rows` runs once per block
-    # of each depth, not once per word.
+    # `products` call per tree depth, so the kernel pass `_compose_halves`
+    # runs once per block of each depth, not once per word.
     calls = []
-    real = diagram_core._compose_rows
-    monkeypatch.setattr(diagram_core, "_compose_rows", lambda *args: calls.append(1) or real(*args))
+    real = diagram_core._compose_halves
+    monkeypatch.setattr(diagram_core, "_compose_halves", lambda *args: calls.append(1) or real(*args))
     assert check_presentation(6, LAM).ok
     words = [w for _, lhs, rhs in presentation_relations(6) for side in (lhs, rhs) for _, w in side]
     depths = max(map(len, words)) - 1
@@ -476,14 +485,21 @@ def _ref_multiply(x, y):
 
 
 def _batched_pairs(pairs, k):
-    """Compose (p1, p2) pairs with the batched kernel, as walker output."""
+    """Compose (p1, p2) pairs with the half-diagram kernel, as walker
+    output, block by block; `_compose_rows` on the same block and the
+    tables' own pairings must agree with it."""
+    tables = _half_tables(k)
     out = []
     for start in range(0, len(pairs), _BLOCK_PAIRS):
         block = pairs[start:start + _BLOCK_PAIRS]
-        top = np.array([a for a, _ in block], dtype=np.intp).reshape(len(block), 2 * k)
-        bottom = np.array([b for _, b in block], dtype=np.intp).reshape(len(block), 2 * k)
-        codes, loops = _compose_rows(top, bottom, k)
-        out += zip(_decode(codes, k), loops.tolist())
+        x, y = (np.divmod(np.array(tables.codes_of(MotzkinDiagram(p[side]) for p in block),
+                                   dtype=np.intp), tables.size) for side in (0, 1))
+        assert tables.pairings(*x).tolist() == [list(a) for a, _ in block]
+        top, bottom, loops = _compose_halves(tables, *x, *y)
+        rows, walked = _compose_rows(tables.pairings(*x), tables.pairings(*y), k)
+        assert tables.pairings(top, bottom).tolist() == rows.tolist()
+        assert loops.tolist() == walked.tolist()
+        out += zip(map(tuple, rows.tolist()), loops.tolist())
     return out
 
 
@@ -648,16 +664,19 @@ class TestBatchedProduct:
         assert u * u == u.scale(1 / lam)
 
     def test_batches_match_fraction_loop(self):
-        # Batches mix empty, one-term and many-term elements; the first 512
-        # products of one pair each end a block exactly, the 900 pairs of the
-        # next cross a block edge, and the large-lam batch sums in Python ints.
+        # Batches mix empty, one-term and many-term elements; the first
+        # _BLOCK_PAIRS products of one pair each end a block exactly, the 900
+        # pairs of the next cross a block edge, random products follow until
+        # more than four blocks are full, so merges happen, and the large-lam
+        # batch sums in Python ints.
         for k, lam, seed in ((3, LAM, 1), (3, Fraction(3, 13), 2), (4, Fraction(2, 9), 3),
                              (6, LAM, 4), (4, Fraction(10**29 + 3, 3 * 10**29 + 7), 5)):
             rng = random.Random(7300 + seed)
             basis = enumerate_basis(k)
             pool = [_random_element(rng, basis, lam, size) for size in (0, 1, 1, 2, 7, 30, 30)]
             pairs = [(pool[1], pool[2])] * _BLOCK_PAIRS + [(pool[5], pool[6])]
-            pairs += [(rng.choice(pool), rng.choice(pool)) for _ in range(60)]
+            while sum(len(x.terms) * len(y.terms) for x, y in pairs[_BLOCK_PAIRS:]) < 4 * _BLOCK_PAIRS:
+                pairs.append((rng.choice(pool), rng.choice(pool)))
             ends = np.cumsum([len(x.terms) * len(y.terms) for x, y in pairs])
             assert _BLOCK_PAIRS in ends and ends[-1] > 4 * _BLOCK_PAIRS
             assert [[(d.pairing, c) for d, c in z.terms.items()] for z in products(pairs)] == [
@@ -685,19 +704,25 @@ class TestBatchedProduct:
             _ref_multiply(a, b) for a, b in pairs
         ]
 
-    def test_batch_split_at_key_bound(self, monkeypatch):
-        # With room for the keys of three products, a batch of ten runs in
-        # four passes and gives the same products.
+    def test_batch_keys_need_no_split(self, monkeypatch):
+        # A product's keys span h**2 values for the h half-diagrams of its
+        # width, so int64 keys hold over 10**12 products even at width 8,
+        # where the pairing codes (2k+1)**(2k) of the transition-table kernel
+        # overflow on their own.  A batch of products of 12 term pairs each,
+        # over two blocks, runs in one kernel pass per block and gives the
+        # same products.
+        assert [len(_half_diagrams(k)) for k in range(9)] == [1, 2, 5, 13, 35, 96, 267, 750, 2123]
+        assert 2**63 // 2123**2 > 10**12 and 17**16 > 2**63
+        assert _half_tables(6).size == 267
         rng = random.Random(7500)
         basis = enumerate_basis(2)
         pairs = [(_random_element(rng, basis, LAM, 4), _random_element(rng, basis, LAM, 3))
-                 for _ in range(10)]
+                 for _ in range(_BLOCK_PAIRS // 12 + 20)]
         calls = []
-        real = diagram_core._compose_rows
-        monkeypatch.setattr(diagram_core, "_compose_rows", lambda *args: calls.append(1) or real(*args))
-        monkeypatch.setattr(diagram_core, "_KEY_LIMIT", 3 * 5**4)
+        real = diagram_core._compose_halves
+        monkeypatch.setattr(diagram_core, "_compose_halves", lambda *args: calls.append(1) or real(*args))
         got = products(pairs)
-        assert len(calls) == 4
+        assert len(calls) == -(-len(pairs) * 12 // _BLOCK_PAIRS) == 2
         assert [[(d.pairing, c) for d, c in z.terms.items()] for z in got] == [
             _ref_multiply(x, y) for x, y in pairs
         ]
@@ -734,3 +759,69 @@ class TestBatchedProduct:
         g1 = identity(1, lam=LAM) - _gen(1, "p", 1)
         assert (g1 * _gen(1, "p", 1)).is_zero()
         assert (g1 * g1) == g1
+
+
+@lru_cache(maxsize=None)
+def _basis(k):
+    return enumerate_basis(k)
+
+
+_COEFFS = st.one_of(
+    st.fractions(min_value=-30, max_value=30, max_denominator=40),
+    st.integers(10**20, 10**21),
+)
+
+
+@st.composite
+def _product_batches(draw):
+    """A batch of products at one width 0..6 and lam, behind a run of
+    one-term products whose length moves the batch across a block edge."""
+    k = draw(st.integers(0, 6))
+    lam = draw(st.sampled_from([LAM, Fraction(3, 13), Fraction(10**29 + 3, 3 * 10**29 + 7)]))
+    basis = _basis(k)
+    index = st.integers(0, len(basis) - 1)
+
+    def element():
+        picks = draw(st.lists(index, max_size=min(40, len(basis)), unique=True))
+        return Element(k, lam, {basis[i]: draw(_COEFFS) for i in picks})
+
+    pool = [element() for _ in range(draw(st.integers(1, 4)))]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)),
+                          min_size=1, max_size=5))
+    one = Element(k, lam, {basis[draw(index)]: draw(_COEFFS)})
+    return [(one, one)] * draw(st.integers(0, _BLOCK_PAIRS)) + pairs
+
+
+@given(_product_batches())
+def test_products_match_fraction_loop(pairs):
+    # Pairings, Fractions and term order of every product equal the double
+    # loop's, with empty factors, Python-int sums and block edges anywhere.
+    expected = {}
+    for x, y in pairs:
+        if (id(x), id(y)) not in expected:
+            expected[id(x), id(y)] = _ref_multiply(x, y)
+    assert [[(d.pairing, c) for d, c in z.terms.items()] for z in products(pairs)] == [
+        expected[id(x), id(y)] for x, y in pairs
+    ]
+
+
+def test_tables_fill_lazily():
+    # Importing the package builds no half-diagram table, and a width-2
+    # product fills entries of width 2 only.
+    script = textwrap.dedent(
+        """
+        import motzkin
+        from motzkin.diagram_core import _half_tables
+        print(_half_tables.cache_info().currsize)
+        t1 = motzkin.generator(2, "t", 1, lam="1/3")
+        assert t1 * t1 == t1
+        print(_half_tables.cache_info().currsize)
+        print([int((_half_tables(k).loops >= 0).sum() + (_half_tables(k).subst >= 0).sum())
+               for k in (5, 6)], (_half_tables(2).loops >= 0).sum() > 0)
+        """
+    )
+    src = str(Path(diagram_core.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.split("\n") == ["0", "1", "[0, 0] True", ""]

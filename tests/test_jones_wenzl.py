@@ -9,6 +9,7 @@ with c = lam/(1-lam), u the bare cup-cap, cap/cup the half diagrams and
 e0 the all-isolated diagram.
 """
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from motzkin import (
     Element,
     LimitError,
     ParameterError,
+    StructureError,
     adjoint,
     conditional_expectation,
     embed,
@@ -38,6 +40,9 @@ from motzkin.jones_wenzl import (
     uniqueness_probe,
 )
 from motzkin.qpoly import PhiFunction, phi
+
+# The package re-exports the function jones_wenzl under the module's name.
+jw = importlib.import_module("motzkin.jones_wenzl")
 
 LAMS = (Fraction(1, 3), Fraction(1, 4))
 
@@ -89,6 +94,24 @@ def test_qk_is_projection():
             assert q * q == q
             assert adjoint(q) == q
             assert x == embed(jones_wenzl(k, lam)) * cup_element(k, lam)
+
+
+def test_qk_failures_keep_their_messages(monkeypatch):
+    # qk_element checks its identities after one batch of products; each
+    # identity made false still raises its own text.
+    lam = Fraction(1, 4)
+    wrong_phi = JWCache()
+    wrong_phi._phi[lam] = lambda m: Fraction(1)
+    with pytest.raises(StructureError, match=r"^q_2 is not a self-adjoint idempotent$"):
+        qk_element(2, lam, wrong_phi)
+    with monkeypatch.context() as patch:
+        patch.setattr(jw, "cup_element", lambda k, lam: identity(k + 1, lam=lam))
+        with pytest.raises(StructureError, match=r"^x x\* does not recover q_2$"):
+            qk_element(2, lam, JWCache())
+    real = jw.embed
+    monkeypatch.setattr(jw, "embed", lambda x, h=1: real(x, h).scale(h))
+    with pytest.raises(StructureError, match=r"^x\* x does not recover g_1 p_2 p_3$"):
+        qk_element(2, lam, JWCache())
 
 
 def test_recursion_through_qk():

@@ -38,7 +38,7 @@ from .representation import (
     MotzkinPair,
     _apply_local,
     _check_dim,
-    _generator_base,
+    _generator_bases,
     rep_conditional_expectation,
 )
 
@@ -475,7 +475,7 @@ def evaluate_operator(expr, width: int, pair: MotzkinPair) -> np.ndarray:
     if width < 1:
         raise ParameterError(f"need width >= 1, got {width}")
     with np.errstate(over="ignore", invalid="ignore"):
-        mat = _act(node, width, pair, {name: _generator_base(pair, name) for name in _SITES}, None)
+        mat = _act(node, width, pair, _generator_bases(pair), None)
     if not np.isfinite(mat).all():
         raise LimitError("operator entries leave the floating-point range")
     return mat
@@ -517,20 +517,23 @@ def check_presentation(k: int, lam) -> PresentationReport:
     return PresentationReport(width=k, lam=lam, checked=len(relations), failures=failures)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def relation_residuals(pair: MotzkinPair, k: int) -> dict[str, float]:
     """Frobenius residual of every defining relation instance at width k.
 
     Each relation is evaluated on the window of w consecutive slots its
     words touch.  Every word is the identity outside that window, so the
     residual on the k-fold power is the window residual times n**((k-w)/2).
-    Widths below 2 have no relation to check and raise ParameterError.
+    Widths below 2 have no relation to check and raise ParameterError; a
+    pair whose generators or residuals leave the floating-point range
+    raises LimitError, the generators before any window is built.
     """
     if k < 2:
         raise ParameterError(f"need k >= 2 for a relation to check, got {k}")
     n = pair.n
     _check_dim(n, k)
     lam = float(pair.lam)
-    blocks = {name: _generator_base(pair, name) for name in _SITES}
+    blocks = _generator_bases(pair)
     out: dict[str, float] = {}
     for label, lhs, rhs in presentation_relations(k):
         terms = [
@@ -548,4 +551,6 @@ def relation_residuals(pair: MotzkinPair, k: int) -> dict[str, float]:
             local = _word_tree([(name, i - lo + 1, dag) for name, i, dag in word])
             total += coeff * _act(local, w, pair, blocks, None)
         out[label] = float(np.linalg.norm(total)) * n ** ((k - w) / 2)
+    if not np.isfinite(list(out.values())).all():
+        raise LimitError("operator entries leave the floating-point range")
     return out

@@ -310,10 +310,13 @@ def _plan_levels(charges: list, levels: int, itemsize: int) -> list[list[_Block]
     block slot, for level j), its costliest block's transient arrays and
     _FIRST_SVD_BYTES: 1.1 - 1.4 times the peak RSS growth of a fresh process
     building n = 4 levels 7 - 9, ii n = 5 levels 5 - 7 or iii n = 5 r = 2 levels
-    5 - 6.  The first level over FOCK_MAX_BYTES raises LimitError."""
+    5 - 6.  The first level over FOCK_MAX_BYTES raises LimitError, and an empty
+    level ParameterError."""
     chi = charge_characters(charges)
     plans, held, need, below, here = [], 0, 0, {}, next(chi)
     for k, above in zip(range(1, levels + 1), chi):
+        if not above:  # only n = 2 reaches an empty level, at k = 2 (`dim_sequence`)
+            raise ParameterError(f"dimension sequence for n={len(charges)} hits 0 at k={k}")
         by_charge: dict = {}
         for i, w in enumerate(charges):
             for c, size in here.items():

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -316,17 +317,17 @@ def l_matrix(pair: MotzkinPair) -> np.ndarray:
     return L
 
 
-def _generator_base(pair: MotzkinPair, name: str) -> np.ndarray:
-    """The block a generator applies to its own slots: n x n for p,
-    n^2 x n^2 for l, r and t."""
-    if name == "p":
-        return p_matrix(pair)
-    if name == "t":
-        # t is lam times the bare cup-cap; evaluated, that is exactly the
-        # rank-one projection onto v_A.
-        return t_matrix(pair)
-    L = l_matrix(pair)
-    return L if name == "l" else L.conj().T
+def _generator_bases(pair: MotzkinPair) -> dict[str, np.ndarray]:
+    """The block each generator applies to its own slots: n x n for p,
+    n^2 x n^2 for l, r and t.  LimitError if an entry leaves the
+    floating-point range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        L = l_matrix(pair)
+        # t, lam times the bare cup-cap, evaluates to the projection onto v_A.
+        bases = {"p": p_matrix(pair), "l": L, "r": L.conj().T, "t": t_matrix(pair)}
+    if not all(np.isfinite(x).all() for x in bases.values()):
+        raise LimitError("operator entries leave the floating-point range")
+    return bases
 
 
 def _apply_local(X: np.ndarray, n: int, base: np.ndarray, i: int) -> np.ndarray:
@@ -423,26 +424,26 @@ def evaluate_element(pair: MotzkinPair, x: Element) -> np.ndarray:
 
 
 MAX_SPAN_ROUNDS = 12
-# Arrays the size of one generator's image that a span round holds on top
+# Arrays the size of one generator's image that the closure holds on top
 # of its basis and images: while the SVD runs, its copy of the operators
 # kept and two right factors (LAPACK's and the returned one).  The
 # operators kept replace the image itself, which is counted with the images.
 _SPAN_WORK_IMAGES = 3
 
 
-def _check_span_bytes(itemsize: int, dim: int, basis: int, images: int, size: int) -> None:
-    """Refuse a span round that would hold more than SPAN_MAX_BYTES.
+def _check_span_bytes(dim: int, row_bytes: int, basis: int, images: int, size: int) -> None:
+    """Refuse a step of the span closure that would hold more than SPAN_MAX_BYTES.
 
-    The round starts from `basis` orthonormal directions and holds `images`
-    images of `size` operators each, and the SVD work of one image.  Each
-    operator is dim**2 entries of `itemsize` bytes, the pair's dtype: 8
-    for a real pair, 16 for a complex one.  The basis can grow by as many
-    operators as the images hold; its rows are written into pages of their
-    own, while the images freed along the way stay with the allocator, so
-    both are counted in full.
+    The step starts from `basis` orthonormal directions and holds `images`
+    images of `size` operators each, and the SVD work of one image.  An
+    operator takes `row_bytes`: dim**2 entries of the pair's dtype when
+    dense, its block entries (`span_dimension`) as a row.  The basis can
+    grow by as many operators as the images hold; its rows are written into
+    pages of their own, while the images freed along the way stay with the
+    allocator, so both are counted in full.
     """
     operators = basis + (2 * images + _SPAN_WORK_IMAGES) * size
-    need = itemsize * dim * dim * operators
+    need = row_bytes * operators
     if need > SPAN_MAX_BYTES:
         raise LimitError(
             f"span closure at n**k = {dim} would hold {operators} operators, "
@@ -451,10 +452,26 @@ def _check_span_bytes(itemsize: int, dim: int, basis: int, images: int, size: in
         )
 
 
-def _stacked(x: np.ndarray, dim: int) -> np.ndarray:
-    """Operators laid side by side (dim x c dim) as the c rows of a
-    c x dim**2 matrix, each the row-major flattening of one operator."""
-    return x.reshape(dim, -1, dim).transpose(1, 0, 2).reshape(-1, dim * dim)
+def _support_blocks(ops: list[np.ndarray]) -> list[np.ndarray]:
+    """The connected components, each ascending, of the graph linking i and
+    j when some operator of `ops` has a nonzero (i, j) or (j, i) entry."""
+    linked = np.any([x != 0 for x in ops], axis=0)
+    linked |= linked.T
+    label = np.arange(dim := len(linked))
+    while True:  # every index takes its smallest neighbour's label
+        new = np.where(linked, label, dim).min(axis=1)
+        if (new == label).all():
+            return [np.flatnonzero(label == r) for r in np.flatnonzero(label == np.arange(dim))]
+        label = new
+
+
+def _apply_blocks(G: list[np.ndarray], X: np.ndarray, slices: list[slice]) -> np.ndarray:
+    """G @ X on rows of block entries, G given by its blocks: a matmul each."""
+    out = np.empty_like(X)
+    for block, at in zip(G, slices):
+        m = len(block)
+        np.matmul(block, X[:, at].reshape(-1, m, m), out=out[:, at].reshape(-1, m, m))
+    return out
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -471,34 +488,49 @@ def span_dimension(pair: MotzkinPair, k: int) -> tuple[int, int]:
     width k, found by closing the span under left multiplication.
 
     The span starts at the identity and the generators.  Each round applies
-    every generator, in one call, to the directions the previous round added
-    (a direction found earlier maps into the span already), and keeps what
-    is new of each generator's image in one SVD.  Returns (dimension,
-    rounds), where `rounds` counts the closure sweeps needed before the span
-    stops growing.  A round whose basis, images and SVD work could exceed
-    SPAN_MAX_BYTES is refused with LimitError before its images are built.
+    every generator to the directions the previous round added (a direction
+    found earlier maps into the span already), and keeps what is new of
+    each image in one SVD; an image is built twice, first for the round's
+    largest candidate norm, which sets the rank cut.  Returns (dimension,
+    rounds), `rounds` counting the sweeps until the span stops growing.
+    LimitError refuses a pair whose operators leave the floating-point
+    range, and anything that could pass SPAN_MAX_BYTES before it is built:
+    the dense identity and generators together, then each image alone.
 
-    Operators are flattened to rows.  The orthonormal basis is one array of
-    as many rows as SPAN_MAX_BYTES can hold, allocated once and never
-    copied; its pages become resident only as rows are written.
+    The identity and the generators are block-diagonal over the components
+    of their joint support (`_support_blocks`), so every product of them is
+    exactly 0.0 off these blocks, its entries being finite.  An operator is
+    the row of its block entries, with the norms and inner products of its
+    full flattening.  The orthonormal basis is one array allocated once,
+    never copied, of which only the rows written become resident.
     """
     if k < 1:
         raise ParameterError(f"need k >= 1, got {k}")
     n = pair.n
     dim = _check_dim(n, k)
-    blocks = [(_generator_base(pair, name), i) for i in range(1, k) for name in ("l", "r", "t")]
-    blocks += [(_generator_base(pair, "p"), i) for i in range(1, k + 1)]
-    itemsize = pair.dtype.itemsize
-    _check_span_bytes(itemsize, dim, 0, 1 + len(blocks), 1)
-    basis = np.empty((SPAN_MAX_BYTES // (itemsize * dim * dim), dim * dim), dtype=pair.dtype)
-    found = 0
+    gens = [(name, i) for i in range(1, k) for name in "lrt"] + [("p", i) for i in range(1, k + 1)]
+    _check_span_bytes(dim, pair.dtype.itemsize * dim * dim, 0, 1 + len(gens), 1)
+    bases = _generator_bases(pair)
     eye = np.eye(dim, dtype=pair.dtype)
-    images = [_stacked(eye, dim)] + [_stacked(_apply_local(eye, n, base, i), dim) for base, i in blocks]
+    dense = [eye] + [_apply_local(eye, n, bases[name], i) for name, i in gens]
+    components = _support_blocks(dense)
+    ends = list(accumulate(I.size**2 for I in components))
+    slices = [slice(end - I.size**2, end) for I, end in zip(components, ends)]
+    ops = [[x[np.ix_(I, I)] for I in components] for x in dense]
+    del eye, dense
+    basis = np.empty((SPAN_MAX_BYTES // (pair.dtype.itemsize * ends[-1]), ends[-1]), pair.dtype)
+    # The first round applies the identity and the generators to the identity.
+    found, rows, apply = 0, np.concatenate([x.reshape(-1) for x in ops[0]])[None], ops
     for rounds in range(MAX_SPAN_ROUNDS + 1):
-        cut = TOL_RANK * max(_row_norms(x).max() for x in images)
+        _check_span_bytes(dim, basis[0].nbytes, found, 1, len(rows))
+        with np.errstate(over="ignore"):
+            cut = TOL_RANK * max(_row_norms(_apply_blocks(G, rows, slices)).max() for G in apply)
+        if not np.isfinite(cut):
+            raise LimitError("operator entries leave the floating-point range")
         old = found
-        for g in range(len(images)):
-            x, images[g] = images[g], None
+        for G in apply:
+            _check_span_bytes(dim, basis[0].nbytes, found, 1, len(rows))
+            x = _apply_blocks(G, rows, slices)
             for _ in range(2):
                 # x -= (x B^*) B, with the conjugate taken on x, not on B.
                 B = basis[:found]
@@ -512,10 +544,7 @@ def span_dimension(pair: MotzkinPair, k: int) -> tuple[int, int]:
             del vh, new
         if found == old:
             return old, rounds
-        _check_span_bytes(itemsize, dim, found, len(blocks), found - old)
-        new = basis[old:found].reshape(-1, dim, dim).transpose(1, 0, 2).reshape(dim, -1)
-        images = [_stacked(_apply_local(new, n, base, i), dim) for base, i in blocks]
-        del new
+        rows, apply = basis[old:found], ops[1:]
     raise LimitError(f"span did not stabilise in {MAX_SPAN_ROUNDS} rounds")
 
 

@@ -25,13 +25,17 @@ from motzkin.expression import (
     parse_expression,
     pretty,
 )
-from motzkin import cli, fock, representation
+from motzkin import cli, expression, fock, representation
 from motzkin.diagram_core import adjoint, embed, generator, identity
 from motzkin.errors import ParameterError, ParseError, StructureError
 from motzkin.jones_wenzl import jones_wenzl
 from motzkin.representation import MotzkinPair, build_example_pair, evaluate_element
 
 QUARTER = Fraction(1, 4)
+
+
+def _refuse_to_build(*args):
+    raise AssertionError("built past a refusal")
 
 # Expressions already in canonical form: parsing and printing must give
 # them back verbatim.
@@ -468,6 +472,14 @@ class TestRunCommand:
         assert run_command(["rep", "faithful", "--k", "5"]) == 2
         assert "would hold 39 operators, about 312 MiB" in capsys.readouterr().err
 
+    @pytest.mark.slow
+    def test_rep_faithful_width_four(self, capsys):
+        # The operators live on 12870 of the 65536 entries of (C^4)^(x)4, and
+        # the closure counts those: M_8 = 323 inside the default bound.
+        assert run_command(["rep", "faithful", "--k", "4"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["span_dimension"] == data["expected"] == 323 and data["ok"] is True
+
     def test_fock_build(self, capsys):
         assert (
             run_command(
@@ -531,6 +543,40 @@ class TestRunCommand:
             "the pair violates norm_b 1.000e+00"
         )
         assert "Traceback" not in err
+
+    def test_fock_refuses_n2_past_level_1(self, tmp_path, capsys, monkeypatch):
+        # d_2 = (n - 1) d_1 - d_0 = 0 for n = 2: the pair is refused as
+        # `dims --n 2` is, before any level is built.
+        path = tmp_path / "n2.json"
+        pair = {"n": 2, "lambda": "1/4", "a": [[1, 0], [0, 0]], "b": [[1, 0], [0, 0]]}
+        path.write_text(json.dumps(pair))
+        monkeypatch.setattr(fock.SubproductSystem, "_add_level", _refuse_to_build)
+        for command in ("build", "toeplitz", "matrix-units", "cp-asymptotics"):
+            for levels in ("2", "3"):
+                argv = ["fock", command, "--in", str(path), "--levels", levels]
+                assert run_command(argv) == 2, argv
+                assert capsys.readouterr().err == (
+                    "error: dimension sequence for n=2 hits 0 at k=2\n"
+                ), argv
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rep_refuses_entries_past_the_float_range(self, tmp_path, capsys, monkeypatch):
+        # t holds |a_i|**2 = inf, and 0 * inf would not be 0.  With a_0 = 1e100
+        # the generators are finite but their products are not.
+        for a0 in (1e308, 1e100):
+            pair = build_example_pair("iii", 4, 1, QUARTER).to_json_dict()
+            pair["a"][0] = [a0, 0.0]
+            path = tmp_path / "huge.json"
+            path.write_text(json.dumps(pair))
+            with monkeypatch.context() as m:
+                if a0 == 1e308:
+                    m.setattr(representation, "_apply_local", _refuse_to_build)
+                    m.setattr(expression, "_apply_local", _refuse_to_build)
+                for command in ("faithful", "check"):
+                    assert run_command(["rep", command, "--in", str(path), "--k", "2"]) == 2
+                    assert capsys.readouterr().err == (
+                        "error: operator entries leave the floating-point range\n"
+                    )
 
     def test_fock_toeplitz_odd_support(self, tmp_path, capsys):
         # b uniform on the bar-closed support {0, 2, 4} of n = 5, lam = 1/6:

@@ -259,7 +259,7 @@ def _word_relation_residuals(pair, k):
     # Reference: the relation windows evaluated with `_word_product`.
     n = pair.n
     lam = float(pair.lam)
-    bases = {name: representation._generator_base(pair, name) for name in _SITES}
+    bases = representation._generator_bases(pair)
     out = {}
     for label, lhs, rhs in presentation_relations(k):
         terms = [
@@ -583,15 +583,21 @@ class TestRealArithmetic:
         assert np.linalg.norm(evaluate_element(rotated, g) - expected) < 1e-12
 
 
+def _span_ops(pair, k):
+    # The identity and every generator on the whole power, dense.
+    names = [(name, i) for i in range(1, k) for name in ("l", "r", "t")]
+    names += [("p", i) for i in range(1, k + 1)]
+    return [np.eye(pair.n**k, dtype=complex)] + [_dense_generator(pair, k, *g) for g in names]
+
+
+def _span_blocks(pair, k):
+    return representation._support_blocks(_span_ops(pair, k))
+
+
 def _reference_span_dimension(pair, k, tol=TOL_RANK, max_rounds=12):
     # Reference: the span closed under dense generator products, one
     # greedy Gram-Schmidt pick at a time.
-    gens = [np.eye(pair.n**k, dtype=complex)]
-    for i in range(1, k):
-        for name in ("l", "r", "t"):
-            gens.append(_dense_generator(pair, k, name, i))
-    for i in range(1, k + 1):
-        gens.append(_dense_generator(pair, k, "p", i))
+    gens = _span_ops(pair, k)
 
     basis = []
     members = []
@@ -666,14 +672,16 @@ class TestSpanDimension:
                 span_dimension(_pair4(), k)
 
     def test_byte_budget(self, monkeypatch):
-        # n=4, k=3: the identity and the 9 generator images are 10
+        # n=4, k=3: the identity and the 9 generator images are 10 dense
         # operators of 64**2 entries, 8 bytes each for the real pair and 16
-        # for its complex rotation.  A round counts its basis, twice its
-        # images (they may all turn into basis rows) and three images' worth
-        # of SVD work: 0 + 2*10 + 3 = 23 operators in the first round.  The
-        # rounds add 10, 27 and 14 directions, and the round that adds 14
-        # starts from 37 basis directions and 9*27 image operators,
-        # 37 + 2*243 + 3*27 = 604, the most the closure counts.
+        # for its complex rotation.  The first check counts the basis,
+        # twice the images (they may all turn into basis rows) and three
+        # images' worth of SVD work: 0 + 2*10 + 3 = 23 operators.  After
+        # it every operator is a row of the 924 entries of its blocks, and
+        # each image is counted alone before it is built.  The rounds add
+        # 10, 27 and 14 directions; the last image of 27 operators is built
+        # on a basis of 51 rows, 51 + 2*27 + 3*27 = 186, the most the
+        # closure counts.
         for pair in (_pair4(), _rotated(_pair4())[0]):
             column = pair.dtype.itemsize * 64**2
             monkeypatch.setattr(representation, "SPAN_MAX_BYTES", 23 * column - 1)
@@ -681,10 +689,11 @@ class TestSpanDimension:
                 m.setattr(representation, "_apply_local", _refuse_to_apply)
                 with pytest.raises(LimitError, match="would hold 23 operators"):
                     span_dimension(pair, 3)
-            monkeypatch.setattr(representation, "SPAN_MAX_BYTES", 603 * column)
-            with pytest.raises(LimitError, match="would hold 604 operators"):
+            row = pair.dtype.itemsize * 924
+            monkeypatch.setattr(representation, "SPAN_MAX_BYTES", 185 * row)
+            with pytest.raises(LimitError, match="would hold 186 operators"):
                 span_dimension(pair, 3)
-            monkeypatch.setattr(representation, "SPAN_MAX_BYTES", 604 * column)
+            monkeypatch.setattr(representation, "SPAN_MAX_BYTES", 186 * row)
             assert span_dimension(pair, 3) == (51, 3), pair.dtype
 
     def test_matches_reference_on_standard_families(self):
@@ -701,9 +710,76 @@ class TestSpanDimension:
         perturbed = dataclasses.replace(base, a=base.a + np.array([0.1, 0.0, 0.05j, 0.0]))
         pairs = [(_random_pair(rng, n), k) for n, k in cases] + [(perturbed, 2)]
         for pair, k in pairs:
+            # A random pair is one block; the perturbed one keeps b's zeros.
+            assert (len(_span_blocks(pair, k)) == 1) == (pair is not perturbed), (pair.n, k)
             span = span_dimension(pair, k)
             assert span == _reference_span_dimension(pair, k), (pair.n, k)
             assert span[0] > motzkin_number(2 * k)
+
+    @pytest.mark.parametrize("make, k", [(_pair4, 2), (_pair4, 3), (_pair5, 2)])
+    def test_matches_reference_on_rotated_pairs(self, make, k):
+        # The diagonal rotation keeps every support, so the complex pair has
+        # the blocks of the real one.
+        real, rotated = make(), _rotated(make())[0]
+        blocks = _span_blocks(rotated, k)
+        assert len(blocks) > 1
+        assert all(np.array_equal(I, J) for I, J in zip(blocks, _span_blocks(real, k)))
+        assert span_dimension(rotated, k) == _reference_span_dimension(rotated, k)
+
+    def test_standard_families_have_several_blocks(self):
+        for pair, ks in STANDARD_SPANS:
+            for k in ks[1:]:
+                blocks = _span_blocks(pair, k)
+                assert len(blocks) > 1, (pair.n, k)
+                assert sorted(np.concatenate(blocks).tolist()) == list(range(pair.n**k))
+
+    @pytest.mark.parametrize(
+        "make, k",
+        [(_pair4, 3), (_pair3, 3), (lambda: _rotated(_pair5())[0], 2)],
+        ids=["n4-k3", "n3-k3", "rotated-n5-k2"],
+    )
+    def test_closure_is_zero_off_the_blocks(self, monkeypatch, make, k):
+        # Every basis operator goes through `_apply_blocks` as a row of its
+        # blocks' entries.  Scattered to the whole power and multiplied by
+        # each dense generator, it is exactly 0.0 off the blocks; on them,
+        # each image is the product of the scattered blocks.
+        pair = make()
+        calls = []
+        apply_blocks = representation._apply_blocks
+
+        def spy(G, X, slices):
+            out = apply_blocks(G, X, slices)
+            calls.append((G, X.copy(), out.copy(), slices))
+            return out
+
+        monkeypatch.setattr(representation, "_apply_blocks", spy)
+        dim = span_dimension(pair, k)[0]
+        blocks = _span_blocks(pair, k)
+        D = pair.n**k
+        on = np.zeros((D, D), dtype=bool)
+        for I in blocks:
+            on[np.ix_(I, I)] = True
+
+        def scatter(parts):
+            dense = np.zeros((D, D), dtype=parts[0].dtype)
+            for I, part in zip(blocks, parts):
+                dense[np.ix_(I, I)] = part.reshape(I.size, I.size)
+            return dense
+
+        ops = _span_ops(pair, k)
+        rows = []
+        for G, X, out, slices in calls:
+            for x, y in zip(X, out):
+                assert np.allclose(scatter(G) @ scatter([x[at] for at in slices]),
+                                   scatter([y[at] for at in slices]), atol=1e-13)
+            if not rows or not np.array_equal(X, rows[-1]):
+                rows.append(X)
+        rows = np.vstack(rows)
+        assert len(rows) == 1 + dim  # the identity and every basis direction
+        for row in rows:
+            X = scatter([row[at] for at in calls[0][3]])
+            for G in ops[1:]:
+                assert not (G @ X)[~on].any()
 
     def test_equals_rank_of_evaluated_basis(self):
         # l, r, t and p generate the Motzkin algebra, so the generated span

@@ -137,6 +137,11 @@ def _wrap(pairing: Pairing) -> MotzkinDiagram:
     return d
 
 
+def _check_width(k: int) -> None:
+    if k > MAX_WIDTH:
+        raise LimitError(f"width {k} exceeds the configured bound {MAX_WIDTH}")
+
+
 def enumerate_basis(k: int) -> list[MotzkinDiagram]:
     """All Motzkin diagrams of width k, sorted by pairing tuple.
 
@@ -144,8 +149,7 @@ def enumerate_basis(k: int) -> list[MotzkinDiagram]:
     """
     if k < 0:
         raise ParameterError(f"width must be >= 0, got {k}")
-    if k > MAX_WIDTH:
-        raise LimitError(f"width {k} exceeds the configured bound {MAX_WIDTH}")
+    _check_width(k)
     # Every top half beside every bottom half with as many through strands.
     tables = _half_tables(k)
     through = tables.through.sum(axis=1)
@@ -466,8 +470,7 @@ def products(pairs: Sequence[tuple["Element", "Element"]]) -> list["Element"]:
         x0._check_compatible(x)
         x._check_compatible(y)
     k, lam = x0.width, x0.lam
-    if k > MAX_WIDTH:
-        raise LimitError(f"width {k} exceeds the configured bound {MAX_WIDTH}")
+    _check_width(k)
     tables = _half_tables(k)
     # Keys stay below len(pairs) * h**2, in int64 for over 10**12 products
     # at width 8 (h = 2123), so no call is split.
@@ -745,8 +748,7 @@ def juxtapose(x: Element, y: Element) -> Element:
         raise ParameterError(f"lam mismatch: {x.lam} vs {y.lam}")
     p, q = x.width, y.width
     w = p + q
-    if w > MAX_WIDTH:
-        raise LimitError(f"width {w} exceeds the configured bound {MAX_WIDTH}")
+    _check_width(w)
     left = list(range(p)) + list(range(w, w + p))
     right = list(range(p, w)) + list(range(w + p, 2 * w))
     terms: dict[MotzkinDiagram, Fraction] = {}
@@ -834,8 +836,7 @@ def generator(k: int, name: str, i: int | None = None, *, lam) -> Element:
     carries its defining coefficient lam."""
     if k < 0:
         raise ParameterError(f"width {k} out of range 0..{MAX_WIDTH}")
-    if k > MAX_WIDTH:
-        raise LimitError(f"width {k} exceeds the configured bound {MAX_WIDTH}")
+    _check_width(k)
     _check_generator(k, name, i)
     if name == "id":
         return identity(k, lam=lam)

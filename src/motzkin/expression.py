@@ -14,14 +14,18 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from math import comb
 
 import numpy as np
 
-from .config import MAX_EXPONENT, MAX_NESTING
+from .config import (
+    MAX_EXPONENT, MAX_NESTING, RELATION_FLOOR_ENTRIES, RELATION_MAX_ENTRIES, max_rep_dimension
+)
 from .diagram_core import (
     _SITES,
     Element,
     _check_generator,
+    _check_width,
     adjoint,
     conditional_expectation,
     embed,
@@ -412,53 +416,95 @@ def evaluate(expr, width: int, lam) -> Element:
 
 
 def _local(node, k: int, pair: MotzkinPair, blocks: dict):
-    """(block, first slot) of a scalar (a 1 x 1 block), a generator, g<i>
-    (the level-i projection on the first i slots) or an adjoint of these;
-    None for other nodes."""
+    """(block, first slot, last slot) of a scalar (a 1 x 1 block on the
+    slots 1..0, none), a generator, g<i> (the level-i projection on the
+    first i slots) or an adjoint of these; None for other nodes."""
     if isinstance(node, Adj):
         inner = _local(node.operand, k, pair, blocks)
-        return None if inner is None else (inner[0].conj().T, inner[1])
+        return None if inner is None else (inner[0].conj().T, *inner[1:])
     if isinstance(node, Num):
-        return np.full((1, 1), float(node.value)), 1
+        return np.full((1, 1), float(node.value), pair.dtype), 1, 0
     if not isinstance(node, Gen):
         return None
     _check_gen(node, k)
     if node.name == "id":
-        return np.ones((1, 1)), 1
+        return np.ones((1, 1), pair.dtype), 1, 0
     if node.name == "g":
-        return subproduct_projection(pair, k if node.index is None else node.index), 1
-    return blocks[node.name], node.index
+        i = k if node.index is None else node.index
+        return subproduct_projection(pair, i), 1, i
+    return blocks[node.name], node.index, node.index + _SITES[node.name] - 1
+
+
+def _dense(core) -> np.ndarray:
+    """A core as a matrix; a pair (a, b) of cores is their Kronecker product."""
+    if isinstance(core, np.ndarray):
+        return core
+    a, b = map(_dense, core)
+    (m, n), (p, q) = a.shape, b.shape
+    return np.multiply(a[:, None, :, None], b[None, :, None, :], order="C").reshape(m * p, n * q)
+
+
+def _widen(value, n: int, lo: int, hi: int):
+    """The core of a value on the slots lo..hi, which hold its own, with the
+    identity on the slots it leaves out; a scalar widens from slot 1."""
+    first, last, core = value
+    if first > lo:
+        core = (np.eye(n ** (first - lo)), core)
+    return core if last == hi else (core, np.eye(n ** (hi - last)))
+
+
+def _apply(X, n: int, block: np.ndarray, first: int, last: int):
+    """The value block @ X, for a block on the slots first..last: beside X's
+    slots the Kronecker product with X's core (a pair, formed by `_dense`),
+    over the identity of any gap; on slots X covers, `_apply_local`."""
+    if X is None:
+        return first, last, np.ascontiguousarray(block)
+    lo, hi, core = X
+    if last < first:  # a scalar
+        return lo, hi, _apply_local(_dense(core), n, block, 1)
+    if last < lo:
+        return first, hi, (block, _widen(X, n, last + 1, hi))
+    if first > hi:
+        return lo, last, (_widen(X, n, lo, first - 1), block)
+    lo, hi = min(lo, first), max(hi, last)
+    return lo, hi, _apply_local(_dense(_widen(X, n, lo, hi)), n, block, first - lo + 1)
 
 
 def _act(node, k: int, pair: MotzkinPair, blocks: dict, X):
-    """node @ X on the k-fold power of C^n, X = None standing for the
-    identity.  Products apply their factors to X from right to left and
-    local nodes act on their own slots; a dense n**k x n**k operator is
-    formed only for E(...), for powers and for the adjoint of a compound
-    node."""
+    """node @ X on the k-fold power of C^n (X = None for the identity) as a
+    value (lo, hi, core): `core` on the slots lo..hi, the identity on the
+    others.  Products apply their factors to X from right to left, local
+    nodes act on their own slots (`_apply`) and sums combine their values on
+    the union of their slots; a dense n**k x n**k operator is formed only
+    for E(...), for powers and for the adjoint of a compound node."""
+    n = pair.n
     if isinstance(node, Mul):
         return _act(node.left, k, pair, blocks, _act(node.right, k, pair, blocks, X))
-    if isinstance(node, Add):
-        return _act(node.left, k, pair, blocks, X) + _act(node.right, k, pair, blocks, X)
-    if isinstance(node, Sub):
-        return _act(node.left, k, pair, blocks, X) - _act(node.right, k, pair, blocks, X)
+    if isinstance(node, (Add, Sub)):
+        a, b = _act(node.left, k, pair, blocks, X), _act(node.right, k, pair, blocks, X)
+        lo, hi = min(a[0], b[0]), max(a[1], b[1])
+        op = np.add if isinstance(node, Add) else np.subtract
+        return lo, hi, op(_dense(_widen(a, n, lo, hi)), _dense(_widen(b, n, lo, hi)))
     if isinstance(node, Neg):
-        return -_act(node.operand, k, pair, blocks, X)
+        lo, hi, core = _act(node.operand, k, pair, blocks, X)
+        return lo, hi, -_dense(core)
     local = _local(node, k, pair, blocks)
     if local is not None:
         if X is None:
-            X = np.eye(_check_dim(pair.n, k), dtype=pair.dtype)
-        return _apply_local(X, pair.n, *local)
+            _check_dim(n, k)
+        return _apply(X, n, *local)
     if isinstance(node, Adj):
-        dense = _act(node.operand, k, pair, blocks, None).conj().T
+        dense = _dense(_widen(_act(node.operand, k, pair, blocks, None), n, 1, k)).conj().T
     elif isinstance(node, Pow):
         exponent = _exponent(node)
-        dense = np.linalg.matrix_power(_act(node.operand, k, pair, blocks, None), exponent)
+        base = _dense(_widen(_act(node.operand, k, pair, blocks, None), n, 1, k))
+        dense = np.linalg.matrix_power(base, exponent)
     elif isinstance(node, Expect):
-        dense = rep_conditional_expectation(pair, _act(node.operand, k + 1, pair, blocks, None))
+        operand = _dense(_widen(_act(node.operand, k + 1, pair, blocks, None), n, 1, k + 1))
+        dense = rep_conditional_expectation(pair, operand)
     else:
         raise ParameterError(f"not a syntax node: {node!r}")
-    return dense if X is None else dense @ X
+    return 1, k, dense if X is None else dense @ _dense(_widen(X, n, 1, k))
 
 
 def evaluate_operator(expr, width: int, pair: MotzkinPair) -> np.ndarray:
@@ -475,7 +521,8 @@ def evaluate_operator(expr, width: int, pair: MotzkinPair) -> np.ndarray:
     if width < 1:
         raise ParameterError(f"need width >= 1, got {width}")
     with np.errstate(over="ignore", invalid="ignore"):
-        mat = _act(node, width, pair, _generator_bases(pair), None)
+        value = _act(node, width, pair, _generator_bases(pair), None)
+        mat = _dense(_widen(value, pair.n, 1, width))
     if not np.isfinite(mat).all():
         raise LimitError("operator entries leave the floating-point range")
     return mat
@@ -502,10 +549,11 @@ def check_presentation(k: int, lam) -> PresentationReport:
     is exact, so a pass is a proof for this width and lam.  The word trees
     of every relation go through `_eval_all` as one forest, one kernel pass
     per tree depth.  Widths below 2 have no relation to check and raise
-    ParameterError."""
+    ParameterError, widths past MAX_WIDTH LimitError."""
     if k < 2:
         raise ParameterError(f"need k >= 2 for a relation to check, got {k}")
     lam = as_fraction(lam)
+    _check_width(k)
     relations = list(presentation_relations(k))
     words = [word for _, lhs, rhs in relations for side in (lhs, rhs) for _, word in side]
     values = iter(_eval_all([_word_tree(word) for word in words], k, lam))
@@ -517,40 +565,72 @@ def check_presentation(k: int, lam) -> PresentationReport:
     return PresentationReport(width=k, lam=lam, checked=len(relations), failures=failures)
 
 
+def _twin(a, b) -> float | None:
+    """For two cores that are one Kronecker product of equal factors, a bound
+    on the moduli of its entries; None for others."""
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        left, right = _twin(a[0], b[0]), _twin(a[1], b[1])
+        return None if left is None or right is None else left * right
+    same = isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and np.array_equal(a, b)
+    return float(np.abs(a).max()) if same else None
+
+
+def _check_battery(n: int, k: int) -> None:
+    """Refuse a relation battery whose largest window n**min(k, 4) passes
+    max_rep_dimension(), or whose windows would hold over RELATION_MAX_ENTRIES
+    times its square: 6(k-1) instances on 2 slots, 9(k-2) on 3 and
+    9 C(k-2, 2) on 4, each counted as at least RELATION_FLOOR_ENTRIES."""
+    bound, s = max_rep_dimension(), min(k, 4)
+    counts = {2: 6 * (k - 1), 3: 9 * (k - 2), 4: 9 * comb(k - 2, 2)}
+    entries = sum(c * max(n ** (2 * w), RELATION_FLOOR_ENTRIES) for w, c in counts.items())
+    if n**s > bound:
+        why = f"relation window n**{s} = {n**s} exceeds the configured bound {bound}"
+    elif entries > RELATION_MAX_ENTRIES * bound**2:
+        limit = f"{RELATION_MAX_ENTRIES} * {bound}**2"
+        why = f"relation battery at width {k} would form more than {limit} entries"
+    else:
+        return
+    raise LimitError(f"{why} (raise MOTZKIN_MAX_DIM to override)")
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def relation_residuals(pair: MotzkinPair, k: int) -> dict[str, float]:
     """Frobenius residual of every defining relation instance at width k.
 
-    Each relation is evaluated on the window of w consecutive slots its
-    words touch.  Every word is the identity outside that window, so the
-    residual on the k-fold power is the window residual times n**((k-w)/2).
-    Widths below 2 have no relation to check and raise ParameterError; a
-    pair whose generators or residuals leave the floating-point range
-    raises LimitError, the generators before any window is built.
+    A relation is evaluated on the s <= 4 slots its words touch, relabelled
+    by rank (closing the gaps of the far commutations (6)), and scaled by
+    n**((k-s)/2), as every word is the identity on the other slots.  Two
+    sides of one word each that are one Kronecker product of equal factors,
+    as in (6), cancel exactly without forming it.  Widths below 2 raise
+    ParameterError; `_check_battery` refuses a battery too large for the
+    dimension bound, and a pair whose generators or residuals leave the
+    floating-point range raises LimitError, the generators first.
     """
     if k < 2:
         raise ParameterError(f"need k >= 2 for a relation to check, got {k}")
     n = pair.n
-    _check_dim(n, k)
+    _check_battery(n, k)
     lam = float(pair.lam)
     blocks = _generator_bases(pair)
     out: dict[str, float] = {}
     for label, lhs, rhs in presentation_relations(k):
-        terms = [
-            (sign * lam**power, word)
-            for sign, side in ((1, lhs), (-1, rhs))
-            for power, word in side
-        ]
-        touched = [
-            (i, i + _SITES[name] - 1) for _, word in terms for name, i, _ in word
-        ]
-        lo = min(first for first, _ in touched)
-        w = max(last for _, last in touched) - lo + 1
-        total = np.zeros((n**w, n**w), dtype=pair.dtype)
-        for coeff, word in terms:
-            local = _word_tree([(name, i - lo + 1, dag) for name, i, dag in word])
-            total += coeff * _act(local, w, pair, blocks, None)
-        out[label] = float(np.linalg.norm(total)) * n ** ((k - w) / 2)
+        slots = {i + m for _, word in lhs + rhs for name, i, _ in word for m in range(_SITES[name])}
+        rank = {slot: r for r, slot in enumerate(sorted(slots), 1)}
+        s = len(slots)
+        terms = []
+        for op, side in ((np.add, lhs), (np.subtract, rhs)):
+            for power, word in side:
+                tree = _word_tree([(name, rank[i], dag) for name, i, dag in word])
+                terms.append((op, power, _widen(_act(tree, s, pair, blocks, None), n, 1, s)))
+        (_, p, a), (_, q, b), *more = terms
+        twin = None if more or p != q else _twin(a, b)
+        if twin is None:
+            total = np.zeros((n**s, n**s), dtype=pair.dtype)
+            for op, power, core in terms:
+                core = _dense(core)
+                op(total, lam**power * core if power else core, out=total)
+        norm = float(np.linalg.norm(total)) if twin is None else 0.0 * twin
+        out[label] = norm * n ** ((k - s) / 2)
     if not np.isfinite(list(out.values())).all():
         raise LimitError("operator entries leave the floating-point range")
     return out

@@ -17,9 +17,9 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from .config import MAX_WIDTH
 from .diagram_core import (
     Element,
+    _check_width,
     _numerators,
     adjoint,
     conditional_expectation,
@@ -51,8 +51,7 @@ class JWCache:
         lam = as_fraction(lam)
         if k < 0:
             raise ParameterError(f"need k >= 0, got {k}")
-        if k > MAX_WIDTH:
-            raise LimitError(f"width {k} exceeds the configured bound {MAX_WIDTH}")
+        _check_width(k)
         key = (k, lam)
         if key in self._elements:
             return self._elements[key]

@@ -16,6 +16,7 @@ products are linear in the first variable throughout.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import accumulate
@@ -284,13 +285,20 @@ def build_example_pair(family: str, n: int, r: int = 0, lam=Fraction(1, 4)) -> M
 
 
 def _check_dim(n: int, k: int) -> int:
-    dim = n**k
-    if dim > max_rep_dimension():
-        raise LimitError(
-            f"dimension n**k = {dim} exceeds the configured bound "
-            f"{max_rep_dimension()} (raise MOTZKIN_MAX_DIM to override)"
-        )
-    return dim
+    """n**k, or LimitError past max_rep_dimension().  A power of over 2**15
+    bits, past any bound, is not formed and shows as n**k in the message."""
+    bound = max_rep_dimension()
+    dim = n**k if k * (n - 1).bit_length() <= 2**15 else None
+    if dim is not None and dim <= bound:
+        return dim
+    shown = f"{n}**{k}"
+    if dim is not None:
+        with suppress(ValueError):  # more digits than Python prints
+            shown = str(dim)
+    raise LimitError(
+        f"dimension n**k = {shown} exceeds the configured bound "
+        f"{bound} (raise MOTZKIN_MAX_DIM to override)"
+    )
 
 
 def p_matrix(pair: MotzkinPair) -> np.ndarray:

@@ -658,6 +658,36 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
 
+    def test_huge_widths_refused_at_once(self, capsys):
+        # No power n**k is formed past the dimension bound and no relation
+        # is listed past MAX_WIDTH, so each refusal is a limit error within
+        # a second; a power too long to print is shown as n**k.
+        huge = "99999999999999999999"
+        bound = "exceeds the configured bound 4096 (raise MOTZKIN_MAX_DIM to override)\n"
+        battery = "would form more than 10 * 4096**2 entries (raise MOTZKIN_MAX_DIM to override)\n"
+        cases = {
+            ("presentation", "--k", huge): f"error: width {huge} exceeds the configured bound 6\n",
+            ("rep", "faithful", "--k", huge): f"error: dimension n**k = 4**{huge} {bound}",
+            ("rep", "faithful", "--k", "7200"): f"error: dimension n**k = 4**7200 {bound}",
+            ("eval", "t1", "--rep", "--k", huge): f"error: dimension n**k = 4**{huge} {bound}",
+            ("rep", "check", "--k", huge): f"error: relation battery at width {huge} {battery}",
+            ("rep", "check", "--k", "100000"): f"error: relation battery at width 100000 {battery}",
+        }
+        for argv, err in cases.items():
+            start = time.process_time()
+            assert run_command(list(argv)) == 2, argv
+            assert capsys.readouterr().err == err
+            assert time.process_time() - start < 1.0, argv
+        # A power short enough to print is printed, as it always was.
+        assert run_command(["rep", "faithful", "--k", "20"]) == 2
+        assert capsys.readouterr().err == f"error: dimension n**k = 1099511627776 {bound}"
+
+    def test_rep_check_width_eight(self, capsys):
+        # The battery works on the touched slots, so n**k = 65536 is no bar.
+        assert run_command(["rep", "check", "--k", "8"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["ok"] is True and data["checked"] == 231
+
     def test_dims_too_long_to_print(self, capsys):
         # d_1434 of n = 1000 has 4302 digits, past Python's int-to-text limit.
         assert run_command(["dims", "--n", "1000", "--kmax", "3000"]) == 2

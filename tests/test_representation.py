@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import struct
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -278,6 +279,15 @@ def _word_relation_residuals(pair, k):
     return out
 
 
+def _assert_same_bits(pair, k):
+    # Every residual keeps its key, its place and its bits.
+    res = relation_residuals(pair, k)
+    ref = _word_relation_residuals(pair, k)
+    assert list(res) == list(ref), (pair.n, k)
+    bits = [struct.pack("<d", v) for v in res.values()]
+    assert bits == [struct.pack("<d", v) for v in ref.values()], (pair.n, k)
+
+
 def _assert_matches_dense(pair, k):
     res = relation_residuals(pair, k)
     ref = _dense_relation_residuals(pair, k)
@@ -314,12 +324,13 @@ class TestRelations:
                 assert max(res.values()) < 1e-10, (pair.n, k)
 
     def test_interpreter_matches_word_products_bit_for_bit(self):
-        # The words run through the operator interpreter apply the same
-        # blocks in the same order as the token walk, so every residual
-        # keeps its key, its place and its bits.
+        # The token walk applies every block to the identity on the whole
+        # window.  The interpreter Kronecker-multiplies a block beside a
+        # value onto its core, and applies one that meets it as the walk
+        # does, so each entry is the same product.
         n4 = build_example_pair("iii", 4, 1, QUARTER)
         cases = [
-            (build_example_pair("i", 3, 0, THIRD), (2, 3, 4, 5)),
+            (build_example_pair("i", 3, 0, THIRD), (2, 3, 4, 5, 6)),
             (n4, (2, 3, 4, 5)),
             (build_example_pair("ii", 5, 1, Fraction(1, 5)), (2, 3, 4)),
             (build_example_pair("iii", 5, 2, Fraction(1, 5)), (2, 3, 4)),
@@ -327,11 +338,12 @@ class TestRelations:
         ]
         for pair, ks in cases:
             for k in ks:
-                res = relation_residuals(pair, k)
-                ref = _word_relation_residuals(pair, k)
-                assert list(res) == list(ref), (pair.n, k)
-                bits = [struct.pack("<d", v) for v in res.values()]
-                assert bits == [struct.pack("<d", v) for v in ref.values()], (pair.n, k)
+                _assert_same_bits(pair, k)
+
+    @pytest.mark.slow
+    def test_interpreter_matches_word_products_at_width_six(self):
+        # The reference forms the far commutations (6) on all six slots.
+        _assert_same_bits(_pair4(), 6)
 
     def test_window_sees_violations(self):
         # A perturbed a-vector breaks the pair; the window evaluation must
@@ -342,9 +354,75 @@ class TestRelations:
             res = _assert_matches_dense(pair, k)
             assert max(res.values()) > 0.1
 
-    def test_dimension_guard(self):
-        with pytest.raises(LimitError):
-            relation_residuals(_pair4(), 7)
+    def test_far_commutations_see_the_slot_order(self, monkeypatch):
+        # Every far commutation is exactly 0.0.  With a block inserted on the
+        # wrong side of the core it meets, those of unlike generators fail.
+        far = {label: v for label, v in relation_residuals(_pair4(), 4).items() if "(6)" in label}
+        assert len(far) == 9 and set(far.values()) == {0.0}
+        apply = expression._apply
+
+        def wrong_side(X, n, block, first, last):
+            if X is not None and first <= last < X[0]:
+                return first, X[1], (expression._widen(X, n, last + 1, X[1]), block)
+            return apply(X, n, block, first, last)
+
+        monkeypatch.setattr(expression, "_apply", wrong_side)
+        far = {label: v for label, v in relation_residuals(_pair4(), 4).items() if "(6)" in label}
+        kinds = {label: [(x[0], x.endswith("*")) for x in label[4:-1].split(",")] for label in far}
+        unlike = [label for label, (x, y) in kinds.items() if x != y]
+        assert len(unlike) == 6
+        assert all(far[label] > TOL_CHECK for label in unlike), far
+
+    def test_twin_cores(self):
+        # Two sides that are one Kronecker product of equal factors cancel;
+        # the bound on their entries makes the cancelled residual NaN when
+        # the product would leave the floating-point range.
+        a, b = np.array([[2.0, -3.0]]), np.array([[0.5], [4.0]])
+        assert expression._twin((a, b), (a.copy(), b.copy())) == 12.0
+        assert expression._twin((a, b), (b, a)) is None
+        assert expression._twin((a, b), expression._dense((a, b))) is None
+        huge = np.array([[1e200]])
+        assert np.isnan(0.0 * expression._twin((huge, huge), (huge, huge)))
+
+    def test_battery_guard(self):
+        # The battery forms no n**k x n**k operator: n = 4 reaches width 8.
+        # Its largest window, n**min(k, 4), is held to the dimension bound,
+        # and the entries of all its windows to 10 times the bound squared.
+        assert max(relation_residuals(_pair4(), 8).values()) < TOL_CHECK
+        pair16 = build_example_pair("iii", 16, 1, Fraction(1, 16))
+        window = r"relation window n\*\*4 = 65536 exceeds the configured bound 4096"
+        with pytest.raises(LimitError, match=window):
+            relation_residuals(pair16, 4)
+        expression._check_battery(4, 26)
+        for k in (27, 10**6, 10**20):
+            start = time.process_time()
+            battery = rf"relation battery at width {k} would form more than 10 \* 4096\*\*2 entries"
+            with pytest.raises(LimitError, match=battery):
+                relation_residuals(_pair4(), k)
+            assert time.process_time() - start < 0.5
+
+    def test_battery_guard_keeps_every_width_of_the_dimension_bound(self):
+        for n in range(2, 4097):
+            k = 2
+            while n**k <= 4096:
+                expression._check_battery(n, k)
+                k += 1
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_battery_guard_counts_every_window(self, monkeypatch, k):
+        # The entry count is exact: a limit of exactly the entries of the
+        # windows presentation_relations(k) yields passes, one less refuses.
+        n = 3
+        entries = 0
+        for _, lhs, rhs in presentation_relations(k):
+            words = [word for _, word in lhs + rhs]
+            slots = {i + m for word in words for name, i, _ in word for m in range(_SITES[name])}
+            entries += max(n ** (2 * len(slots)), expression.RELATION_FLOOR_ENTRIES)
+        monkeypatch.setattr(expression, "RELATION_MAX_ENTRIES", Fraction(entries, 4096**2))
+        expression._check_battery(n, k)
+        monkeypatch.setattr(expression, "RELATION_MAX_ENTRIES", Fraction(entries - 1, 4096**2))
+        with pytest.raises(LimitError, match="relation battery"):
+            expression._check_battery(n, k)
 
 
 _LETTERS = ("l", "r", "t", "p")

@@ -8,10 +8,11 @@ point is isolated.  Planarity means the strands can be drawn inside the
 rectangle without crossings, equivalently the matching is non-crossing in
 the boundary's cyclic order.
 
-Elements of the algebra are Fraction-linear combinations of diagrams of a
-common width.  Stacking x over y multiplies them: closed loops formed in
-the middle contribute a factor delta = 1/lam each, and strands that dead-end
-on an unmatched middle point are simply erased.
+Elements of the algebra are rational combinations of diagrams of a common
+width, held as integer numerators over one positive denominator with no
+factor common to all of them.  Stacking x over y multiplies them: closed
+loops formed in the middle contribute a factor delta = 1/lam each, and
+strands that dead-end on an unmatched middle point are simply erased.
 
 Products are composed by table lookups on half-diagrams.  A diagram is its
 top and bottom rows, each a half-diagram of arcs, isolated points and
@@ -28,8 +29,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-from typing import Collection, Iterable, Iterator, Sequence
+from math import gcd, lcm
+from types import MappingProxyType
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -425,13 +427,6 @@ def _compose_halves(tables: _HalfTables, x_top: np.ndarray, x_bottom: np.ndarray
     return halves[:len(loops)], halves[len(loops):], loops
 
 
-def _numerators(coeffs: Collection[Fraction]) -> tuple[list[int], int]:
-    """`coeffs` as integers over their least common denominator, and that
-    denominator."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
 def _sum_dtype(a1: list[int], a2: list[int], lam: Fraction, k: int) -> type:
     """np.int64 when no sum of `products` over numerators a1 and a2 at
     width k can reach 2**62 in size, else object (Python ints)."""
@@ -461,8 +456,8 @@ def products(pairs: Sequence[tuple["Element", "Element"]]) -> list["Element"]:
     `_sum_dtype` allows for every product, otherwise in Python ints.  Sums
     are grouped by the key (r * h + top) * h + bottom, for the result's
     halves among the h half-diagrams of width k, and a block is reduced to
-    its distinct keys before the next is composed.  Each product's terms
-    come in the order in which its pairs first reach them."""
+    its distinct keys before the next is composed.  Terms come in the order
+    their pairs first reach them, and one gcd reduces each product."""
     if not pairs:
         return []
     x0 = pairs[0][0]
@@ -479,24 +474,24 @@ def products(pairs: Sequence[tuple["Element", "Element"]]) -> list["Element"]:
     a1, a2, ends, table, dens, dtype = [], [], [0], [], [], np.int64
     codes1, codes2 = [], []
     for r, (x, y) in enumerate(pairs):
-        (c1, d1), (c2, d2) = _numerators(x.terms.values()), _numerators(y.terms.values())
+        c1, c2 = list(x._num.values()), list(y._num.values())
         if c1 and c2:
             if _sum_dtype(c1, c2, lam, k) is object:
                 dtype = object
-            codes1 += tables.codes_of(x.terms)
-            codes2 += tables.codes_of(y.terms)
+            codes1 += tables.codes_of(x._num)
+            codes2 += tables.codes_of(y._num)
         else:
             c1 = c2 = []  # a zero product keeps no rows and no numerators
         # Pair s of product r composes x term (s + shift) // n2 with y term
         # y0 + (s + shift) % n2, and r * h leads its keys.
         table.append((len(a1) * len(c2) - ends[-1], len(c2) or 1, len(a2), r * size))
         ends.append(ends[-1] + len(c1) * len(c2))
-        dens.append(d1 * d2 * p**most)
+        dens.append(x._den * y._den * p**most)
         a1 += c1
         a2 += c2
     del c1, c2  # the numerators live on in a1 and a2 alone
     if not ends[-1]:
-        return [Element._trusted(k, lam, {}) for _ in pairs]
+        return [Element._trusted(k, lam, {}, 1) for _ in pairs]
     weight = np.array([q**l * p ** (most - l) for l in range(most + 1)], dtype=dtype)
     top1, bottom1 = np.divmod(np.array(codes1, dtype=np.intp), size)
     top2, bottom2 = np.divmod(np.array(codes2, dtype=np.intp), size)
@@ -533,7 +528,7 @@ def products(pairs: Sequence[tuple["Element", "Element"]]) -> list["Element"]:
     out, lo = [], 0
     for den, hi in zip(dens, np.searchsorted(product, np.arange(1, len(pairs) + 1)).tolist()):
         terms = zip(code[lo:hi].tolist(), total[lo:hi].tolist())
-        out.append(Element._trusted(k, lam, {diagrams[c]: Fraction(num, den) for c, num in terms}))
+        out.append(Element._reduced(k, lam, {diagrams[c]: num for c, num in terms}, den))
         lo = hi
     return out
 
@@ -543,13 +538,14 @@ def products(pairs: Sequence[tuple["Element", "Element"]]) -> list["Element"]:
 
 
 class Element:
-    """A Fraction-linear combination of Motzkin diagrams of one width.
+    """A rational combination of Motzkin diagrams of one width.
 
     `lam` is the algebra parameter; a closed loop formed during
-    multiplication is worth delta = 1/lam.
+    multiplication is worth delta = 1/lam.  Diagram d has the coefficient
+    `_num[d] / _den` (see the module docstring); `terms` views them as Fractions.
     """
 
-    __slots__ = ("width", "lam", "terms")
+    __slots__ = ("width", "lam", "_num", "_den", "_terms")
 
     def __init__(self, width: int, lam, terms: dict | None = None):
         self.width = int(width)
@@ -569,17 +565,28 @@ class Element:
                         f"diagram of width {d.width} in an element of width {self.width}"
                     )
                 clean[d] = c
-        self.terms = clean
+        den = self._den = lcm(*(c.denominator for c in clean.values()))
+        self._num = {d: c.numerator * (den // c.denominator) for d, c in clean.items()}
+        self._terms = None
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _trusted(cls, width: int, lam: Fraction, terms: dict) -> "Element":
-        # Internal fast path: trusts that `terms` maps diagrams of this
-        # width to nonzero Fractions and that `lam` is a positive Fraction.
+    def _trusted(cls, width: int, lam: Fraction, num: dict, den: int) -> "Element":
+        # Internal fast path: trusts that `num` and `den` are canonical for
+        # this width (nonzero numerators, gcd 1) and `lam` a positive Fraction.
         e = cls.__new__(cls)
-        e.width, e.lam, e.terms = width, lam, terms
+        e.width, e.lam, e._num, e._den, e._terms = width, lam, num, den, None
         return e
+
+    @classmethod
+    def _reduced(cls, width: int, lam: Fraction, num: dict, den: int) -> "Element":
+        # As `_trusted`, with `num` and `den` first divided by their gcd.
+        g = gcd(den, *num.values())
+        if g > 1:
+            num = {d: v // g for d, v in num.items()}
+            den //= g
+        return cls._trusted(width, lam, num, den)
 
     @classmethod
     def zero(cls, width: int, lam) -> "Element":
@@ -591,11 +598,19 @@ class Element:
 
     # -- basic queries ------------------------------------------------
 
+    @property
+    def terms(self) -> MappingProxyType:
+        """The coefficients as a read-only {diagram: Fraction} mapping."""
+        if self._terms is None:
+            den = self._den
+            self._terms = MappingProxyType({d: Fraction(v, den) for d, v in self._num.items()})
+        return self._terms
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def coefficient(self, diagram: MotzkinDiagram) -> Fraction:
-        return self.terms.get(diagram, Fraction(0))
+        return Fraction(self._num.get(diagram, 0), self._den)
 
     def identity_coefficient(self) -> Fraction:
         k = self.width
@@ -606,14 +621,15 @@ class Element:
             isinstance(other, Element)
             and self.width == other.width
             and self.lam == other.lam
-            and self.terms == other.terms
+            and self._den == other._den
+            and self._num == other._num
         )
 
     def __hash__(self):
         raise TypeError("Element is not hashable")
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self._num:
             return f"Element(width={self.width}, 0)"
         parts = [
             f"{c}*{list(d.pairing)}"
@@ -633,35 +649,41 @@ class Element:
             raise ParameterError(
                 f"width mismatch: {self.width} vs {other.width}"
             )
-        if self.lam != other.lam:
+        if self.lam is not other.lam and self.lam != other.lam:
             raise ParameterError(f"lam mismatch: {self.lam} vs {other.lam}")
 
-    def __add__(self, other: "Element") -> "Element":
+    def _combine(self, other: "Element", sign: int) -> "Element":
+        """self + sign * other, over the lcm of the two denominators."""
         self._check_compatible(other)
-        acc = dict(self.terms)
-        for d, c in other.terms.items():
-            s = acc.get(d, Fraction(0)) + c
-            if s == 0:
-                acc.pop(d, None)
-            else:
+        den = lcm(self._den, other._den)
+        f1, f2 = den // self._den, sign * (den // other._den)
+        acc = {d: v * f1 for d, v in self._num.items()} if f1 > 1 else dict(self._num)
+        for d, v in other._num.items():
+            s = acc.get(d, 0) + v * f2
+            if s:
                 acc[d] = s
-        return Element._trusted(self.width, self.lam, acc)
+            else:
+                del acc[d]
+        return Element._reduced(self.width, self.lam, acc, den)
+
+    def __add__(self, other: "Element") -> "Element":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Element":
         return Element._trusted(
-            self.width, self.lam, {d: -c for d, c in self.terms.items()}
+            self.width, self.lam, {d: -v for d, v in self._num.items()}, self._den
         )
 
     def scale(self, scalar) -> "Element":
         c = as_fraction(scalar)
         if c == 0:
-            return Element.zero(self.width, self.lam)
-        return Element._trusted(
-            self.width, self.lam, {d: c * v for d, v in self.terms.items()}
-        )
+            return Element._trusted(self.width, self.lam, {}, 1)
+        a, b = c.numerator, c.denominator
+        num = {d: a * v for d, v in self._num.items()}
+        return Element._reduced(self.width, self.lam, num, self._den * b)
 
     def __rmul__(self, scalar) -> "Element":
         if isinstance(scalar, (int, Fraction)):
@@ -711,25 +733,24 @@ def _relabel(p: Pairing, point_map: Sequence[int], out: list[int]) -> list[int]:
     return out
 
 
-def _relabel_terms(x: Element, point_map: Sequence[int]) -> dict:
-    return {
-        _wrap(tuple(_relabel(d.pairing, point_map, [-1] * (2 * x.width)))): c
-        for d, c in x.terms.items()
-    }
+def _relabel_terms(x: Element, point_map: Sequence[int]) -> Element:
+    k = x.width
+    return Element._trusted(k, x.lam, {
+        _wrap(tuple(_relabel(d.pairing, point_map, [-1] * (2 * k)))): v
+        for d, v in x._num.items()
+    }, x._den)
 
 
 def adjoint(x: Element) -> Element:
     """Flip every diagram upside down (coefficients are real, so left alone)."""
     k = x.width
-    flip = list(range(k, 2 * k)) + list(range(k))
-    return Element._trusted(k, x.lam, _relabel_terms(x, flip))
+    return _relabel_terms(x, list(range(k, 2 * k)) + list(range(k)))
 
 
 def reflect(x: Element) -> Element:
     """Mirror every diagram left-to-right."""
     k = x.width
-    mirror = list(range(k - 1, -1, -1)) + list(range(2 * k - 1, k - 1, -1))
-    return Element._trusted(k, x.lam, _relabel_terms(x, mirror))
+    return _relabel_terms(x, list(range(k - 1, -1, -1)) + list(range(2 * k - 1, k - 1, -1)))
 
 
 def embed(x: Element, h: int = 1) -> Element:
@@ -751,17 +772,13 @@ def juxtapose(x: Element, y: Element) -> Element:
     _check_width(w)
     left = list(range(p)) + list(range(w, w + p))
     right = list(range(p, w)) + list(range(w + p, 2 * w))
-    terms: dict[MotzkinDiagram, Fraction] = {}
-    for d1, c1 in x.terms.items():
+    # Distinct term pairs give distinct diagrams, so no two terms merge.
+    num: dict[MotzkinDiagram, int] = {}
+    for d1, c1 in x._num.items():
         base = _relabel(d1.pairing, left, [-1] * (2 * w))
-        for d2, c2 in y.terms.items():
-            key = _wrap(tuple(_relabel(d2.pairing, right, list(base))))
-            c = c1 * c2
-            prev = terms.get(key)
-            terms[key] = c if prev is None else prev + c
-    return Element._trusted(
-        w, x.lam, {d: c for d, c in terms.items() if c != 0}
-    )
+        for d2, c2 in y._num.items():
+            num[_wrap(tuple(_relabel(d2.pairing, right, list(base))))] = c1 * c2
+    return Element._reduced(w, x.lam, num, x._den * y._den)
 
 
 def conditional_expectation(x: Element) -> Element:
@@ -773,38 +790,38 @@ def conditional_expectation(x: Element) -> Element:
     if k == 0:
         raise ParameterError("conditional expectation needs width >= 1")
     lam = x.lam
-    delta = 1 / lam
     w = k - 1
 
     def m(i: int) -> int:
         # Index map after dropping points k-1 (top right) and 2k-1 (bottom right).
         return i if i < k - 1 else i - 1
 
-    acc: dict[Pairing, Fraction] = {}
-    for d, c in x.terms.items():
-        p = d.pairing
-        a, b = p[k - 1], p[2 * k - 1]
+    # Over den * q for lam = p/q, a term v/den adds v*p (times lam), or v*q
+    # when the closed column forms a loop (times lam * delta = 1).
+    acc: dict[Pairing, int] = {}
+    for d, v in x._num.items():
+        pairing = d.pairing
+        a, b = pairing[k - 1], pairing[2 * k - 1]
         new = [-1] * (2 * w)
-        for i, j in enumerate(p):
+        for i, j in enumerate(pairing):
             if i in (k - 1, 2 * k - 1) or j < 0:
                 continue
             if j in (k - 1, 2 * k - 1):
                 continue
             new[m(i)] = m(j)
-        coeff = c * lam
         if a == 2 * k - 1:
-            # The closed column forms a loop.
-            coeff *= delta
-        elif a >= 0 and b >= 0:
-            new[m(a)], new[m(b)] = m(b), m(a)
+            coeff = v * lam.denominator
+        else:
+            coeff = v * lam.numerator
+            if a >= 0 and b >= 0:
+                new[m(a)], new[m(b)] = m(b), m(a)
         # If exactly one of a, b is matched, the closure dies on the
         # isolated side and the surviving end becomes isolated: nothing
         # to add.  If both are isolated nothing happens either.
         key = tuple(new)
-        prev = acc.get(key)
-        acc[key] = coeff if prev is None else prev + coeff
-    return Element._trusted(
-        w, lam, {_wrap(p): c for p, c in acc.items() if c != 0}
+        acc[key] = acc.get(key, 0) + coeff
+    return Element._reduced(
+        w, lam, {_wrap(p): c for p, c in acc.items() if c}, x._den * lam.denominator
     )
 
 

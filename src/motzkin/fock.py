@@ -298,7 +298,7 @@ class _Block(NamedTuple):
         return 2 * s * s + 3 * m * s + 6 * m * m
 
 
-_FIRST_SVD_BYTES = 2**20  # BLAS and LAPACK buffers of a process's first SVD, 1.2 MiB measured
+_FIRST_SVD_BYTES = 11 * 2**17  # buffers and heap of a process's first SVD, 1.3 MiB measured
 _SLOT_BYTES = 800  # Python objects per block slot: its plan entry and its stored view
 
 
@@ -308,10 +308,10 @@ def _plan_levels(charges: list, levels: int, itemsize: int) -> list[list[_Block]
     peak at, before any level is built.  A level counts the frames up to it
     (sum_t rows_t chi_j(t) entries of ``itemsize`` bytes and _SLOT_BYTES per
     block slot, for level j), its costliest block's transient arrays and
-    _FIRST_SVD_BYTES: 1.1 - 1.4 times the peak RSS growth of a fresh process
-    building n = 4 levels 7 - 9, ii n = 5 levels 5 - 7 or iii n = 5 r = 2 levels
-    5 - 6.  The first level over FOCK_MAX_BYTES raises LimitError, and an empty
-    level ParameterError."""
+    _FIRST_SVD_BYTES: 1.0 - 1.4 times the peak RSS growth of a fresh process,
+    from source or bytecode, building n = 4 levels 7 - 9, ii n = 5 levels 5 - 7
+    or iii n = 5 r = 2 levels 5 - 6.  The first level over FOCK_MAX_BYTES raises
+    LimitError, and an empty level ParameterError."""
     chi = charge_characters(charges)
     plans, held, need, below, here = [], 0, 0, {}, next(chi)
     for k, above in zip(range(1, levels + 1), chi):

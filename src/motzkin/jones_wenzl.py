@@ -14,13 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .diagram_core import (
     Element,
     _check_width,
-    _numerators,
     adjoint,
     conditional_expectation,
     embed,
@@ -237,19 +236,14 @@ def _primitive(ints: list[int]) -> list[int]:
     return [v // g for v in ints] if g > 1 else ints
 
 
-def _integer_row(row: list[Fraction]) -> list[int]:
-    """`row` times a positive rational: integers with no common factor."""
-    return _primitive(_numerators(row)[0])
+def _rational_rank(rows: list[list[int]]) -> int:
+    """Rank of a matrix of integers by fraction-free Gaussian elimination.
 
-
-def _rational_rank(rows: list[list[Fraction]]) -> int:
-    """Rank of a matrix of Fractions by fraction-free Gaussian elimination.
-
-    Each row is scaled to coprime integers; a pivot row `prow` with pivot
-    `pv` clears the entry f of a row below it as pv*row - f*prow, and every
-    new row is divided by the gcd of its entries.
+    A pivot row `prow` with pivot `pv` clears the entry f of a row below it
+    as pv*row - f*prow; every row, given or new, is divided by the gcd of
+    its entries.
     """
-    work = [_integer_row(row) for row in rows if any(v != 0 for v in row)]
+    work = [_primitive(row) for row in rows if any(row)]
     if not work:
         return 0
     ncols = len(work[0])
@@ -297,19 +291,24 @@ def uniqueness_probe(k: int, lam, cache: JWCache | None = None) -> UniquenessRep
     cache = cache or _default_cache
     lam = as_fraction(lam)
     g = cache.element(k, lam)
-    rows, basis = _probe_rows(k, lam, g)
+    rows, basis, scale = _probe_rows(k, lam, g)
     dim = len(basis) - _rational_rank(rows)
 
-    gv = _integer_row([g.coefficient(d) for d in basis])
-    contains = all(sum(map(mul, _integer_row(row), gv)) == 0 for row in rows)
+    # Column j is scaled by scale[j]: g is a solution if the rows kill g_j / scale[j].
+    common = lcm(*scale)
+    gv = [g._num.get(d, 0) * (common // s) for d, s in zip(basis, scale)]
+    contains = all(sum(map(mul, row, gv)) == 0 for row in rows)
     return UniquenessReport(
         width=k, lam=lam, solution_dimension=dim, contains_jw=contains
     )
 
 
-def _probe_rows(k: int, lam: Fraction, g: Element) -> tuple[list[list[Fraction]], list]:
-    """The linear system of `uniqueness_probe` and the basis of width k
-    that numbers its columns."""
+def _probe_rows(k: int, lam: Fraction, g: Element) -> tuple[list[list[int]], list, list[int]]:
+    """The linear system of `uniqueness_probe` as integer rows, the basis
+    of width k that numbers its columns, and the scale of each column.
+
+    Column j holds the images of basis diagram y_j times scale[j], the lcm
+    of their denominators; scaling a column keeps the rank."""
     basis = enumerate_basis(k)
     index = {d: j for j, d in enumerate(basis)}
     # Per basis diagram y: p_i y and y p_i (i < k), g y and y g, all in one
@@ -318,11 +317,14 @@ def _probe_rows(k: int, lam: Fraction, g: Element) -> tuple[list[list[Fraction]]
     ys = [Element.from_diagram(d, lam) for d in basis]
     done = products([pair for y in ys for f in factors for pair in ((f, y), (y, f))])[::-1]
     # One dict per constraint: rows by output diagram, columns by basis diagram.
-    outs: list[dict[int, list[Fraction]]] = [{} for _ in range(2 * len(factors) + 1)]
+    outs: list[dict[int, list[int]]] = [{} for _ in range(2 * len(factors) + 1)]
+    scale = []
     for j, y in enumerate(ys):
         image = [done.pop() for _ in range(2 * len(factors))]
         image[-2:] = [image[-2] - y, image[-1] - y, adjoint(y) - y]
+        scale.append(lcm(*(z._den for z in image)))
         for out, z in zip(outs, image):
-            for diag, coeff in z.terms.items():
-                out.setdefault(index[diag], [Fraction(0)] * len(basis))[j] = coeff
-    return [row for out in outs for row in out.values()], basis
+            f = scale[j] // z._den
+            for diag, num in z._num.items():
+                out.setdefault(index[diag], [0] * len(basis))[j] = num * f
+    return [row for out in outs for row in out.values()], basis, scale

@@ -396,7 +396,8 @@ def evaluate_diagram(pair: MotzkinPair, diagram: MotzkinDiagram) -> np.ndarray:
 
 
 def evaluate_element(pair: MotzkinPair, x: Element) -> np.ndarray:
-    """Linear extension of evaluate_diagram (coefficients become floats).
+    """Linear extension of evaluate_diagram (coefficients become floats,
+    each numerator / denominator as `float` of its Fraction would give).
 
     The terms are grouped by their number t of through strands.  With T_t
     the distinct top halves side by side, B_t the distinct bottom halves
@@ -409,11 +410,11 @@ def evaluate_element(pair: MotzkinPair, x: Element) -> np.ndarray:
     _, b = pair.vectors()
     arc = float(pair.lam) ** -0.5 * pair.vA().reshape(n, n)
     groups: dict[int, tuple[dict, dict, list]] = {}
-    for d, c in x.terms.items():
+    for d, v in x._num.items():
         top, bottom = _row_keys(d.pairing, k)
         tops, bottoms, entries = groups.setdefault(top.count(k), ({}, {}, []))
         entries.append(
-            (tops.setdefault(top, len(tops)), bottoms.setdefault(bottom, len(bottoms)), float(c))
+            (tops.setdefault(top, len(tops)), bottoms.setdefault(bottom, len(bottoms)), v / x._den)
         )
     out = np.zeros((dim, dim), dtype=pair.dtype)
     for tops, bottoms, entries in groups.values():

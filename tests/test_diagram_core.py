@@ -7,7 +7,9 @@ import sys
 import textwrap
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -37,7 +39,6 @@ from motzkin.diagram_core import (
     _compose_rows,
     _half_diagrams,
     _half_tables,
-    _numerators,
     _sum_dtype,
     presentation_relations,
     products,
@@ -655,8 +656,7 @@ class TestBatchedProduct:
             basis = enumerate_basis(k)
             x = _random_element(rng, basis, lam, 30)
             y = _random_element(rng, basis, lam, 30)
-            a1, _ = _numerators(x.terms.values())
-            a2, _ = _numerators(y.terms.values())
+            a1, a2 = list(x._num.values()), list(y._num.values())
             assert _sum_dtype(a1, a2, lam, k) is object
             got = x * y
             assert [(d.pairing, c) for d, c in got.terms.items()] == _ref_multiply(x, y)
@@ -803,6 +803,150 @@ def test_products_match_fraction_loop(pairs):
     assert [[(d.pairing, c) for d, c in z.terms.items()] for z in products(pairs)] == [
         expected[id(x), id(y)] for x, y in pairs
     ]
+
+
+# Coefficients of either sign, 21-digit integers and Fractions among them.
+_SIGNED = st.one_of(
+    st.fractions(min_value=-30, max_value=30, max_denominator=40),
+    st.integers(-10**21, 10**21),
+    st.builds(Fraction, st.integers(-10**21, 10**21), st.integers(1, 10**21)),
+)
+
+
+def _assert_canonical(x):
+    # Integer numerators, none zero, over a positive denominator that
+    # shares no factor with all of them; `terms` is a read-only view.
+    assert type(x._den) is int and x._den >= 1
+    assert all(type(v) is int and v != 0 for v in x._num.values())
+    assert gcd(x._den, *x._num.values()) == 1
+    assert isinstance(x.terms, MappingProxyType)
+    assert all(type(c) is Fraction for c in x.terms.values())
+
+
+def _ref_sum(a, b):
+    """a + b for {pairing: Fraction} dicts, in the order Fraction
+    elements kept their terms."""
+    acc = dict(a)
+    for key, c in b.items():
+        s = acc.get(key, Fraction(0)) + c
+        if s == 0:
+            acc.pop(key, None)
+        else:
+            acc[key] = s
+    return acc
+
+
+def _ref_moved(terms, width, *maps):
+    """Juxtaposition of the Fraction dicts `terms` (one per map): each
+    pairing's point i goes to its map's entry i in a diagram of `width`,
+    and coefficients multiply."""
+    acc = {(): Fraction(1)}
+    for part, point_map in zip(terms, maps):
+        step = {}
+        for done, c1 in acc.items():
+            for pairing, c2 in part.items():
+                new = list(done) or [-1] * (2 * width)
+                for i, j in enumerate(pairing):
+                    if j >= 0:
+                        new[point_map[i]] = point_map[j]
+                key = tuple(new)
+                step[key] = step.get(key, Fraction(0)) + c1 * c2
+        acc = step
+    return {key: c for key, c in acc.items() if c != 0}
+
+
+def _ref_expectation(terms, k, lam):
+    """conditional_expectation on a Fraction dict, term by term."""
+    def m(i):
+        return i if i < k - 1 else i - 1
+
+    acc = {}
+    for pairing, c in terms.items():
+        a, b = pairing[k - 1], pairing[2 * k - 1]
+        new = [-1] * (2 * k - 2)
+        for i, j in enumerate(pairing):
+            if i not in (k - 1, 2 * k - 1) and j >= 0 and j not in (k - 1, 2 * k - 1):
+                new[m(i)] = m(j)
+        coeff = c * lam
+        if a == 2 * k - 1:
+            coeff *= 1 / lam
+        elif a >= 0 and b >= 0:
+            new[m(a)], new[m(b)] = m(b), m(a)
+        key = tuple(new)
+        acc[key] = acc.get(key, Fraction(0)) + coeff
+    return {key: c for key, c in acc.items() if c != 0}
+
+
+@st.composite
+def _linear_cases(draw, k):
+    """lam, Fraction dicts x and y of width k (y cancels some of x's
+    terms), z of width k2 <= 6 - k, a scalar and h <= 6 - k."""
+    lam = draw(st.sampled_from([LAM, Fraction(3, 13), Fraction(10**29 + 3, 3 * 10**29 + 7)]))
+
+    def terms(width):
+        basis = _basis(width)
+        picks = draw(st.lists(st.integers(0, len(basis) - 1), min_size=min(3, len(basis)),
+                              max_size=min(30, len(basis)), unique=True))
+        return {basis[i].pairing: draw(_SIGNED) for i in picks}
+
+    x, y = terms(k), terms(k)
+    if x:
+        for key in draw(st.lists(st.sampled_from(list(x)), max_size=10, unique=True)):
+            y[key] = -x[key]
+    k2 = draw(st.integers(0, 6 - k))
+    scalar = draw(st.one_of(_SIGNED, st.just(-1), st.just(0)))
+    return lam, x, y, k2, terms(k2), scalar, draw(st.integers(0, 6 - k))
+
+
+@pytest.mark.parametrize("k", range(7))
+@given(data=st.data())
+def test_integer_form_matches_fraction_dicts(k, data):
+    # Every operation gives the pairings, Fractions and term order of the
+    # same operation on Fraction dicts, and every result is canonical.
+    lam, x, y, k2, z, scalar, h = data.draw(_linear_cases(k))
+    ref_x, ref_y, ref_z = ({key: Fraction(c) for key, c in t.items() if c != 0} for t in (x, y, z))
+
+    def check(got, width, ref):
+        _assert_canonical(got)
+        assert got.width == width and got.lam == lam
+        assert [(d.pairing, c) for d, c in got.terms.items()] == list(ref.items())
+
+    X, Y, Z = Element(k, lam, x), Element(k, lam, y), Element(k2, lam, z)
+    check(X, k, ref_x)
+    check(Y, k, ref_y)
+    check(Z, k2, ref_z)
+    negated = {key: -c for key, c in ref_y.items()}
+    check(X + Y, k, _ref_sum(ref_x, ref_y))
+    check(X - Y, k, _ref_sum(ref_x, negated))
+    check(-Y, k, negated)
+    check(X - X, k, {})
+    check(X.scale(scalar), k, {key: scalar * c for key, c in ref_x.items()} if scalar else {})
+    assert (X == Y) == (ref_x == ref_y)
+    assert X + Y == Y + X and X == Element(k, lam, dict(reversed(x.items())))
+    flip = list(range(k, 2 * k)) + list(range(k))
+    mirror = list(range(k - 1, -1, -1)) + list(range(2 * k - 1, k - 1, -1))
+    check(adjoint(X), k, _ref_moved([ref_x], k, flip))
+    check(reflect(X), k, _ref_moved([ref_x], k, mirror))
+    w = k + k2
+    left = list(range(k)) + list(range(w, w + k))
+    right = list(range(k, w)) + list(range(w + k, 2 * w))
+    check(juxtapose(X, Z), w, _ref_moved([ref_x, ref_z], w, left, right))
+    bars = {tuple(range(h, 2 * h)) + tuple(range(h)): Fraction(1)}
+    left, right = list(range(k)) + list(range(k + h, 2 * k + h)), list(range(k, k + h)) + list(range(2 * k + h, 2 * (k + h)))
+    check(embed(X, h), k + h, _ref_moved([ref_x, bars], k + h, left, right))
+    if k:
+        check(conditional_expectation(X), k - 1, _ref_expectation(ref_x, k, lam))
+    for (a, b), got in zip(((X, Y), (Y, X), (X, X)), products([(X, Y), (Y, X), (X, X)])):
+        check(got, k, dict(_ref_multiply(a, b)))
+
+
+def test_terms_is_read_only():
+    x = _gen(2, "t", 1) + _gen(2, "l", 1).scale(Fraction(1, 2))
+    assert x.terms is x.terms
+    with pytest.raises(TypeError):
+        x.terms[MotzkinDiagram([2, 3, 0, 1])] = Fraction(1)
+    assert x.coefficient(MotzkinDiagram([1, 0, 3, 2])) == LAM
+    assert x.coefficient(MotzkinDiagram([2, 3, 0, 1])) == 0
 
 
 def test_tables_fill_lazily():

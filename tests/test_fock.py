@@ -716,14 +716,14 @@ class TestBuild:
         # of 800 bytes), and the largest of the charge blocks
         # [1, 5, 11, 16, 18, 16, 11, 5, 1], 18 rows under M of 5 + 2 rows:
         # 2 * 18^2 + 3 * 7 * 18 + 6 * 7^2 = 1320 entries.  With 8 bytes an
-        # entry and 1 MiB for the first SVD that is 1117232 bytes; a complex
+        # entry and 1.375 MiB for the first SVD that is 1510448 bytes; a complex
         # pair of the same shape counts 16 bytes an entry.  A refused count
         # builds no level.
         def refuse(*args):
             raise AssertionError("a level was built past the size check")
 
-        need = 8 * (862 + 1320) + 800 * 64 + 2**20
-        assert fock._plan_levels(fock._charge_weights(_pair(4)), 4, 8)[1] == need == 1117232
+        need = 8 * (862 + 1320) + 800 * 64 + 11 * 2**17
+        assert fock._plan_levels(fock._charge_weights(_pair(4)), 4, 8)[1] == need == 1510448
         monkeypatch.setattr(fock, "FOCK_MAX_BYTES", need - 1)
         with monkeypatch.context() as m:
             m.setattr(fock.SubproductSystem, "_add_level", refuse)

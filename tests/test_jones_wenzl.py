@@ -12,6 +12,7 @@ e0 the all-isolated diagram.
 import importlib
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from motzkin import (
     identity,
 )
 from motzkin.config import MAX_WIDTH
-from motzkin.diagram_core import _numerators, _sum_dtype, enumerate_basis
+from motzkin.diagram_core import _sum_dtype, enumerate_basis
 from motzkin.jones_wenzl import (
     JWCache,
     _probe_rows,
@@ -213,19 +214,32 @@ def _probe_rows_one_by_one(k, lam, g):
     return rows, basis
 
 
+def _column_scales(rows, ncols):
+    """The lcm of the denominators in each column of Fraction rows."""
+    return [lcm(*(row[j].denominator for row in rows)) for j in range(ncols)]
+
+
 def test_probe_rows_match_one_product_at_a_time():
+    # The batched integer rows are the one-by-one Fraction rows with each
+    # column scaled by the lcm of its denominators.
     for lam in (Fraction(1, 3), Fraction(2, 9), Fraction(3, 13)):
         for k in (1, 2, 3):
             g = jones_wenzl(k, lam)
-            assert _probe_rows(k, lam, g) == _probe_rows_one_by_one(k, lam, g)
+            rows, basis, scale = _probe_rows(k, lam, g)
+            ref, ref_basis = _probe_rows_one_by_one(k, lam, g)
+            assert basis == ref_basis
+            assert scale == _column_scales(ref, len(basis))
+            assert all(type(v) is int for row in rows for v in row)
+            assert rows == [[v * s for v, s in zip(row, scale)] for row in ref]
 
 
 def test_integer_rank_matches_fraction_elimination():
     for lam in (Fraction(1, 4), Fraction(3, 13), Fraction(1, 3)):
         for k in (1, 2, 3):
-            rows, basis = _probe_rows(k, lam, jones_wenzl(k, lam))
+            g = jones_wenzl(k, lam)
+            rows, basis, _ = _probe_rows(k, lam, g)
             rank = _rational_rank(rows)
-            assert rank == _fraction_rank(rows)
+            assert rank == _fraction_rank(_probe_rows_one_by_one(k, lam, g)[0])
             assert rank == len(basis) - 1
     rng = random.Random(3113)
     for _ in range(200):
@@ -242,7 +256,11 @@ def test_integer_rank_matches_fraction_elimination():
                 c = Fraction(rng.randint(-3, 3), rng.randint(1, 5))
                 row = [a + c * b for a, b in zip(row, seed)]
             rows.append(row)
-        assert _rational_rank(rows) == _fraction_rank(rows)
+        # Integer rows as the probe builds them: each column times the lcm
+        # of its denominators, and times a random positive factor.
+        scale = [s * rng.randint(1, 4) for s in _column_scales(rows, ncols)]
+        ints = [[int(v * s) for v, s in zip(row, scale)] for row in rows]
+        assert _rational_rank(ints) == _fraction_rank(rows)
 
 
 @pytest.mark.slow
@@ -257,8 +275,7 @@ def test_width_six_exact():
     assert g6 * padded == g6
     assert adjoint(g6) == g6
     # The product's integer sums stayed in int64.
-    a1, _ = _numerators(g6.terms.values())
-    a2, _ = _numerators(padded.terms.values())
+    a1, a2 = list(g6._num.values()), list(padded._num.values())
     assert _sum_dtype(a1, a2, lam, MAX_WIDTH) is np.int64
 
 

@@ -504,6 +504,30 @@ def _broadcast_diagram(pair, diagram):
     return out.reshape(n**k, n**k)
 
 
+def _evaluate_by_fractions(pair, x):
+    """evaluate_element with each coefficient converted as float(Fraction)
+    from `x.terms`: the conversion the integer form must reproduce."""
+    n, k = pair.n, x.width
+    _, b = pair.vectors()
+    arc = float(pair.lam) ** -0.5 * pair.vA().reshape(n, n)
+    groups = {}
+    for d, c in x.terms.items():
+        top, bottom = representation._row_keys(d.pairing, k)
+        tops, bottoms, entries = groups.setdefault(top.count(k), ({}, {}, []))
+        entries.append(
+            (tops.setdefault(top, len(tops)), bottoms.setdefault(bottom, len(bottoms)), float(c))
+        )
+    out = np.zeros((n**k, n**k), dtype=pair.dtype)
+    for tops, bottoms, entries in groups.values():
+        C = np.zeros((len(tops), len(bottoms)))
+        for i, j, c in entries:
+            C[i, j] = c
+        T = np.stack([representation._half(key, b, arc) for key in tops], axis=1)
+        B = np.stack([representation._half(key, b, arc) for key in bottoms], axis=1)
+        out += np.matmul(C.T, T).reshape(n**k, -1) @ B.reshape(n**k, -1).conj().T
+    return out
+
+
 class TestDiagramEvaluation:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_halves_match_broadcast_reference(self, k):
@@ -512,6 +536,15 @@ class TestDiagramEvaluation:
             for d in enumerate_basis(k):
                 err = np.linalg.norm(evaluate_diagram(pair, d) - _broadcast_diagram(pair, d))
                 assert err <= 1e-12, (pair.dtype, d.pairing)
+
+    def test_numerators_convert_as_fractions(self):
+        # Each coefficient becomes numerator / denominator, the bits of
+        # float(Fraction), so g_k's operator is the Fraction path's exactly.
+        for lam in ("1/4", "1/5", "1/6", "2/9", "3/13"):
+            pair = build_example_pair("iii", 4, 1, Fraction(lam))
+            for k in (1, 2, 3, 4):
+                g = jones_wenzl(k, pair.lam)
+                assert np.array_equal(evaluate_element(pair, g), _evaluate_by_fractions(pair, g))
 
     def test_generators_match(self):
         for pair in PAIRS:

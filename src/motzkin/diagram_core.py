@@ -436,8 +436,12 @@ def _sum_dtype(a1: list[int], a2: list[int], lam: Fraction, k: int) -> type:
 
 
 def _group(key: np.ndarray, value: np.ndarray, first: np.ndarray):
-    """Sum `value` over equal `key`s; keep the least `first` of each key."""
-    order = key.argsort(kind="stable")
+    """Sum `value` over equal `key`s; keep the least `first` of each key.
+
+    Neither result reads the order within a key (the sums are of exact
+    integers and the least `first` is a minimum), so the sort need not be
+    stable."""
+    order = key.argsort()
     key = key[order]
     head = np.concatenate(([True], key[1:] != key[:-1])).nonzero()[0]
     return (key[head], np.add.reduceat(value[order], head),
@@ -457,7 +461,9 @@ def products(pairs: Sequence[tuple["Element", "Element"]]) -> list["Element"]:
     are grouped by the key (r * h + top) * h + bottom, for the result's
     halves among the h half-diagrams of width k, and a block is reduced to
     its distinct keys before the next is composed.  Terms come in the order
-    their pairs first reach them, and one gcd reduces each product."""
+    their pairs first reach them, which `_group` keeps as each key's least
+    pair index, so no grouping sort has to be stable; one gcd reduces each
+    product."""
     if not pairs:
         return []
     x0 = pairs[0][0]

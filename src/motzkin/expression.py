@@ -558,8 +558,9 @@ def check_presentation(k: int, lam) -> PresentationReport:
     words = [word for _, lhs, rhs in relations for side in (lhs, rhs) for _, word in side]
     values = iter(_eval_all([_word_tree(word) for word in words], k, lam))
 
-    def side(terms) -> Element:
-        return sum((next(values).scale(lam**power) for power, _ in terms), Element.zero(k, lam))
+    def side(terms) -> Element:  # exact sums: no identity term or unit scale is needed
+        return reduce(Element.__add__, (next(values).scale(lam**power) if power else next(values)
+                                        for power, _ in terms))
 
     failures = [label for label, lhs, rhs in relations if side(lhs) != side(rhs)]
     return PresentationReport(width=k, lam=lam, checked=len(relations), failures=failures)
@@ -599,7 +600,9 @@ def relation_residuals(pair: MotzkinPair, k: int) -> dict[str, float]:
 
     A relation is evaluated on the s <= 4 slots its words touch, relabelled
     by rank (closing the gaps of the far commutations (6)), and scaled by
-    n**((k-s)/2), as every word is the identity on the other slots.  Two
+    n**((k-s)/2), as every word is the identity on the other slots.  The
+    translates of a relation relabel alike, so each distinct local relation
+    is evaluated once (24 at every k >= 4).  Two
     sides of one word each that are one Kronecker product of equal factors,
     as in (6), cancel exactly without forming it.  Widths below 2 raise
     ParameterError; `_check_battery` refuses a battery too large for the
@@ -613,24 +616,25 @@ def relation_residuals(pair: MotzkinPair, k: int) -> dict[str, float]:
     lam = float(pair.lam)
     blocks = _generator_bases(pair)
     out: dict[str, float] = {}
+    norms: dict[tuple, float] = {}  # by the relabelled sides, powers and daggers kept
     for label, lhs, rhs in presentation_relations(k):
         slots = {i + m for _, word in lhs + rhs for name, i, _ in word for m in range(_SITES[name])}
         rank = {slot: r for r, slot in enumerate(sorted(slots), 1)}
         s = len(slots)
-        terms = []
-        for op, side in ((np.add, lhs), (np.subtract, rhs)):
-            for power, word in side:
-                tree = _word_tree([(name, rank[i], dag) for name, i, dag in word])
-                terms.append((op, power, _widen(_act(tree, s, pair, blocks, None), n, 1, s)))
-        (_, p, a), (_, q, b), *more = terms
-        twin = None if more or p != q else _twin(a, b)
-        if twin is None:
-            total = np.zeros((n**s, n**s), dtype=pair.dtype)
-            for op, power, core in terms:
-                core = _dense(core)
-                op(total, lam**power * core if power else core, out=total)
-        norm = float(np.linalg.norm(total)) if twin is None else 0.0 * twin
-        out[label] = norm * n ** ((k - s) / 2)
+        local = tuple(tuple((power, tuple((name, rank[i], dag) for name, i, dag in word))
+                            for power, word in side) for side in (lhs, rhs))
+        if local not in norms:
+            terms = [(op, power, _widen(_act(_word_tree(word), s, pair, blocks, None), n, 1, s))
+                     for op, side in zip((np.add, np.subtract), local) for power, word in side]
+            (_, p, a), (_, q, b), *more = terms
+            twin = None if more or p != q else _twin(a, b)
+            if twin is None:
+                total = np.zeros((n**s, n**s), dtype=pair.dtype)
+                for op, power, core in terms:
+                    core = _dense(core)
+                    op(total, lam**power * core if power else core, out=total)
+            norms[local] = float(np.linalg.norm(total)) if twin is None else 0.0 * twin
+        out[label] = norms[local] * n ** ((k - s) / 2)
     if not np.isfinite(list(out.values())).all():
         raise LimitError("operator entries leave the floating-point range")
     return out

@@ -241,9 +241,12 @@ def _rational_rank(rows: list[list[int]]) -> int:
 
     A pivot row `prow` with pivot `pv` clears the entry f of a row below it
     as pv*row - f*prow; every row, given or new, is divided by the gcd of
-    its entries.
+    its entries.  A given row that repeats another up to sign, once
+    divided, is dropped before elimination.
     """
     work = [_primitive(row) for row in rows if any(row)]
+    signed = (row if next(filter(None, row)) > 0 else [-v for v in row] for row in work)
+    work = [list(row) for row in dict.fromkeys(map(tuple, signed))]
     if not work:
         return 0
     ncols = len(work[0])

@@ -727,6 +727,28 @@ class TestBatchedProduct:
             _ref_multiply(x, y) for x, y in pairs
         ]
 
+    def test_group_matches_stable_grouping(self):
+        # `_group` sorts its keys unstably.  Its results must equal those of
+        # the stable sort: the distinct keys, their exact sums (int64 and
+        # Python ints alike) and each key's least `first`, whether `first`
+        # rises with the input, as in `products`, or not.
+        def stable(key, value, first):
+            order = key.argsort(kind="stable")
+            key = key[order]
+            head = np.concatenate(([True], key[1:] != key[:-1])).nonzero()[0]
+            return (key[head], np.add.reduceat(value[order], head),
+                    np.minimum.reduceat(first[order], head))
+
+        rng = np.random.default_rng(7600)
+        for size, distinct in ((1, 1), (17, 3), (2048, 40), (8192, 700), (5000, 4999)):
+            key = rng.integers(0, distinct, size) * 977 + 5
+            for first in (np.arange(size), rng.permutation(size)):
+                for value in (rng.integers(-2**40, 2**40, size),
+                              np.array([int(v) * 10**30 for v in rng.integers(-9, 9, size)], dtype=object)):
+                    got, want = diagram_core._group(key, value, first), stable(key, value, first)
+                    for a, b in zip(got, want):
+                        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
     def test_batch_refuses_mixed_elements(self):
         x2, x3 = identity(2, lam=LAM), identity(3, lam=LAM)
         assert products([]) == []

@@ -263,6 +263,25 @@ def test_integer_rank_matches_fraction_elimination():
         assert _rational_rank(ints) == _fraction_rank(rows)
 
 
+def test_integer_rank_with_repeated_rows():
+    # `_rational_rank` drops rows that repeat up to sign and a common
+    # factor; the rank of systems with rows duplicated, negated and scaled
+    # must still be the rank of the system.
+    rng = random.Random(3114)
+    for _ in range(200):
+        ncols = rng.randint(1, 8)
+        rows = [[rng.randint(-5, 5) for _ in range(ncols)] for _ in range(rng.randint(0, 6))]
+        for _ in range(rng.randint(0, 8) if rows else 0):
+            row = rng.choice(rows)
+            rows.insert(rng.randint(0, len(rows)), [rng.choice((-3, -1, 1, 2, 7)) * v for v in row])
+        assert _rational_rank(rows) == _fraction_rank([[Fraction(v) for v in row] for row in rows])
+    # Rows of one sign, the other sign and a multiple leave rank one.
+    assert _rational_rank([[2, -4, 0], [-1, 2, 0], [3, -6, 0], [0, 0, 0]]) == 1
+    g = jones_wenzl(3, Fraction(1, 4))
+    rows, basis, _ = _probe_rows(3, Fraction(1, 4), g)
+    assert _rational_rank(rows + [[-v for v in row] for row in rows]) == len(basis) - 1
+
+
 @pytest.mark.slow
 def test_width_six_exact():
     # g_6 * i(g_5) composes 3876 * 728 term pairs.

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import re
 import struct
 import time
 from fractions import Fraction
@@ -40,6 +41,7 @@ from motzkin.representation import (
     t_matrix,
     validate_pair,
 )
+from test_fock import _NAMED_PAIRS
 
 QUARTER = Fraction(1, 4)
 THIRD = Fraction(1, 3)
@@ -279,6 +281,38 @@ def _word_relation_residuals(pair, k):
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _unmemoised_relation_residuals(pair, k):
+    # Reference: `relation_residuals` with every instance evaluated on its
+    # own touched slots, as it was before one norm was kept per distinct
+    # local relation.
+    n = pair.n
+    expression._check_battery(n, k)
+    lam = float(pair.lam)
+    blocks = representation._generator_bases(pair)
+    out = {}
+    for label, lhs, rhs in expression.presentation_relations(k):
+        slots = {i + m for _, word in lhs + rhs for name, i, _ in word for m in range(_SITES[name])}
+        rank = {slot: r for r, slot in enumerate(sorted(slots), 1)}
+        s = len(slots)
+        terms = []
+        for op, side in ((np.add, lhs), (np.subtract, rhs)):
+            for power, word in side:
+                tree = _word_tree([(name, rank[i], dag) for name, i, dag in word])
+                value = expression._act(tree, s, pair, blocks, None)
+                terms.append((op, power, expression._widen(value, n, 1, s)))
+        (_, p, a), (_, q, b), *more = terms
+        twin = None if more or p != q else expression._twin(a, b)
+        if twin is None:
+            total = np.zeros((n**s, n**s), dtype=pair.dtype)
+            for op, power, core in terms:
+                core = expression._dense(core)
+                op(total, lam**power * core if power else core, out=total)
+        norm = float(np.linalg.norm(total)) if twin is None else 0.0 * twin
+        out[label] = norm * n ** ((k - s) / 2)
+    return out
+
+
 def _assert_same_bits(pair, k):
     # Every residual keeps its key, its place and its bits.
     res = relation_residuals(pair, k)
@@ -344,6 +378,39 @@ class TestRelations:
     def test_interpreter_matches_word_products_at_width_six(self):
         # The reference forms the far commutations (6) on all six slots.
         _assert_same_bits(_pair4(), 6)
+
+    def test_one_evaluation_per_local_relation(self, monkeypatch):
+        # The battery keeps one norm per distinct local relation.  Every
+        # residual must keep its bits, on the battery and on variants of its
+        # relations that differ from them only in a lam-power or a dagger.
+        def with_variants(k):
+            for label, lhs, rhs in presentation_relations(k):
+                yield label, lhs, rhs
+                (power, word), *rest = lhs
+                yield label + "+", [(power + 1, word), *rest], rhs
+                (name, i, dag), *tail = word
+                yield label + "'", [(power, ((name, i, not dag), *tail)), *rest], rhs
+
+        def assert_same_hex(pair, k):
+            try:
+                ref = _unmemoised_relation_residuals(pair, k)
+            except LimitError as refusal:
+                with pytest.raises(LimitError, match=re.escape(str(refusal))):
+                    relation_residuals(pair, k)
+                return
+            res = relation_residuals(pair, k)
+            assert list(res) == list(ref), (pair.n, k)
+            assert [v.hex() for v in res.values()] == [v.hex() for v in ref.values()], (pair.n, k)
+
+        rotated = [_rotated(pair, seed)[0] for seed, (pair, _) in enumerate(STANDARD_SPANS)]
+        for pair in [make() for make in _NAMED_PAIRS.values()] + [p for p, _ in STANDARD_SPANS] + rotated:
+            for k in range(2, 9):
+                assert_same_hex(pair, k)
+        # The variants of the far commutations (6) are formed densely.
+        monkeypatch.setattr(expression, "presentation_relations", with_variants)
+        for pair in rotated:
+            for k in (2, 3, 4, 5):
+                assert_same_hex(pair, k)
 
     def test_window_sees_violations(self):
         # A perturbed a-vector breaks the pair; the window evaluation must

@@ -2,7 +2,8 @@
 
 Layers, from the bottom up:
 
-- ``diagram_core``: exact diagram calculus (Fraction coefficients).
+- ``diagram_core``: exact diagram calculus (rational coefficients held as
+  integer numerators over one denominator).
 - ``qpoly``: the Chebyshev-style polynomials, the ratio function phi and
   the dimension sequence of the associated subproduct system.
 - ``jones_wenzl``: the tower of Jones-Wenzl idempotents.

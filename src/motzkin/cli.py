@@ -29,8 +29,10 @@ from .expression import (
     check_presentation,
     evaluate,
     evaluate_operator,
+    local_residuals,
     parse_expression,
     pretty,
+    relation_count,
     relation_residuals,
 )
 from .fock import (
@@ -180,19 +182,21 @@ def _cmd_pair_make(args) -> int:
 
 
 def _cmd_rep_check(args) -> int:
+    # Each local relation of width min(k, 4) is held to --tol.
     pair = _load_pair(args)
-    residuals = relation_residuals(pair, args.k)
-    worst_label = max(residuals, key=residuals.get)
-    worst = residuals[worst_label]
-    ok = worst < args.tol
+    local = local_residuals(pair, args.k, min(args.k, 4))
+    worst_label = max(local, key=lambda label: local[label][1])
+    top_local = max(norm for norm, _ in local.values())
+    ok = top_local < args.tol
     _emit(
         args,
         {
             "n": pair.n,
             "width": args.k,
-            "checked": len(residuals),
-            "max_residual": worst,
+            "checked": relation_count(args.k),
+            "max_residual": local[worst_label][1],
             "worst": worst_label,
+            "max_local_residual": top_local,
             "tol": args.tol,
             "ok": ok,
         },
@@ -507,6 +511,16 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+def _tol_arg(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"not a finite positive number: {text!r}")
+    return value
+
+
 def _add_output_args(sub, default_format="json"):
     sub.add_argument("--format", choices=("json", "csv"), default=default_format)
     sub.add_argument("--out", default=None, help="write output to this file")
@@ -568,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     pair_sub = p.add_subparsers(dest="pair_command", required=True)
     q = pair_sub.add_parser("validate", help="residuals of the pair conditions")
     _add_pair_args(q)
-    q.add_argument("--tol", type=float, default=TOL_CHECK)
+    q.add_argument("--tol", type=_tol_arg, default=TOL_CHECK)
     _add_output_args(q)
     q.set_defaults(func=_cmd_pair_validate)
     q = pair_sub.add_parser("make", help="construct a standard pair as json")
@@ -581,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = rep_sub.add_parser("check", help="relation residuals in the representation")
     _add_pair_args(q)
     q.add_argument("--k", type=int, default=2)
-    q.add_argument("--tol", type=float, default=TOL_CHECK)
+    q.add_argument("--tol", type=_tol_arg, default=TOL_CHECK)
     _add_output_args(q)
     q.set_defaults(func=_cmd_rep_check)
     q = rep_sub.add_parser(
@@ -604,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = fock_sub.add_parser("toeplitz", help="residuals of the operator relations")
     _add_pair_args(q)
     q.add_argument("--levels", type=int, default=5)
-    q.add_argument("--tol", type=float, default=TOL_TOEPLITZ)
+    q.add_argument("--tol", type=_tol_arg, default=TOL_TOEPLITZ)
     _add_output_args(q)
     q.set_defaults(func=_cmd_fock_toeplitz)
 
@@ -620,13 +634,13 @@ def build_parser() -> argparse.ArgumentParser:
     q = fock_sub.add_parser("reverse", help="the reverse-weighted identity")
     _add_pair_args(q)
     q.add_argument("--k", type=int, default=2)
-    q.add_argument("--tol", type=float, default=TOL_CHECK)
+    q.add_argument("--tol", type=_tol_arg, default=TOL_CHECK)
     _add_output_args(q)
     q.set_defaults(func=_cmd_fock_reverse)
 
     q = fock_sub.add_parser("ideal", help="the degree-two ideal generator")
     _add_pair_args(q)
-    q.add_argument("--tol", type=float, default=TOL_CHECK)
+    q.add_argument("--tol", type=_tol_arg, default=TOL_CHECK)
     _add_output_args(q)
     q.set_defaults(func=_cmd_fock_ideal)
 

@@ -4,7 +4,7 @@ The exact layer works with widths up to `MAX_WIDTH`; the numeric layer
 caps the ambient tensor-power dimension at `max_rep_dimension()`, which
 can be raised through the MOTZKIN_MAX_DIM environment variable.  The
 relation battery forms no operator on the whole power; its windows are
-held to the same bound and their entries to a multiple of its square.
+held to the same bound and its instances to RELATION_MAX_INSTANCES.
 The expression language bounds nesting and exponents, so that no input
 string can exhaust the interpreter's stack or run an unbounded power.
 """
@@ -30,10 +30,9 @@ MAX_EXPONENT = 4096
 
 # Numeric (matrix) layer.
 DEFAULT_MAX_DIM = 4096
-# Relation battery entries, as a multiple of the bound squared (every n**k <=
-# 4096 passes, n = 8, k = 4 costliest at 1.6e8), and the least an instance counts.
-RELATION_MAX_ENTRIES = 10
-RELATION_FLOOR_ENTRIES = 4096
+# Relation instances the battery lists at one width: width 149 at most, whose
+# residuals take about 1 s of CPU and 23 MiB on a 2-vCPU Xeon host.
+RELATION_MAX_INSTANCES = 10**5
 # Bytes the span closure may hold at once: its basis, one round's images
 # (counted twice, as they may all become basis rows) and three images of
 # SVD work, each operator n^(2k) entries in the pair's dtype.  At k = 3

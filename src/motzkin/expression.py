@@ -18,9 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .config import (
-    MAX_EXPONENT, MAX_NESTING, RELATION_FLOOR_ENTRIES, RELATION_MAX_ENTRIES, max_rep_dimension
-)
+from .config import MAX_EXPONENT, MAX_NESTING, RELATION_MAX_INSTANCES, max_rep_dimension
 from .diagram_core import (
     _SITES,
     Element,
@@ -576,48 +574,37 @@ def _twin(a, b) -> float | None:
     return float(np.abs(a).max()) if same else None
 
 
+def relation_count(k: int) -> int:
+    """The number of instances presentation_relations(k) yields, k >= 2."""
+    return 6 * (k - 1) + 9 * (k - 2) + 9 * comb(k - 2, 2)
+
+
 def _check_battery(n: int, k: int) -> None:
-    """Refuse a relation battery whose largest window n**min(k, 4) passes
-    max_rep_dimension(), or whose windows would hold over RELATION_MAX_ENTRIES
-    times its square: 6(k-1) instances on 2 slots, 9(k-2) on 3 and
-    9 C(k-2, 2) on 4, each counted as at least RELATION_FLOOR_ENTRIES."""
+    """Refuse widths below 2, a window n**min(k, 4) past max_rep_dimension()
+    and over RELATION_MAX_INSTANCES instances, counted before any is listed."""
+    if k < 2:
+        raise ParameterError(f"need k >= 2 for a relation to check, got {k}")
     bound, s = max_rep_dimension(), min(k, 4)
-    counts = {2: 6 * (k - 1), 3: 9 * (k - 2), 4: 9 * comb(k - 2, 2)}
-    entries = sum(c * max(n ** (2 * w), RELATION_FLOOR_ENTRIES) for w, c in counts.items())
     if n**s > bound:
         why = f"relation window n**{s} = {n**s} exceeds the configured bound {bound}"
-    elif entries > RELATION_MAX_ENTRIES * bound**2:
-        limit = f"{RELATION_MAX_ENTRIES} * {bound}**2"
-        why = f"relation battery at width {k} would form more than {limit} entries"
-    else:
-        return
-    raise LimitError(f"{why} (raise MOTZKIN_MAX_DIM to override)")
+        raise LimitError(f"{why} (raise MOTZKIN_MAX_DIM to override)")
+    if relation_count(k) > RELATION_MAX_INSTANCES:
+        limit = RELATION_MAX_INSTANCES
+        raise LimitError(f"relation battery at width {k} has more than {limit} instances")
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def relation_residuals(pair: MotzkinPair, k: int) -> dict[str, float]:
-    """Frobenius residual of every defining relation instance at width k.
-
-    A relation is evaluated on the s <= 4 slots its words touch, relabelled
-    by rank (closing the gaps of the far commutations (6)), and scaled by
-    n**((k-s)/2), as every word is the identity on the other slots.  The
-    translates of a relation relabel alike, so each distinct local relation
-    is evaluated once (24 at every k >= 4).  Two
-    sides of one word each that are one Kronecker product of equal factors,
-    as in (6), cancel exactly without forming it.  Widths below 2 raise
-    ParameterError; `_check_battery` refuses a battery too large for the
-    dimension bound, and a pair whose generators or residuals leave the
-    floating-point range raises LimitError, the generators first.
-    """
-    if k < 2:
-        raise ParameterError(f"need k >= 2 for a relation to check, got {k}")
+def local_residuals(pair: MotzkinPair, k: int, width: int) -> dict[str, tuple[float, float]]:
+    """(local norm, residual at width k) of every relation instance of
+    presentation_relations(width), width <= k, by label; see
+    `relation_residuals`.  The instances of one local relation share it."""
     n = pair.n
     _check_battery(n, k)
     lam = float(pair.lam)
     blocks = _generator_bases(pair)
-    out: dict[str, float] = {}
-    norms: dict[tuple, float] = {}  # by the relabelled sides, powers and daggers kept
-    for label, lhs, rhs in presentation_relations(k):
+    out: dict[str, tuple[float, float]] = {}
+    norms: dict[tuple, tuple[float, float]] = {}  # by the relabelled sides, powers and daggers kept
+    for label, lhs, rhs in presentation_relations(width):
         slots = {i + m for _, word in lhs + rhs for name, i, _ in word for m in range(_SITES[name])}
         rank = {slot: r for r, slot in enumerate(sorted(slots), 1)}
         s = len(slots)
@@ -633,8 +620,26 @@ def relation_residuals(pair: MotzkinPair, k: int) -> dict[str, float]:
                 for op, power, core in terms:
                     core = _dense(core)
                     op(total, lam**power * core if power else core, out=total)
-            norms[local] = float(np.linalg.norm(total)) if twin is None else 0.0 * twin
-        out[label] = norms[local] * n ** ((k - s) / 2)
-    if not np.isfinite(list(out.values())).all():
+            norm = float(np.linalg.norm(total)) if twin is None else 0.0 * twin
+            norms[local] = norm, norm * n ** ((k - s) / 2)
+        out[label] = norms[local]
+    if not np.isfinite([residual for _, residual in norms.values()]).all():
         raise LimitError("operator entries leave the floating-point range")
     return out
+
+
+def relation_residuals(pair: MotzkinPair, k: int) -> dict[str, float]:
+    """Frobenius residual of every defining relation instance at width k.
+
+    A relation is evaluated on the s <= 4 slots its words touch, relabelled
+    by rank (closing the gaps of the far commutations (6)), and scaled by
+    n**((k-s)/2), as every word is the identity on the other slots.  The
+    translates of a relation relabel alike, so each distinct local relation
+    is evaluated once (24 at every k >= 4).  Two sides of one word each
+    that are one Kronecker product of equal factors, as in (6), cancel
+    exactly without forming it.  Widths below 2 raise ParameterError and
+    widths past `_check_battery`'s bounds LimitError, before any instance
+    is listed; so does a pair whose generators or residuals leave the
+    floating-point range, the generators first.
+    """
+    return {label: residual for label, (_, residual) in local_residuals(pair, k, k).items()}

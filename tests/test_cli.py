@@ -664,14 +664,14 @@ class TestRunCommand:
         # a second; a power too long to print is shown as n**k.
         huge = "99999999999999999999"
         bound = "exceeds the configured bound 4096 (raise MOTZKIN_MAX_DIM to override)\n"
-        battery = "would form more than 10 * 4096**2 entries (raise MOTZKIN_MAX_DIM to override)\n"
+        battery = "has more than 100000 instances\n"
         cases = {
             ("presentation", "--k", huge): f"error: width {huge} exceeds the configured bound 6\n",
             ("rep", "faithful", "--k", huge): f"error: dimension n**k = 4**{huge} {bound}",
             ("rep", "faithful", "--k", "7200"): f"error: dimension n**k = 4**7200 {bound}",
             ("eval", "t1", "--rep", "--k", huge): f"error: dimension n**k = 4**{huge} {bound}",
             ("rep", "check", "--k", huge): f"error: relation battery at width {huge} {battery}",
-            ("rep", "check", "--k", "100000"): f"error: relation battery at width 100000 {battery}",
+            ("rep", "check", "--k", "150"): f"error: relation battery at width 150 {battery}",
         }
         for argv, err in cases.items():
             start = time.process_time()
@@ -687,6 +687,56 @@ class TestRunCommand:
         assert run_command(["rep", "check", "--k", "8"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["ok"] is True and data["checked"] == 231
+
+    def test_rep_check_reads_the_local_relations(self, capsys, monkeypatch):
+        # Widths 19..26 pass: each local norm is held to --tol, while
+        # checked, max_residual and worst are those of the whole battery.
+        # Only the relations of width min(k, 4) are listed, at any k.
+        # The local relations all occur at width 4, with the norms they have
+        # at every width.
+        pair = build_example_pair("iii", 4, 1, QUARTER)
+        top_local = max(norm for norm, _ in expression.local_residuals(pair, 4, 4).values())
+        for k in range(19, 27):
+            assert run_command(["rep", "check", "--k", str(k)]) == 0
+            data = json.loads(capsys.readouterr().out)
+            res = expression.relation_residuals(pair, k)
+            worst = max(res, key=res.get)
+            assert (data["checked"], data["worst"]) == (len(res), worst) == (
+                expression.relation_count(k), "(3)[i=1]")
+            assert data["max_residual"] == cli._round_float(res[worst]) > 1e-10
+            local = expression.local_residuals(pair, k, k).values()
+            assert max(norm for norm, _ in local) == top_local
+            assert data["max_local_residual"] == cli._round_float(top_local) < 1e-10
+        listed = []
+        relations = expression.presentation_relations
+        monkeypatch.setattr(expression, "presentation_relations",
+                            lambda k: listed.append(k) or relations(k))
+        for k in ("2", "3", "26", "100", "149"):
+            assert run_command(["rep", "check", "--k", k]) == 0
+        assert listed == [2, 3, 4, 4, 4]
+
+    def test_rep_check_verdict_is_local(self, capsys):
+        # max_local_residual is 2**-50 on the default pair: a --tol just
+        # above it passes at width 26, where max_residual is 2**-26, and a
+        # --tol just below it fails at width 2.
+        assert run_command(["rep", "check", "--k", "26", "--tol", "1e-15"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["max_local_residual"] < 1e-15 < data["max_residual"]
+        assert run_command(["rep", "check", "--k", "2", "--tol", "8e-16"]) == 1
+        assert json.loads(capsys.readouterr().out)["ok"] is False
+
+    @pytest.mark.parametrize(
+        "command",
+        [["pair", "validate"], ["rep", "check"], ["fock", "toeplitz"], ["fock", "reverse"], ["fock", "ideal"]],
+    )
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1", "1e999", "x"])
+    def test_tol_must_be_finite_and_positive(self, capsys, command, tol):
+        with pytest.raises(SystemExit) as info:
+            run_command([*command, f"--tol={tol}"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument --tol: not a finite positive number: {tol!r}" in captured.err
 
     def test_dims_too_long_to_print(self, capsys):
         # d_1434 of n = 1000 has 4302 digits, past Python's int-to-text limit.

@@ -2,7 +2,6 @@
 
 import dataclasses
 import functools
-import re
 import struct
 import time
 from fractions import Fraction
@@ -285,9 +284,8 @@ def _word_relation_residuals(pair, k):
 def _unmemoised_relation_residuals(pair, k):
     # Reference: `relation_residuals` with every instance evaluated on its
     # own touched slots, as it was before one norm was kept per distinct
-    # local relation.
+    # local relation, and with no guard.
     n = pair.n
-    expression._check_battery(n, k)
     lam = float(pair.lam)
     blocks = representation._generator_bases(pair)
     out = {}
@@ -311,6 +309,18 @@ def _unmemoised_relation_residuals(pair, k):
         norm = float(np.linalg.norm(total)) if twin is None else 0.0 * twin
         out[label] = norm * n ** ((k - s) / 2)
     return out
+
+
+def _assert_same_hex(pair, k):
+    # `relation_residuals` keeps the keys, order and bits of the reference.
+    res, ref = relation_residuals(pair, k), _unmemoised_relation_residuals(pair, k)
+    assert list(res) == list(ref), (pair.n, k)
+    assert [v.hex() for v in res.values()] == [v.hex() for v in ref.values()], (pair.n, k)
+
+
+def _perturbed(pair):
+    # The pair with its a-vector moved off the relations.
+    return dataclasses.replace(pair, a=pair.a + np.array([0.1, 0.0, 0.05j, 0.0]))
 
 
 def _assert_same_bits(pair, k):
@@ -391,32 +401,21 @@ class TestRelations:
                 (name, i, dag), *tail = word
                 yield label + "'", [(power, ((name, i, not dag), *tail)), *rest], rhs
 
-        def assert_same_hex(pair, k):
-            try:
-                ref = _unmemoised_relation_residuals(pair, k)
-            except LimitError as refusal:
-                with pytest.raises(LimitError, match=re.escape(str(refusal))):
-                    relation_residuals(pair, k)
-                return
-            res = relation_residuals(pair, k)
-            assert list(res) == list(ref), (pair.n, k)
-            assert [v.hex() for v in res.values()] == [v.hex() for v in ref.values()], (pair.n, k)
-
         rotated = [_rotated(pair, seed)[0] for seed, (pair, _) in enumerate(STANDARD_SPANS)]
-        for pair in [make() for make in _NAMED_PAIRS.values()] + [p for p, _ in STANDARD_SPANS] + rotated:
+        # The standard pairs run to width 26 in the next test.
+        for pair in [make() for make in _NAMED_PAIRS.values()] + rotated:
             for k in range(2, 9):
-                assert_same_hex(pair, k)
+                _assert_same_hex(pair, k)
         # The variants of the far commutations (6) are formed densely.
         monkeypatch.setattr(expression, "presentation_relations", with_variants)
         for pair in rotated:
             for k in (2, 3, 4, 5):
-                assert_same_hex(pair, k)
+                _assert_same_hex(pair, k)
 
     def test_window_sees_violations(self):
         # A perturbed a-vector breaks the pair; the window evaluation must
         # report the same O(1) residuals as the whole-space evaluation.
-        base = _pair4()
-        pair = dataclasses.replace(base, a=base.a + np.array([0.1, 0.0, 0.05j, 0.0]))
+        pair = _perturbed(_pair4())
         for k in (2, 3, 4):
             res = _assert_matches_dense(pair, k)
             assert max(res.values()) > 0.1
@@ -451,45 +450,63 @@ class TestRelations:
         huge = np.array([[1e200]])
         assert np.isnan(0.0 * expression._twin((huge, huge), (huge, huge)))
 
+    @pytest.mark.slow
+    def test_one_evaluation_per_local_relation_to_width_26(self):
+        # Past the widths the old guard admitted for n = 5: the standard
+        # pairs, a rotated and a perturbed one, every residual by its bits.
+        pairs = [p for p, _ in STANDARD_SPANS]
+        for pair in pairs + [_rotated(_pair4())[0], _perturbed(_pair4())]:
+            for k in range(2, 27):
+                _assert_same_hex(pair, k)
+
     def test_battery_guard(self):
         # The battery forms no n**k x n**k operator: n = 4 reaches width 8.
-        # Its largest window, n**min(k, 4), is held to the dimension bound,
-        # and the entries of all its windows to 10 times the bound squared.
+        # It evaluates 24 local relations at every width, so width 27 runs
+        # too, each instance within TOL_CHECK times the norm of the identity
+        # on the other slots of a 2-slot window.  Its largest window,
+        # n**min(k, 4), is held to the dimension bound, and its instances to
+        # RELATION_MAX_INSTANCES, counted in closed form: a width past that
+        # is refused at once.
         assert max(relation_residuals(_pair4(), 8).values()) < TOL_CHECK
+        res = relation_residuals(_pair4(), 27)
+        assert len(res) == expression.relation_count(27)
+        assert max(res.values()) < TOL_CHECK * 4 ** ((27 - 2) / 2)
         pair16 = build_example_pair("iii", 16, 1, Fraction(1, 16))
         window = r"relation window n\*\*4 = 65536 exceeds the configured bound 4096"
         with pytest.raises(LimitError, match=window):
             relation_residuals(pair16, 4)
-        expression._check_battery(4, 26)
-        for k in (27, 10**6, 10**20):
+        for k in (150, 10**6, 10**20):
             start = time.process_time()
-            battery = rf"relation battery at width {k} would form more than 10 \* 4096\*\*2 entries"
+            battery = f"relation battery at width {k} has more than 100000 instances"
             with pytest.raises(LimitError, match=battery):
                 relation_residuals(_pair4(), k)
             assert time.process_time() - start < 0.5
 
     def test_battery_guard_keeps_every_width_of_the_dimension_bound(self):
+        # Every power the dense cap admits passes, and so does every width
+        # up to the instance bound once the window n**4 fits.
         for n in range(2, 4097):
             k = 2
             while n**k <= 4096:
                 expression._check_battery(n, k)
                 k += 1
+        for n in range(2, 9):
+            expression._check_battery(n, 149)
+            with pytest.raises(LimitError, match="relation battery at width 150"):
+                expression._check_battery(n, 150)
 
-    @pytest.mark.parametrize("k", range(2, 10))
+    @pytest.mark.parametrize("k", range(2, 41))
     def test_battery_guard_counts_every_window(self, monkeypatch, k):
-        # The entry count is exact: a limit of exactly the entries of the
-        # windows presentation_relations(k) yields passes, one less refuses.
-        n = 3
-        entries = 0
-        for _, lhs, rhs in presentation_relations(k):
-            words = [word for _, word in lhs + rhs]
-            slots = {i + m for word in words for name, i, _ in word for m in range(_SITES[name])}
-            entries += max(n ** (2 * len(slots)), expression.RELATION_FLOOR_ENTRIES)
-        monkeypatch.setattr(expression, "RELATION_MAX_ENTRIES", Fraction(entries, 4096**2))
-        expression._check_battery(n, k)
-        monkeypatch.setattr(expression, "RELATION_MAX_ENTRIES", Fraction(entries - 1, 4096**2))
+        # The closed form counts the instances presentation_relations(k)
+        # yields, one window each, and the guard reads it exactly: a bound
+        # of that count passes and one less refuses.
+        count = expression.relation_count(k)
+        assert count == len(list(presentation_relations(k)))
+        monkeypatch.setattr(expression, "RELATION_MAX_INSTANCES", count)
+        expression._check_battery(3, k)
+        monkeypatch.setattr(expression, "RELATION_MAX_INSTANCES", count - 1)
         with pytest.raises(LimitError, match="relation battery"):
-            expression._check_battery(n, k)
+            expression._check_battery(3, k)
 
 
 _LETTERS = ("l", "r", "t", "p")

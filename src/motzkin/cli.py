@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,6 +36,8 @@ from .expression import (
     relation_residuals,
 )
 from .fock import (
+    MatrixUnitReport,
+    SubproductSystem,
     build_subproduct,
     coassociativity_residuals,
     cuntz_pimsner_residual,
@@ -45,7 +47,7 @@ from .fock import (
     reverse_identity,
     toeplitz_residuals,
 )
-from .jones_wenzl import jones_wenzl, jw_report
+from .jones_wenzl import jw_report
 from .qpoly import PhiFunction, dim_sequence
 from .representation import (
     MotzkinPair,
@@ -85,23 +87,26 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(args, payload, csv_lines=None) -> None:
-    fmt = getattr(args, "format", "json")
-    if fmt == "csv":
-        if csv_lines is None:
-            raise ParameterError("this command has no csv form; use --format json")
-        text = "\n".join(csv_lines) + "\n"
-    else:
+def _emit(args, payload, lines=None) -> int:
+    """Write the payload as json, or its text lines for --format csv and for
+    check-all, which has no --format; return the exit code, 1 exactly when
+    the payload carries "ok": false."""
+    if getattr(args, "format", None) == "json":
         text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+    elif lines is None:
+        raise ParameterError("this command has no csv form; use --format json")
+    else:
+        text = "\n".join(lines) + "\n"
     out = getattr(args, "out", None)
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+    return 0 if payload.get("ok", True) else 1
 
 
-def _emit_report(args, report, **extra) -> int:
-    """Emit a report's fields, the extras and ``ok``; return the exit code.
+def _report_payload(report, **extra) -> dict:
+    """A report's fields, the extras and ``ok``.
 
     The field ``lam`` (or an extra ``lam``) is written as ``"lambda"``.
     """
@@ -110,8 +115,7 @@ def _emit_report(args, report, **extra) -> int:
     if "lam" in payload:
         payload["lambda"] = payload.pop("lam")
     payload["ok"] = report.ok
-    _emit(args, payload)
-    return 0 if report.ok else 1
+    return payload
 
 
 def _load_pair(args) -> MotzkinPair:
@@ -130,7 +134,7 @@ def _load_pair(args) -> MotzkinPair:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand implementations (each returns the process exit code)
+# Subcommand implementations (each returns the exit code `_emit` sets)
 
 
 def _cmd_dims(args) -> int:
@@ -145,8 +149,7 @@ def _cmd_dims(args) -> int:
         dims.append(d)
     # Converting thousands of digits to text is slow: build only the form asked for.
     csv_lines = [",".join(map(str, dims))] if args.format == "csv" else None
-    _emit(args, {"n": args.n, "dims": dims}, csv_lines)
-    return 0
+    return _emit(args, {"n": args.n, "dims": dims}, csv_lines)
 
 
 def _cmd_basis(args) -> int:
@@ -157,28 +160,25 @@ def _cmd_basis(args) -> int:
         "pairings": [list(d.pairing) for d in diagrams],
     }
     csv_lines = [",".join(map(str, d.pairing)) for d in diagrams] if args.format == "csv" else None
-    _emit(args, payload, csv_lines)
-    return 0
+    return _emit(args, payload, csv_lines)
 
 
 def _cmd_presentation(args) -> int:
-    return _emit_report(args, check_presentation(args.k, args.lam))
+    return _emit(args, _report_payload(check_presentation(args.k, args.lam)))
 
 
 def _cmd_jw(args) -> int:
-    report = jw_report(args.k, args.lam)
-    return _emit_report(args, report, terms=len(jones_wenzl(args.k, args.lam).terms))
+    return _emit(args, _report_payload(jw_report(args.k, args.lam)))
 
 
 def _cmd_pair_validate(args) -> int:
     pair = _load_pair(args)
     report = validate_pair(pair, tol=args.tol)
-    return _emit_report(args, report, n=pair.n, lam=pair.lam)
+    return _emit(args, _report_payload(report, n=pair.n, lam=pair.lam))
 
 
 def _cmd_pair_make(args) -> int:
-    _emit(args, _load_pair(args).to_json_dict())
-    return 0
+    return _emit(args, _load_pair(args).to_json_dict())
 
 
 def _cmd_rep_check(args) -> int:
@@ -187,8 +187,7 @@ def _cmd_rep_check(args) -> int:
     local = local_residuals(pair, args.k, min(args.k, 4))
     worst_label = max(local, key=lambda label: local[label][1])
     top_local = max(norm for norm, _ in local.values())
-    ok = top_local < args.tol
-    _emit(
+    return _emit(
         args,
         {
             "n": pair.n,
@@ -198,44 +197,40 @@ def _cmd_rep_check(args) -> int:
             "worst": worst_label,
             "max_local_residual": top_local,
             "tol": args.tol,
-            "ok": ok,
+            "ok": top_local < args.tol,
         },
     )
-    return 0 if ok else 1
+
+
+def _faithful_payload(pair: MotzkinPair, k: int) -> dict:
+    """The span dimension at width k, held to M_{2k}."""
+    dim, rounds = span_dimension(pair, k)
+    expected = motzkin_number(2 * k)
+    return {
+        "n": pair.n,
+        "width": k,
+        "span_dimension": dim,
+        "expected": expected,
+        "rounds": rounds,
+        "ok": dim == expected,
+    }
 
 
 def _cmd_rep_faithful(args) -> int:
-    pair = _load_pair(args)
-    dim, rounds = span_dimension(pair, args.k)
-    expected = motzkin_number(2 * args.k)
-    ok = dim == expected
-    _emit(
-        args,
-        {
-            "n": pair.n,
-            "width": args.k,
-            "span_dimension": dim,
-            "expected": expected,
-            "rounds": rounds,
-            "ok": ok,
-        },
-    )
-    return 0 if ok else 1
+    return _emit(args, _faithful_payload(_load_pair(args), args.k))
 
 
-def _cmd_fock_build(args) -> int:
-    pair = _load_pair(args)
-    system = build_subproduct(pair, args.levels)
+def _fock_build_payload(system: SubproductSystem) -> dict:
+    """The built levels with their ranks; coassociativity is the verdict."""
     ranks = []
-    for k in range(args.levels + 1):
+    for k in range(system.levels + 1):
         rank, gap = projection_rank(system, k)
         ranks.append({"level": k, "rank": rank, "gap": gap})
     coassoc = coassociativity_residuals(system)
-    ok = max(coassoc.values(), default=0.0) < TOL_CHECK
-    payload = {
-        "n": pair.n,
-        "lambda": pair.lam,
-        "levels": args.levels,
+    return {
+        "n": system.pair.n,
+        "lambda": system.pair.lam,
+        "levels": system.levels,
         "dims": system.dims,
         "total_dimension": system.total_dimension,
         "idempotent_residuals": system.idempotent_residuals,
@@ -243,83 +238,82 @@ def _cmd_fock_build(args) -> int:
         "charge_block_sizes": system.charge_block_sizes,
         "ranks": ranks,
         "coassociativity": coassoc,
-        "ok": ok,
+        "ok": max(coassoc.values(), default=0.0) < TOL_CHECK,
     }
-    _emit(args, payload)
-    return 0 if ok else 1
+
+
+def _cmd_fock_build(args) -> int:
+    return _emit(args, _fock_build_payload(build_subproduct(_load_pair(args), args.levels)))
 
 
 def _cmd_fock_toeplitz(args) -> int:
     pair = _load_pair(args)
     system = build_subproduct(pair, args.levels)
     report = toeplitz_residuals(system, tol=args.tol)
-    return _emit_report(
-        args, report, n=pair.n, lam=pair.lam, max_residual=report.max_residual
+    return _emit(
+        args, _report_payload(report, n=pair.n, lam=pair.lam, max_residual=report.max_residual)
     )
+
+
+def _matrix_units_payload(system: SubproductSystem, kmax: int) -> dict:
+    """One row of `MatrixUnitReport` fields per level k <= kmax; ok when
+    every level spans its full matrix algebra."""
+    reports = [matrix_unit_dimension(system, k) for k in range(min(kmax, system.levels) + 1)]
+    return {
+        "n": system.pair.n,
+        "rows": [asdict(rep) for rep in reports],
+        "ok": all(rep.ok for rep in reports),
+    }
 
 
 def _cmd_fock_matrix_units(args) -> int:
     if args.kmax < 0:
         raise ParameterError(f"need kmax >= 0, got {args.kmax}")
-    pair = _load_pair(args)
-    system = build_subproduct(pair, args.levels)
-    rows = []
-    ok = True
-    for k in range(min(args.kmax, args.levels) + 1):
-        rep = matrix_unit_dimension(system, k)
-        rows.append(
-            {
-                "k": k,
-                "space_dim": rep.space_dim,
-                "rank": rep.rank,
-                "expected": rep.expected,
-                "measured": rep.measured,
-            }
-        )
-        ok = ok and rep.ok
-    csv_lines = ["k,space_dim,rank,expected,measured"]
-    csv_lines += [
-        f"{r['k']},{r['space_dim']},{r['rank']},{r['expected']},{r['measured']}"
-        for r in rows
-    ]
-    _emit(args, {"n": pair.n, "rows": rows, "ok": ok}, csv_lines)
-    return 0 if ok else 1
+    payload = _matrix_units_payload(build_subproduct(_load_pair(args), args.levels), args.kmax)
+    csv_lines = [",".join(f.name for f in fields(MatrixUnitReport))]
+    csv_lines += [",".join(map(str, row.values())) for row in payload["rows"]]
+    return _emit(args, payload, csv_lines)
 
 
 def _cmd_fock_reverse(args) -> int:
     pair = _load_pair(args)
     system = build_subproduct(pair, max(args.k, 1))
     report = reverse_identity(system, args.k, tol=args.tol)
-    return _emit_report(args, report, n=pair.n, lam=pair.lam)
+    return _emit(args, _report_payload(report, n=pair.n, lam=pair.lam))
 
 
 def _cmd_fock_ideal(args) -> int:
     pair = _load_pair(args)
     system = build_subproduct(pair, 2)
     report = ideal_generator(system, tol=args.tol)
-    return _emit_report(args, report, n=pair.n, lam=pair.lam)
+    return _emit(args, _report_payload(report, n=pair.n, lam=pair.lam))
+
+
+def _cp_payload(system: SubproductSystem, mmax: int) -> dict:
+    """The limiting-relation residuals at levels 1..mmax; ok when they
+    decrease in the level."""
+    reports = [cuntz_pimsner_residual(system, m) for m in range(1, mmax + 1)]
+    rows = [
+        {
+            "m": rep.level,
+            "residual": rep.residual,
+            "defect": rep.defect,
+            "ratio": rep.ratio,
+        }
+        for rep in reports
+    ]
+    return {
+        "n": system.pair.n,
+        "lambda": system.pair.lam,
+        "rows": rows,
+        "ok": all(x.residual > y.residual for x, y in zip(reports, reports[1:])),
+    }
 
 
 def _cmd_fock_cp(args) -> int:
     if args.mmax < 2:
         raise ParameterError(f"need mmax >= 2 to compare levels, got {args.mmax}")
-    pair = _load_pair(args)
-    system = build_subproduct(pair, args.levels)
-    rows = []
-    for m in range(1, args.mmax + 1):
-        rep = cuntz_pimsner_residual(system, m)
-        rows.append(
-            {
-                "m": m,
-                "residual": rep.residual,
-                "defect": rep.defect,
-                "ratio": rep.ratio,
-            }
-        )
-    residuals = [r["residual"] for r in rows]
-    ok = all(x > y for x, y in zip(residuals, residuals[1:]))
-    _emit(args, {"n": pair.n, "lambda": pair.lam, "rows": rows, "ok": ok})
-    return 0 if ok else 1
+    return _emit(args, _cp_payload(build_subproduct(_load_pair(args), args.levels), args.mmax))
 
 
 def _cmd_eval(args) -> int:
@@ -340,8 +334,7 @@ def _cmd_eval(args) -> int:
             "is_zero": norm < TOL_CHECK,
             "pretty": pretty(node),
         }
-        _emit(args, payload)
-        return 0
+        return _emit(args, payload)
     element = evaluate(node, args.k, args.lam)
     payload = element.to_json_dict()
     payload["is_zero"] = element.is_zero()
@@ -350,8 +343,7 @@ def _cmd_eval(args) -> int:
         "{},{}".format(t["coeff"], ",".join(map(str, t["pairing"])))
         for t in payload["terms"]
     ]
-    _emit(args, payload, csv_lines)
-    return 0
+    return _emit(args, payload, csv_lines)
 
 
 def _cmd_check_all(args) -> int:
@@ -412,8 +404,8 @@ def _cmd_check_all(args) -> int:
         check(
             f"span n={pair.n} k=2",
             lambda: (
-                (span := span_dimension(pair, 2))[0] == 9 and span[1] <= 8,
-                f"dim {span[0]} in {span[1]} rounds",
+                (span := _faithful_payload(pair, 2))["ok"] and span["rounds"] <= 8,
+                f"dim {span['span_dimension']} in {span['rounds']} rounds",
             ),
         )
 
@@ -430,8 +422,8 @@ def _cmd_check_all(args) -> int:
         check(
             f"coassociativity n={pair.n}",
             lambda: (
-                (co := max(coassociativity_residuals(system()).values())) < TOL_CHECK,
-                f"max {co:.2e}",
+                (levels := _fock_build_payload(system()))["ok"],
+                f"max {max(levels['coassociativity'].values()):.2e}",
             ),
         )
         check(
@@ -443,10 +435,7 @@ def _cmd_check_all(args) -> int:
         )
         check(
             f"matrix units n={pair.n}",
-            lambda: (
-                all(matrix_unit_dimension(system(), k).ok for k in range(4)),
-                "k <= 3",
-            ),
+            lambda: (_matrix_units_payload(system(), 3)["ok"], "k <= 3"),
         )
         check(
             f"reverse identity n={pair.n}",
@@ -459,15 +448,10 @@ def _cmd_check_all(args) -> int:
             f"ideal generator n={pair.n}",
             lambda: ((ide := ideal_generator(system())).ok, f"norm {ide.norm:.6f}"),
         )
-
-        def limit_relations():
-            cps = [cuntz_pimsner_residual(system(), m).residual for m in range(1, 5)]
-            return (
-                all(x > y for x, y in zip(cps, cps[1:])),
-                "residuals decrease in the level",
-            )
-
-        check(f"limit relations n={pair.n}", limit_relations)
+        check(
+            f"limit relations n={pair.n}",
+            lambda: (_cp_payload(system(), 4)["ok"], "residuals decrease in the level"),
+        )
 
     expr = "t1*t1 - t1"
     check(
@@ -486,18 +470,14 @@ def _cmd_check_all(args) -> int:
         ),
     )
 
-    failures = 0
-    for name, ok, detail in checks:
-        status = "PASS" if ok else "FAIL"
-        if not ok:
-            failures += 1
-        print(f"{status} {name}: {detail}")
-    print(
-        f"{len(checks) - failures}/{len(checks)} checks passed"
-        if failures
+    lines = [f"{'PASS' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in checks]
+    passed = sum(ok for _, ok, _ in checks)
+    lines.append(
+        f"{passed}/{len(checks)} checks passed"
+        if passed < len(checks)
         else f"all {len(checks)} checks passed"
     )
-    return 1 if failures else 0
+    return _emit(args, {"ok": passed == len(checks)}, lines)
 
 
 # ---------------------------------------------------------------------------

@@ -117,9 +117,12 @@ class SubproductSystem:
         for k, blocks in enumerate(_plan_levels(self.charges, levels, self.dtype.itemsize)[0]):
             self._add_level(k, a, b, blocks)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def _add_level(self, k: int, a, b, blocks: list[_Block]) -> None:
         """Build level k + 1 from its plan: one SVD per charge block of M fills the
-        frame in charge order; then the spectrum and each block's kept columns."""
+        frame in charge order; then the spectrum and each block's kept columns.
+        A pair near the float range gives an inf or NaN spectrum, which fails
+        the spectrum check without a warning."""
         n = self.pair.n
         phik = float(self.phi(k))
         bc, coef = b.conj(), np.sqrt(phik) * a.conj()
@@ -345,7 +348,8 @@ def _level_failure(pair: MotzkinPair, message: str) -> StructureError:
     `validate_pair` that the pair violates, if any."""
     report = validate_pair(pair)
     broken = [
-        f"{name} {value:.3e}" for name, value in report.residuals.items() if value > report.tol
+        f"{name} {value:.3e}" for name, value in report.residuals.items()
+        if not value <= report.tol  # a NaN residual is broken too
     ]
     if broken:
         message += f"; the pair violates {', '.join(broken)} (tol {report.tol:.0e})"

@@ -150,6 +150,7 @@ class JWReport:
     symmetric_recursion: bool   # mirrored recursion gives the same element
     absorption: bool            # g_k absorbs lower idempotents on both sides
     identity_coefficient: Fraction
+    terms: int                  # the number of diagrams in g_k
 
     @property
     def ok(self) -> bool:
@@ -223,6 +224,7 @@ def jw_report(k: int, lam, cache: JWCache | None = None) -> JWReport:
         symmetric_recursion=symmetric_recursion,
         absorption=absorption,
         identity_coefficient=g.identity_coefficient(),
+        terms=len(g._num),
     )
 
 

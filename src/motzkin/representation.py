@@ -145,10 +145,15 @@ class PairReport:
 
     @property
     def ok(self) -> bool:
-        return max(self.residuals.values()) <= self.tol
+        # Each residual is compared, so a NaN one fails; max() could skip it.
+        return all(value <= self.tol for value in self.residuals.values())
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def validate_pair(pair: MotzkinPair, tol: float = TOL_CONSTRUCT) -> PairReport:
+    """Residuals of the pair conditions.  Entries near the float range can
+    make a residual inf or NaN; it is kept as it is (np.maximum keeps a NaN
+    that max() would drop) and fails `ok`, without a numpy warning."""
     n, lam = pair.n, float(pair.lam)
     a, b = pair.a, pair.b
     bar = pair.bar
@@ -163,7 +168,7 @@ def validate_pair(pair: MotzkinPair, tol: float = TOL_CONSTRUCT) -> PairReport:
         for j in range(n):
             lhs = a[j].conj() * b[i].conj() * b[bar(j)]
             rhs = a[bar(i)].conj() * b[j].conj() * b[bar(i)]
-            compat = max(compat, abs(lhs - rhs))
+            compat = np.maximum(compat, abs(lhs - rhs))
 
     modulus = float(np.abs(np.abs(b) - np.abs(b[::-1])).max())
 
@@ -171,7 +176,7 @@ def validate_pair(pair: MotzkinPair, tol: float = TOL_CONSTRUCT) -> PairReport:
     a_sym = 0.0
     for j in range(n):
         if support[j]:
-            a_sym = max(a_sym, abs(a[j] - a[bar(j)]))
+            a_sym = np.maximum(a_sym, abs(a[j] - a[bar(j)]))
 
     weighted = abs(np.sum(abar.conj() * a * np.abs(b) ** 2) - lam)
 
@@ -187,7 +192,7 @@ def validate_pair(pair: MotzkinPair, tol: float = TOL_CONSTRUCT) -> PairReport:
                     * b[i].conj()
                     * b[bar(k)]
                 )
-                extended = max(extended, abs(lhs - rhs))
+                extended = np.maximum(extended, abs(lhs - rhs))
 
     return PairReport(
         norm_a=norm_a,
@@ -511,7 +516,8 @@ def span_dimension(pair: MotzkinPair, k: int) -> tuple[int, int]:
     exactly 0.0 off these blocks, its entries being finite.  An operator is
     the row of its block entries, with the norms and inner products of its
     full flattening.  The orthonormal basis is one array allocated once,
-    never copied, of which only the rows written become resident.
+    never copied, with no more rows than the E block entries it is
+    orthonormal in; only the rows written become resident.
     """
     if k < 1:
         raise ParameterError(f"need k >= 1, got {k}")
@@ -527,7 +533,8 @@ def span_dimension(pair: MotzkinPair, k: int) -> tuple[int, int]:
     slices = [slice(end - I.size**2, end) for I, end in zip(components, ends)]
     ops = [[x[np.ix_(I, I)] for I in components] for x in dense]
     del eye, dense
-    basis = np.empty((SPAN_MAX_BYTES // (pair.dtype.itemsize * ends[-1]), ends[-1]), pair.dtype)
+    rows_max = min(SPAN_MAX_BYTES // (pair.dtype.itemsize * ends[-1]), ends[-1])
+    basis = np.empty((rows_max, ends[-1]), pair.dtype)
     # The first round applies the identity and the generators to the identity.
     found, rows, apply = 0, np.concatenate([x.reshape(-1) for x in ops[0]])[None], ops
     for rounds in range(MAX_SPAN_ROUNDS + 1):

@@ -28,7 +28,7 @@ from motzkin.expression import (
 from motzkin import cli, expression, fock, representation
 from motzkin.diagram_core import adjoint, embed, generator, identity
 from motzkin.errors import ParameterError, ParseError, StructureError
-from motzkin.jones_wenzl import jones_wenzl
+from motzkin.jones_wenzl import JWReport, jones_wenzl
 from motzkin.representation import MotzkinPair, build_example_pair, evaluate_element
 
 QUARTER = Fraction(1, 4)
@@ -36,6 +36,18 @@ QUARTER = Fraction(1, 4)
 
 def _refuse_to_build(*args):
     raise AssertionError("built past a refusal")
+
+
+_FAILS = property(lambda self: False)  # a report class's ok, forced to fail
+
+
+def _rising(system, m):
+    """Limiting-relation residuals that grow with the level."""
+    return fock.AsymptoticReport(level=m, residuals={"eq": float(m)}, defect=1.0)
+
+
+def _check_all_fails(name):
+    return [f"FAIL {name} n=4", f"FAIL {name} n=3"]
 
 # Expressions already in canonical form: parsing and printing must give
 # them back verbatim.
@@ -358,6 +370,7 @@ class TestRunCommand:
         assert run_command(["jw", "--k", "2"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["ok"] is True and data["identity_coefficient"] == "1"
+        assert data["terms"] == len(jones_wenzl(2, QUARTER).terms) == 7
 
     def test_report_payload_keys(self, capsys):
         # Each report command writes its report's fields (lam as "lambda"),
@@ -578,6 +591,30 @@ class TestRunCommand:
                         "error: operator entries leave the floating-point range\n"
                     )
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_pairs_report_nan(self, tmp_path, capsys):
+        # Entries near the float range make some residuals inf - inf.  pair
+        # validate prints them as NaN and fails, and the level build names
+        # them among the broken conditions; neither prints a numpy warning.
+        huge = {"n": 3, "lambda": "1/3", "a": [[1e300, 0]] * 3,
+                "b": [[1e300, 0], [0, 0], [1e300, 0]]}
+        wide = build_example_pair("iii", 4, 1, QUARTER).to_json_dict()
+        wide["a"][0] = [1e308, 0.0]
+        cases = [(huge, 1, {"compatibility", "extended", "weighted_sum"}), (wide, 2, {"extended"})]
+        path = tmp_path / "pair.json"
+        for data, level, nan in cases:
+            path.write_text(json.dumps(data))
+            assert run_command(["pair", "validate", "--in", str(path)]) == 1
+            captured = capsys.readouterr()
+            report = json.loads(captured.out)
+            assert captured.err == "" and report["ok"] is False
+            assert {name for name, value in report.items() if value == "nan"} == nan
+            assert run_command(["fock", "build", "--in", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"structure check failed: level {level}: ")
+            assert all(f" {name} nan" in captured.err for name in nan), captured.err
+
     def test_fock_toeplitz_odd_support(self, tmp_path, capsys):
         # b uniform on the bar-closed support {0, 2, 4} of n = 5, lam = 1/6:
         # a has sqrt(lam) there and y, lam / sqrt(y) on the free orbit {1, 3}.
@@ -775,6 +812,76 @@ class TestRunCommand:
         ]
         assert sum(line.startswith("PASS ") for line in lines) == 34
         assert lines[-1] == "34/36 checks passed"
+
+    @pytest.mark.parametrize(
+        "argv, fail, check_all",
+        [
+            (["presentation", "--k", "2"], (expression.PresentationReport, "ok", _FAILS), None),
+            (["jw", "--k", "2"], (JWReport, "ok", _FAILS), None),
+            (["pair", "validate"], ["--tol", "1e-300"], None),
+            (["rep", "check", "--k", "2"], ["--tol", "8e-16"], None),
+            (
+                ["rep", "faithful", "--k", "2"],
+                (cli, "span_dimension", lambda pair, k: (8, 2)),
+                ["FAIL span n=4 k=2: dim 8 in 2 rounds", "FAIL span n=3 k=2: dim 8 in 2 rounds"],
+            ),
+            (
+                ["fock", "build", "--levels", "2"],
+                (cli, "coassociativity_residuals", lambda system: {"left[k=2]": 1.0}),
+                [f"{line}: max 1.00e+00" for line in _check_all_fails("coassociativity")],
+            ),
+            (["fock", "toeplitz", "--levels", "2"], ["--tol", "1e-300"], None),
+            (
+                ["fock", "matrix-units", "--kmax", "2", "--format", "json"],
+                (fock.MatrixUnitReport, "ok", _FAILS),
+                [f"{line}: k <= 3" for line in _check_all_fails("matrix units")],
+            ),
+            (["fock", "reverse", "--k", "2"], ["--tol", "1e-300"], None),
+            (["fock", "ideal"], ["--tol", "1e-300"], None),
+            (
+                ["fock", "cp-asymptotics", "--levels", "4", "--mmax", "3"],
+                (cli, "cuntz_pimsner_residual", _rising),
+                [
+                    f"{line}: residuals decrease in the level"
+                    for line in _check_all_fails("limit relations")
+                ],
+            ),
+        ],
+    )
+    def test_exit_code_is_the_printed_verdict(self, monkeypatch, capsys, argv, fail, check_all):
+        # Each command exits 0 exactly when the ok it prints is true: once
+        # on a passing input, once on a failing one (a tolerance no residual
+        # meets, or a forced verdict).  check-all reads the same verdict as
+        # the command for coassociativity, matrix units, limit relations and
+        # span, so forcing one fails its two lines there.
+        assert run_command(argv) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+        if isinstance(fail, list):
+            argv = argv + fail
+        else:
+            monkeypatch.setattr(*fail)
+        assert run_command(argv) == 1
+        assert json.loads(capsys.readouterr().out)["ok"] is False
+        if check_all:
+            assert run_command(["check-all"]) == 1
+            lines = capsys.readouterr().out.splitlines()
+            assert [line for line in lines if line.startswith("FAIL")] == check_all
+            assert lines[-1] == "34/36 checks passed"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dims", "--n", "4", "--format", "json"],
+            ["basis", "--k", "2"],
+            ["pair", "make"],
+            ["eval", "t1", "--k", "2"],
+            ["eval", "t1", "--k", "2", "--rep"],
+        ],
+    )
+    def test_commands_without_a_verdict_exit_zero(self, capsys, argv):
+        assert run_command(argv) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert "ok" not in data and data.get("is_zero") is not True
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,7 @@ def test_reports_up_to_width_4():
             report = jw_report(k, lam)
             assert report.ok, (k, lam, report)
             assert report.identity_coefficient == 1
+            assert report.terms == len(jones_wenzl(k, lam).terms)
             # The top-p annihilation is reported, not required.
             assert isinstance(report.kills_top_p, bool)
 

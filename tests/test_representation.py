@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import struct
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -117,6 +118,29 @@ class TestExamplePairs:
             pair = build_example_pair(family, n, r, lam)
             report = validate_pair(pair)
             assert report.ok, (family, n, r, lam, report)
+
+    def test_non_finite_residuals_fail(self):
+        # max() over the residuals would keep whichever came first, so a NaN
+        # after a finite residual would pass.
+        report = validate_pair(_pair4())
+        assert report.ok
+        for name in report.residuals:
+            for bad in (float("nan"), float("inf")):
+                assert not dataclasses.replace(report, **{name: bad}).ok, (name, bad)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_entries_give_nan_residuals(self):
+        # Products of entries near the float range are inf - inf: the
+        # residuals are NaN, kept as NaN, and nothing warns.
+        huge = MotzkinPair(3, THIRD, np.full(3, 1e300), np.array([1e300, 0, 1e300]))
+        a = _pair4().a.copy()
+        a[0] = 1e308
+        wide = MotzkinPair(4, QUARTER, a, _pair4().b)
+        cases = [(huge, {"compatibility", "weighted_sum", "extended"}), (wide, {"extended"})]
+        for pair, nan in cases:
+            report = validate_pair(pair)
+            assert {name for name, value in report.residuals.items() if np.isnan(value)} == nan
+            assert not report.ok
 
     def test_bad_parameters(self):
         with pytest.raises(ParameterError):
@@ -860,6 +884,18 @@ class TestSpanDimension:
             dim, rounds = span_dimension(pair, 2)
             assert dim == motzkin_number(4) == 9
             assert rounds <= 8
+
+    def test_basis_holds_only_what_it_can(self):
+        # The basis rows are orthonormal in C^E, E the block entries, so no
+        # more than E rows are reserved: at i n=3, k=2 that is far below the
+        # SPAN_MAX_BYTES of rows the bound alone would allow.
+        tracemalloc.start()
+        try:
+            assert span_dimension(_pair3(), 2) == (9, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_needs_a_width(self):
         for k in (0, -1):
